@@ -21,23 +21,20 @@ import sys
 
 import numpy as np
 
-from memcolor.classifier import (SamplerConfig, Thresholds, classify_offline,
-                                 classify_trace_online)
+from memcolor.classifier import Thresholds, classify_offline, classify_trace_online
 from memcolor.mapping import AddressMapping
 from memcolor.workloads import (ARCHETYPE_KINDS, canonical_params, gen,
                                 randomized_params)
-
-CFG = SamplerConfig()
 
 
 def evidence_row(kind, params, m):
     trace = gen(params)
     off = classify_offline(trace, m)
-    on, ev, _ = classify_trace_online(trace, m)
+    on, ev, wpd = classify_trace_online(trace, m)
     return {
         "kind": kind, "seed": params.seed,
         "d": off.degradation, "fp": off.footprint_pages,
-        "h": ev.mean_hot_pages(), "w": ev.wpd(CFG),
+        "h": ev.mean_hot_pages(), "w": wpd,
         "offline": off.category.value, "online": on.value,
     }
 

@@ -16,13 +16,13 @@ import csv
 import sys
 import time
 
-from memcolor.advisor import AdvisorError, WorkloadProfile, decide_policy, plan_quotas
-from memcolor.allocator import Allocator
+from memcolor.advisor import AdvisorError, WorkloadProfile, decide_policy
 from memcolor.classifier import Category
-from memcolor.hierarchy import MemoryHierarchy, proxy_cycles, run_trace
-from memcolor.mapping import AddressMapping
-from memcolor.policies import PolicyKind, policy_spec
-from memcolor.workloads import canonical_params, gen, mix
+from memcolor.cli import sweep_policies
+from memcolor.config import ExperimentConfig
+from memcolor.hierarchy import proxy_cycles
+from memcolor.policies import PolicyKind
+from memcolor.workloads import canonical_params, gen
 
 CAT_OF = {"c": Category.CCF, "t": Category.LLCT,
           "m": Category.LLCM, "h": Category.LLCH}
@@ -39,31 +39,21 @@ DEFAULT_CORPUS = [
 ]
 
 
-def run_mix(code, seed0, m):
-    traces, apps = [], []
+def run_mix(code, seed0, cfg):
+    traces, apps = {}, []
     for i, ch in enumerate(code):
         app = f"{ch.upper()}{i}"
-        traces.append(gen(canonical_params(KIND_OF[ch], seed=seed0 + i,
-                                           app=app, core=i)))
+        traces[app] = gen(canonical_params(KIND_OF[ch], seed=seed0 + i,
+                                           app=app, core=i))
         apps.append((app, CAT_OF[ch]))
     profile = WorkloadProfile(tuple(apps))
-    merged = mix(traces)
     cycles = {}
-    for policy in PolicyKind:
-        spec = policy_spec(policy, m)
-        alloc = Allocator(m.total_pages, spec, m, seed=1)
-        try:
-            if spec.partitioning:
-                decision = plan_quotas(profile, policy, spec)
-                for app, colors in decision.quotas.items():
-                    alloc.assign_quota(app, colors)
-            else:
-                for app, _ in apps:
-                    alloc.register(app)
-        except AdvisorError:
+    for policy, cell in sweep_policies(cfg, traces, profile).items():
+        if isinstance(cell, AdvisorError):
             continue
-        metrics, _ = run_trace(merged, alloc, MemoryHierarchy(m))
-        cycles[policy] = proxy_cycles(metrics)
+        if isinstance(cell, Exception):
+            raise cell
+        cycles[policy] = proxy_cycles(cell)
     return decide_policy(profile), cycles
 
 
@@ -73,12 +63,12 @@ def main(argv=None):
     ap.add_argument("--csv", help="also write per-mix rows to this file")
     args = ap.parse_args(argv)
 
-    m = AddressMapping()
+    cfg = ExperimentConfig(seed=1)
     rows, hits = [], 0
     t0 = time.time()
     print(f"{'mix':6} {'seed':>4}  {'pdt':<10} {'best':<10} {'gap':>6}  verdict")
     for code, seed0 in DEFAULT_CORPUS:
-        pdt, cycles = run_mix(code, seed0, m)
+        pdt, cycles = run_mix(code, seed0, cfg)
         best = min(cycles, key=cycles.get)
         gap = (cycles[pdt] - cycles[best]) / cycles[best]
         ok = gap <= args.tolerance

@@ -17,11 +17,11 @@ the members of the shared cache group.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from memcolor.classifier import Category
 from memcolor.mapping import AddressMapping
-from memcolor.policies import PolicyError, PolicyKind, PolicySpec, policy_spec
+from memcolor.policies import PolicyKind, PolicySpec, policy_spec
 
 
 TAG_CACHE_SHARE = "cache-share"
@@ -142,47 +142,7 @@ def plan_quotas(p: WorkloadProfile, policy: PolicyKind, spec: PolicySpec) -> Pol
     return PolicyDecision(policy, quotas, tuple(groups))
 
 
-def advise(profile: WorkloadProfile, m: AddressMapping,
-           evidence: dict | None = None) -> PolicyDecision:
+def advise(profile: WorkloadProfile, m: AddressMapping) -> PolicyDecision:
     """Profile -> policy -> quota plan (classification happens upstream)."""
     policy = decide_policy(profile)
-    spec = policy_spec(policy, m)
-    decision = plan_quotas(profile, policy, spec)
-    return decision
-
-
-def advise_traces(traces_by_app: dict, m: AddressMapping, core_count: int = 4,
-                  multithreaded: bool = False, classify=None) -> tuple:
-    """Classify each app's solo trace online, then advise.
-
-    Returns (PolicyDecision, WorkloadProfile, evidence dict).
-    """
-    from memcolor.classifier import classify_trace_online
-    classify = classify or classify_trace_online
-    apps = []
-    evidence = {}
-    for app, trace in traces_by_app.items():
-        result = classify(trace, m)
-        cat, ev = result[0], result[1]
-        apps.append((app, cat))
-        evidence[str(app)] = {"category": cat.value,
-                              "hot_pages": list(ev.hot_pages)}
-    profile = WorkloadProfile(tuple(apps), multithreaded=multithreaded,
-                              core_count=core_count)
-    return advise(profile, m), profile, evidence
-
-
-def apply_decision(allocator, decision: PolicyDecision):
-    """Install a decision's quotas into an allocator; groups whose members
-    hold identical color sets are coalesced to share a group label."""
-    for app, colors in decision.quotas.items():
-        if colors:
-            allocator.assign_quota(app, colors)
-        else:
-            allocator.register(app)
-    for g in decision.groups:
-        if g.tag == TAG_NONE or len(g.apps) < 2:
-            continue
-        quotas = {decision.quotas[a] for a in g.apps}
-        if len(quotas) == 1:
-            allocator.coalesce([g.apps])
+    return plan_quotas(profile, policy, policy_spec(policy, m))

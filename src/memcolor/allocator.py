@@ -50,12 +50,11 @@ class _Pool:
 
 
 class _QuotaState:
-    __slots__ = ("colors", "rr", "shared_group")
+    __slots__ = ("colors", "rr")
 
     def __init__(self, colors):
         self.colors = sorted(colors)
         self.rr = 0
-        self.shared_group = None
 
 
 class Allocator:
@@ -107,9 +106,6 @@ class Allocator:
     def quota_of(self, app_id) -> list[int]:
         return list(self._quotas[app_id].colors)
 
-    def shared_group_of(self, app_id):
-        return self._quotas[app_id].shared_group
-
     # --- quota management ------------------------------------------------
 
     def register(self, app_id):
@@ -130,27 +126,6 @@ class Allocator:
             raise AllocationError(f"app {app_id!r} already has allocated pages")
         self._quotas[app_id] = _QuotaState(colors)
         self.page_tables.setdefault(app_id, {})
-
-    def coalesce(self, groups):
-        """Merge color quotas: each group shares the union of its colors."""
-        seen = set()
-        for gi, group in enumerate(groups):
-            group = set(group)
-            if group & seen:
-                raise AllocationError(f"coalesce groups overlap: {sorted(group & seen)}")
-            seen |= group
-            for app in group:
-                if app not in self._quotas:
-                    raise AllocationError(f"coalesce: unknown app {app!r}")
-            union = set()
-            for app in group:
-                union |= set(self._quotas[app].colors)
-            label = f"group{gi}"
-            for app in group:
-                q = self._quotas[app]
-                q.colors = sorted(union)
-                q.rr = 0
-                q.shared_group = label
 
     # --- allocation ------------------------------------------------------
 

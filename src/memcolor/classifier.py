@@ -9,12 +9,15 @@ Online method: two periodic sampling jobs over the app's page table — one
 counts hot pages via access-bit scan-and-clear, the other keeps per-page
 access counters and summarizes them as a weighted page distribution (WPD,
 bucket weight = log2 count-range index) — then thresholds on (mean hot
-pages, WPD) pick the category.
+pages, WPD) pick the category.  Both jobs see only the app's own page
+accesses, so `classify_trace_online` computes their evidence straight from
+the trace; `PageAccessSampler` is the per-access reference the tests hold
+it to.
 """
 
 from __future__ import annotations
 
-import json
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -119,7 +122,8 @@ def job2_wpd(access_counters, cfg: SamplerConfig) -> float:
 
 
 class PageAccessSampler:
-    """Online sampling driver: feed it every (app, vpn) access; it advances
+    """Per-access sampling driver, the reference for `classify_trace_online`:
+    feed it every (app, vpn) access after the allocator's touch; it advances
     JOB2's per-page counters each access and runs JOB1's access-bit scan at
     each period boundary."""
 
@@ -147,28 +151,15 @@ class PageAccessSampler:
         self.evidence.setdefault(app_id, OnlineEvidence()).hot_pages.append(hot)
         return hot
 
-    def evidence_json(self, app_id, thresholds: Thresholds) -> str:
-        ev = self.evidence[app_id]
-        return json.dumps({
-            "app": str(app_id),
-            "hot_pages": ev.hot_pages,
-            "wpd": ev.wpd(self.cfg),
-            "category": classify_online(ev, thresholds, self.cfg).value,
-            "thresholds_used": {
-                "hot_page_low": thresholds.hot_page_low,
-                "hot_page_high": thresholds.hot_page_high,
-                "wpd_low": thresholds.wpd_low,
-                "wpd_high": thresholds.wpd_high,
-            },
-        }, sort_keys=True, indent=2)
-
 
 def classify_online(evidence: OnlineEvidence, thresholds: Thresholds,
                     cfg: SamplerConfig | None = None) -> Category:
     """Threshold decision over (mean hot pages, WPD); ties take the >= branch."""
-    cfg = cfg or SamplerConfig()
-    h = evidence.mean_hot_pages()
-    w = evidence.wpd(cfg)
+    return _decide(evidence.mean_hot_pages(), evidence.wpd(cfg or SamplerConfig()),
+                   thresholds)
+
+
+def _decide(h: float, w: float, thresholds: Thresholds) -> Category:
     if h <= thresholds.hot_page_low:
         return Category.CCF
     if h >= thresholds.hot_page_high:
@@ -241,27 +232,33 @@ def classify_offline(trace, m: AddressMapping,
 
 def classify_trace_online(trace, m: AddressMapping,
                           cfg: SamplerConfig | None = None,
-                          thresholds: Thresholds | None = None,
-                          private_cfg=DEFAULT_PRIVATE, llc_cfg=DEFAULT_LLC,
-                          latencies=None, total_pages: int | None = None,
-                          seed: int = 0):
-    """Run a single-app trace solo (no color constraint) with the sampler
-    attached and classify from the collected evidence.
+                          thresholds: Thresholds | None = None):
+    """Classify a single-app trace from the evidence the two sampling jobs
+    would collect while it runs solo.
 
-    Returns (Category, OnlineEvidence, PageAccessSampler).
+    JOB2's counters are the per-page access counts in first-touch order.
+    JOB1's scan at the end of each complete interval of `cfg.period`
+    accesses finds the access bits of exactly the pages touched in that
+    interval; a trailing partial interval is never scanned.
+
+    Returns (Category, OnlineEvidence, WPD).
     """
-    from memcolor.policies import PolicyKind, policy_spec
     cfg = cfg or SamplerConfig()
     thresholds = thresholds or Thresholds()
     apps = {r.app for r in trace}
     if len(apps) != 1:
         raise ClassifierError(f"online classification expects a single-app trace, got {sorted(apps)}")
     (app,) = apps
-    alloc = Allocator(total_pages or m.total_pages,
-                      policy_spec(PolicyKind.INTERLEAVE, m), m, seed=seed)
-    alloc.register(app)
-    hier = MemoryHierarchy(m, private_cfg, llc_cfg, latencies)
-    sampler = PageAccessSampler(alloc, cfg)
-    run_trace(trace, alloc, hier, observer=sampler)
-    ev = sampler.evidence[app]
-    return classify_online(ev, thresholds, cfg), ev, sampler
+    period = cfg.period
+    if len(trace) < period:
+        raise ClassifierError(
+            f"app {app!r}: trace has {len(trace)} accesses, fewer than one "
+            f"sampling period ({period}), so no sampling interval completes")
+    shift = m.page_offset_bits
+    vpns = [r.vaddr >> shift for r in trace]
+    ev = OnlineEvidence(
+        hot_pages=[len(set(vpns[i:i + period]))
+                   for i in range(0, len(vpns) - period + 1, period)],
+        access_counters=dict(Counter(vpns)))
+    wpd = ev.wpd(cfg)
+    return _decide(ev.mean_hot_pages(), wpd, thresholds), ev, wpd

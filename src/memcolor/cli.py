@@ -7,23 +7,20 @@ Exit codes: 0 ok, 1 usage, 2 invalid config, 3 simulation error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 
-from memcolor.advisor import (WorkloadProfile, advise, apply_decision,
+from memcolor.advisor import (AdvisorError, WorkloadProfile, advise,
                               decide_policy, plan_quotas)
 from memcolor.allocator import AllocationError, Allocator
-from memcolor.classifier import (ClassifierError, PageAccessSampler,
-                                 classify_offline, classify_online,
+from memcolor.classifier import (ClassifierError, classify_offline,
                                  classify_trace_online)
 from memcolor.config import ConfigError, ExperimentConfig, load_config
 from memcolor.hierarchy import (MemoryHierarchy, SimulationError, proxy_cycles,
                                 run_trace)
 from memcolor.mapping import MappingError
-from memcolor.policies import (PARTITIONING_KINDS, PolicyError, PolicyKind,
-                               policy_spec)
+from memcolor.policies import PolicyError, PolicyKind, PolicySpec, policy_spec
 from memcolor.workloads import (ArchetypeParams, TraceError, canonical_params,
                                 gen, mix, read_trace, write_trace)
 
@@ -31,9 +28,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-SWEEP_POLICIES = [PolicyKind.INTERLEAVE, PolicyKind.BANK_ONLY, PolicyKind.A_VP,
-                  PolicyKind.B_VP, PolicyKind.C_VP, PolicyKind.RANDOM]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,51 +62,65 @@ def _even_split_quotas(spec, apps):
     return {a: (i % n_colors,) for i, a in enumerate(apps)}
 
 
-def _classify_all(cfg: ExperimentConfig, traces):
-    results = {}
+def _classify_online(cfg: ExperimentConfig, traces) -> dict:
+    """Online category and evidence per app, as the reports print them."""
+    out = {}
     for app, trace in traces.items():
-        cat, ev, sampler = classify_trace_online(
-            trace, cfg.mapping, cfg=cfg.sampler, thresholds=cfg.thresholds,
-            private_cfg=cfg.private_cache, llc_cfg=cfg.llc,
-            latencies=cfg.latencies, total_pages=cfg.resolved_total_pages(),
-            seed=cfg.seed)
-        results[app] = (cat, ev)
-    return results
+        cat, ev, wpd = classify_trace_online(trace, cfg.mapping, cfg=cfg.sampler,
+                                             thresholds=cfg.thresholds)
+        out[app] = {"category": cat.value, "hot_pages": ev.hot_pages, "wpd": wpd}
+    return out
 
 
 def _profile(cfg: ExperimentConfig, traces):
     if cfg.profile:
         apps = tuple(cfg.profile)
         evidence = {str(a): {"category": c.value, "source": "profile"} for a, c in apps}
-        return (WorkloadProfile(apps, multithreaded=cfg.multithreaded,
-                                core_count=cfg.core_count), evidence)
-    classified = _classify_all(cfg, traces)
-    apps = tuple((a, cat) for a, (cat, _) in classified.items())
-    evidence = {str(a): {"category": cat.value,
-                         "hot_pages": list(ev.hot_pages),
-                         "wpd": ev.wpd(cfg.sampler)}
-                for a, (cat, ev) in classified.items()}
+    else:
+        classified = _classify_online(cfg, traces)
+        apps = tuple((a, e["category"]) for a, e in classified.items())
+        evidence = {str(a): e for a, e in classified.items()}
     return (WorkloadProfile(apps, multithreaded=cfg.multithreaded,
                             core_count=cfg.core_count), evidence)
 
 
-def _run_one_policy(cfg: ExperimentConfig, traces, policy: PolicyKind,
-                    quotas=None, log_alloc=False):
-    spec = policy_spec(policy, cfg.mapping)
+def _run_policy(cfg: ExperimentConfig, merged, apps, spec: PolicySpec,
+                quotas=None, log_alloc=False):
+    """Replay a mixed trace under one policy; quotas default to an even
+    color split.  Returns (Metrics, epoch snapshots, Allocator)."""
     alloc = Allocator(cfg.resolved_total_pages(), spec, cfg.mapping,
                       seed=cfg.seed, allow_fallback=cfg.allow_fallback,
                       log=log_alloc)
     if spec.partitioning:
-        quotas = quotas or _even_split_quotas(spec, list(traces))
-        for app, colors in quotas.items():
+        for app, colors in (quotas or _even_split_quotas(spec, apps)).items():
             alloc.assign_quota(app, colors)
     else:
-        for app in traces:
+        for app in apps:
             alloc.register(app)
     hier = MemoryHierarchy(cfg.mapping, cfg.private_cache, cfg.llc, cfg.latencies)
-    merged = mix(list(traces.values()), k=cfg.mix_chunk, core_count=cfg.core_count)
     metrics, snapshots = run_trace(merged, alloc, hier, epoch=cfg.epoch)
     return metrics, snapshots, alloc
+
+
+def sweep_policies(cfg: ExperimentConfig, traces: dict,
+                   profile: WorkloadProfile) -> dict:
+    """Replay one mix of `traces` ({app: trace}) under every policy, with
+    the quotas the advisor plans for `profile`.
+
+    Returns {PolicyKind: Metrics, or the library error that stopped that
+    cell}; a cell whose quota plan is infeasible holds an AdvisorError.
+    """
+    merged = mix(list(traces.values()), k=cfg.mix_chunk, core_count=cfg.core_count)
+    cells = {}
+    for policy in PolicyKind:
+        try:
+            spec = policy_spec(policy, cfg.mapping)
+            quotas = plan_quotas(profile, policy, spec).quotas if spec.partitioning else None
+            cells[policy] = _run_policy(cfg, merged, list(traces), spec, quotas)[0]
+        except (AdvisorError, PolicyError, AllocationError, SimulationError,
+                MappingError) as exc:
+            cells[policy] = exc
+    return cells
 
 
 def _write(path, text):
@@ -155,8 +163,10 @@ def cmd_run(args) -> int:
             policy = PolicyKind.from_name(cfg.policy)
             quotas = None
 
-        metrics, snapshots, alloc = _run_one_policy(cfg, traces, policy,
-                                                    quotas=quotas, log_alloc=True)
+        merged = mix(list(traces.values()), k=cfg.mix_chunk, core_count=cfg.core_count)
+        metrics, snapshots, alloc = _run_policy(
+            cfg, merged, list(traces), policy_spec(policy, cfg.mapping),
+            quotas=quotas, log_alloc=True)
         path = os.path.join(out, "metrics.json")
         _write(path, metrics.to_json(cfg.latencies))
         written.append(path)
@@ -182,24 +192,17 @@ def cmd_classify(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
     traces = _load_traces(cfg)
-    out = {}
-    for app, trace in traces.items():
-        if args.method == "offline":
+    if args.method == "online":
+        out = _classify_online(cfg, traces)
+    else:
+        out = {}
+        for app, trace in traces.items():
             res = classify_offline(trace, cfg.mapping, cfg.private_cache, cfg.llc,
                                    cfg.latencies, cfg.thresholds,
                                    cfg.resolved_total_pages())
             out[app] = {"category": res.category.value,
                         "degradation": res.degradation,
                         "footprint_pages": res.footprint_pages}
-        else:
-            cat, ev, sampler = classify_trace_online(
-                trace, cfg.mapping, cfg=cfg.sampler, thresholds=cfg.thresholds,
-                private_cfg=cfg.private_cache, llc_cfg=cfg.llc,
-                latencies=cfg.latencies, total_pages=cfg.resolved_total_pages(),
-                seed=cfg.seed)
-            out[app] = {"category": cat.value,
-                        "hot_pages": list(ev.hot_pages),
-                        "wpd": ev.wpd(cfg.sampler)}
     text = json.dumps(out, sort_keys=True, indent=2)
     if args.out:
         _write(os.path.join(args.out, "classify.json"), text)
@@ -231,21 +234,17 @@ def cmd_sweep(args) -> int:
 
     rows = []
     results = {}
-    for policy in SWEEP_POLICIES:
-        try:
-            spec = policy_spec(policy, cfg.mapping)
-            quotas = None
-            if spec.partitioning:
-                quotas = plan_quotas(profile, policy, spec).quotas
-            metrics, _, _ = _run_one_policy(cfg, traces, policy, quotas=quotas)
-            proxy = proxy_cycles(metrics, cfg.latencies)
-            results[policy.value] = proxy
-            rows.append([policy.value, proxy,
-                         metrics.total["cross_app_conflicts"],
-                         metrics.total["cross_app_llc_evictions"],
-                         f"{metrics.llc_miss_rate():.6f}", "ok"])
-        except (PolicyError, AllocationError, SimulationError, MappingError) as exc:
-            rows.append([policy.value, "", "", "", "", f"failed: {exc}"])
+    for policy, cell in sweep_policies(cfg, traces, profile).items():
+        if isinstance(cell, Exception):
+            status = "skipped" if isinstance(cell, AdvisorError) else "failed"
+            rows.append([policy.value, "", "", "", "", f"{status}: {cell}"])
+            continue
+        proxy = proxy_cycles(cell, cfg.latencies)
+        results[policy.value] = proxy
+        rows.append([policy.value, proxy,
+                     cell.total["cross_app_conflicts"],
+                     cell.total["cross_app_llc_evictions"],
+                     f"{cell.llc_miss_rate():.6f}", "ok"])
 
     if not results:
         raise SimulationError("every sweep cell failed")
@@ -314,7 +313,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ConfigError, PolicyError) as exc:
+    except (ConfigError, PolicyError, AdvisorError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (TraceError, ClassifierError, AllocationError, SimulationError,

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from memcolor.mapping import AddressMapping, BitExtractor, MappingError
+from memcolor.mapping import AddressMapping, MappingError
 
 
 DEFAULT_LATENCIES = {
@@ -137,10 +137,6 @@ def proxy_cycles(metrics: Metrics, latencies=None) -> int:
     return _weighted(metrics.total, latencies or DEFAULT_LATENCIES)
 
 
-def per_app_proxy_cycles(metrics: Metrics, app_id, latencies=None) -> int:
-    return _weighted(metrics.app(app_id), latencies or DEFAULT_LATENCIES)
-
-
 class MemoryHierarchy:
     def __init__(self, m: AddressMapping,
                  private_cfg: CacheConfig = DEFAULT_PRIVATE,
@@ -233,19 +229,17 @@ class MemoryHierarchy:
 
 
 def run_trace(trace, allocator, hierarchy: MemoryHierarchy,
-              observer=None, epoch: int | None = None):
+              epoch: int | None = None):
     """Replay a trace: first-touch translation then hierarchy access.
 
     Returns (Metrics, snapshots); snapshots holds one metrics dict per epoch
-    of `epoch` accesses when requested.  An observer (e.g. the page-access
-    sampler) sees every (app_id, vpn) after it is accessed.
+    of `epoch` accesses when requested.
     """
     m = hierarchy.mapping
     page_shift = m.page_offset_bits
     page_mask = m.page_bytes - 1
     touch = allocator.touch
     access = hierarchy.access
-    on_access = observer.on_access if observer is not None else None
     snapshots = []
     for i, rec in enumerate(trace):
         vpn = rec.vaddr >> page_shift
@@ -254,8 +248,6 @@ def run_trace(trace, allocator, hierarchy: MemoryHierarchy,
         except Exception as exc:
             raise SimulationError(f"record {i}: {exc}") from exc
         access(rec.core, rec.app, (pfn << page_shift) | (rec.vaddr & page_mask))
-        if on_access is not None:
-            on_access(rec.app, vpn)
         if epoch and (i + 1) % epoch == 0:
             snapshots.append(hierarchy.metrics.snapshot())
     return hierarchy.metrics, snapshots

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from memcolor.mapping import AddressMapping, extract_bits, page_color
+from memcolor.mapping import AddressMapping, page_color
 
 
 class PolicyError(ValueError):
@@ -45,14 +45,14 @@ class PolicyKind(str, Enum):
                               f"{[k.value for k in cls]}") from None
 
 
-# (n_b, n_c, n_o, partitioning, target_cores)
+# (n_b, n_c, n_o, partitioning)
 POLICY_TABLE = {
-    PolicyKind.INTERLEAVE: (0, 0, 0, False, (4, 8)),
-    PolicyKind.BANK_ONLY: (2, 0, 1, True, (4, 8)),
-    PolicyKind.A_VP: (0, 0, 2, True, (4,)),
-    PolicyKind.B_VP: (1, 0, 2, True, (8,)),
-    PolicyKind.C_VP: (0, 1, 2, True, (8,)),
-    PolicyKind.RANDOM: (0, 0, 0, False, (4, 8)),
+    PolicyKind.INTERLEAVE: (0, 0, 0, False),
+    PolicyKind.BANK_ONLY: (2, 0, 1, True),
+    PolicyKind.A_VP: (0, 0, 2, True),
+    PolicyKind.B_VP: (1, 0, 2, True),
+    PolicyKind.C_VP: (0, 1, 2, True),
+    PolicyKind.RANDOM: (0, 0, 0, False),
 }
 
 PARTITIONING_KINDS = tuple(k for k, row in POLICY_TABLE.items() if row[3])
@@ -99,7 +99,7 @@ class PolicySpec:
 
 
 def custom_spec(color_bits, m: AddressMapping, kind: PolicyKind | None = None) -> PolicySpec:
-    """Build a spec from an explicit colorable bit set (table override)."""
+    """Build a spec from an explicit colorable bit set."""
     bits = tuple(sorted(color_bits))
     colorable = m.color_classes
     for p in bits:
@@ -111,13 +111,12 @@ def custom_spec(color_bits, m: AddressMapping, kind: PolicyKind | None = None) -
                       bank_positions=bank, partitioning=bool(bits))
 
 
-def policy_spec(kind: PolicyKind, m: AddressMapping,
-                table: dict | None = None) -> PolicySpec:
+def policy_spec(kind: PolicyKind, m: AddressMapping) -> PolicySpec:
     """Resolve a policy kind against a mapping into a concrete PolicySpec."""
-    row = (table or POLICY_TABLE).get(kind)
+    row = POLICY_TABLE.get(kind)
     if row is None:
         raise PolicyError(f"no table entry for policy {kind}")
-    n_b, n_c, n_o, partitioning, _cores = row
+    n_b, n_c, n_o, partitioning = row
     if not partitioning:
         return PolicySpec(kind=kind, color_bits=(), llc_positions=(),
                           bank_positions=(), partitioning=False)

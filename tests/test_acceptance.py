@@ -19,11 +19,12 @@ from memcolor.advisor import (TAG_CACHE_SHARE, TAG_SMALL_CCF, TAG_SMALL_LLCT,
 from memcolor.allocator import Allocator
 from memcolor.classifier import (Category, classify_offline,
                                  classify_trace_online)
-from memcolor.cli import main
+from memcolor.cli import main, sweep_policies
+from memcolor.config import ExperimentConfig
 from memcolor.hierarchy import CacheConfig, MemoryHierarchy, proxy_cycles, run_trace
 from memcolor.mapping import AddressMapping, decompose
 from memcolor.policies import PARTITIONING_KINDS, PolicyKind, policy_spec
-from memcolor.workloads import (TraceRecord, canonical_params, gen, mix,
+from memcolor.workloads import (TraceRecord, canonical_params, gen,
                                 randomized_params)
 
 M = AddressMapping()
@@ -325,31 +326,24 @@ SWEEP_CORPUS = [
 ]
 
 
+SWEEP_CFG = ExperimentConfig(seed=1)
+
+
 def sweep_mix(code, seed0):
-    traces, apps = [], []
+    traces, apps = {}, []
     for i, ch in enumerate(code):
         app = f"{ch.upper()}{i}"
-        traces.append(gen(canonical_params(KIND_OF[ch], seed=seed0 + i,
-                                           app=app, core=i)))
+        traces[app] = gen(canonical_params(KIND_OF[ch], seed=seed0 + i,
+                                           app=app, core=i))
         apps.append((app, CAT_OF[ch]))
     profile = WorkloadProfile(tuple(apps))
-    merged = mix(traces)
     cycles = {}
-    for policy in PolicyKind:
-        spec = policy_spec(policy, M)
-        alloc = Allocator(M.total_pages, spec, M, seed=1)
-        try:
-            if spec.partitioning:
-                decision = plan_quotas(profile, policy, spec)
-                for app, colors in decision.quotas.items():
-                    alloc.assign_quota(app, colors)
-            else:
-                for app, _ in apps:
-                    alloc.register(app)
-        except AdvisorError:
+    for policy, cell in sweep_policies(SWEEP_CFG, traces, profile).items():
+        if isinstance(cell, AdvisorError):
             continue                     # degenerate cell (too few groups)
-        metrics, _ = run_trace(merged, alloc, MemoryHierarchy(M))
-        cycles[policy] = proxy_cycles(metrics)
+        if isinstance(cell, Exception):
+            raise cell
+        cycles[policy] = proxy_cycles(cell)
     pdt = decide_policy(profile)
     best = min(cycles.values())
     gap = (cycles[pdt] - best) / best

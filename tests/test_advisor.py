@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from memcolor.advisor import (TAG_CACHE_SHARE, TAG_NONE, TAG_SMALL_CCF,
                               TAG_SMALL_LLCT, AdvisorError, WorkloadProfile,
-                              advise, apply_decision, decide_policy,
-                              plan_quotas)
-from memcolor.allocator import Allocator
+                              advise, decide_policy, plan_quotas)
 from memcolor.classifier import Category
 from memcolor.mapping import AddressMapping
 from memcolor.policies import PolicyKind, policy_spec
@@ -146,18 +144,6 @@ def test_advise_pipeline_and_json():
     doc = decision.to_json({"A": {"category": "LLCH"}})
     assert '"policy": "a-vp"' in doc
     assert '"evidence"' in doc
-
-
-def test_apply_decision_installs_quotas():
-    p = WorkloadProfile((("A", Category.LLCH), ("B", Category.LLCM),
-                         ("C", Category.LLCT), ("D", Category.CCF)))
-    decision = advise(p, M)
-    spec = policy_spec(decision.policy, M)
-    alloc = Allocator(1 << 16, spec, M)
-    apply_decision(alloc, decision)
-    for app, colors in decision.quotas.items():
-        assert alloc.quota_of(app) == sorted(colors)
-    assert alloc.shared_group_of("A") == alloc.shared_group_of("B") is not None
 
 
 def test_profile_validation():

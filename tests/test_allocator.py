@@ -85,32 +85,6 @@ def test_fallback_flag_crosses_colors():
     assert a.allocated_frames == 5
 
 
-def test_coalesce_unions_quotas():
-    a = avp_alloc()
-    a.assign_quota("H", {0})
-    a.assign_quota("M", {1})
-    a.coalesce([{"H", "M"}])
-    assert a.quota_of("H") == a.quota_of("M") == [0, 1]
-    assert a.shared_group_of("H") == a.shared_group_of("M")
-    colors = {page_color(a.touch("H", v), AVP.color_bits, M) for v in range(2)}
-    assert colors == {0, 1}
-
-
-def test_coalesce_singleton_noop():
-    a = avp_alloc()
-    a.assign_quota("A", {3})
-    a.coalesce([{"A"}])
-    assert a.quota_of("A") == [3]
-
-
-def test_coalesce_overlap_rejected():
-    a = avp_alloc()
-    for app in "ABC":
-        a.assign_quota(app, {0})
-    with pytest.raises(AllocationError):
-        a.coalesce([{"A", "B"}, {"B", "C"}])
-
-
 def test_access_bit_scan_and_clear():
     a = avp_alloc()
     a.assign_quota("A", {0})

@@ -122,6 +122,49 @@ def test_streaming_hot_pages_per_interval():
     assert all(15 <= h <= 17 for h in hot)
 
 
+# Short traces of every kind; their lengths (6000, 3000, 3500, 5120) are
+# split evenly by some of the periods below and leave a remainder under others.
+DIFF_TRACES = [
+    ArchetypeParams("ccf", 8, 6000, seed=3),
+    ArchetypeParams("llct", 3000, 3000, reuse="none", stride=4096, seed=4),
+    ArchetypeParams("llcm", 1000, 3500, reuse="zipf", stride=4096, seed=5),
+    ArchetypeParams("llch", 40, 5120, seed=6),
+]
+DIFF_CONFIGS = [
+    SamplerConfig(period=1000),
+    SamplerConfig(period=7, bucket_weights=(0.5, 1.25, 2.75)),
+    SamplerConfig(period=512, bucket_weights=(1.0, 0.3, 4.5, 2.2, 7.1)),
+]
+
+
+def reference_evidence(trace, cfg):
+    """Per-access reference: first-touch translate each record, then show
+    the access to the sampler, as a solo replay does."""
+    (app,) = {r.app for r in trace}
+    alloc = Allocator(1 << 14, policy_spec(PolicyKind.INTERLEAVE, M), M)
+    alloc.register(app)
+    sampler = PageAccessSampler(alloc, cfg)
+    for r in trace:
+        vpn = r.vaddr >> M.page_offset_bits
+        alloc.touch(app, vpn)
+        sampler.on_access(app, vpn)
+    return sampler.evidence[app]
+
+
+@pytest.mark.parametrize("cfg", DIFF_CONFIGS, ids=lambda c: f"period{c.period}")
+@pytest.mark.parametrize("params", DIFF_TRACES, ids=lambda p: p.kind)
+def test_online_evidence_matches_sampler(params, cfg):
+    trace = gen(params)
+    ref = reference_evidence(trace, cfg)
+    cat, ev, wpd = classify_trace_online(trace, M, cfg=cfg)
+    assert len(ref.hot_pages) == len(trace) // cfg.period
+    assert ev.hot_pages == ref.hot_pages
+    assert all(type(h) is int for h in ev.hot_pages)
+    assert list(ev.access_counters.items()) == list(ref.access_counters.items())
+    assert wpd == ref.wpd(cfg)
+    assert cat is classify_online(ref, TH, cfg)
+
+
 def test_offline_empty_trace():
     with pytest.raises(ClassifierError):
         classify_offline([], M)
@@ -163,14 +206,6 @@ def test_online_offline_agree_on_archetypes():
         on, _, _ = classify_trace_online(trace, M)
         assert on is off.category
         assert on.value == kind.upper()
-
-
-def test_evidence_json(tmp_path):
-    trace = gen(canonical_params("ccf", seed=1))
-    _, _, sampler = classify_trace_online(trace, M)
-    doc = sampler.evidence_json("A", TH)
-    assert '"category": "CCF"' in doc
-    assert '"hot_pages"' in doc and '"wpd"' in doc
 
 
 def test_threshold_validation():

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 import yaml
 
+import memcolor
 from memcolor.cli import main
 from memcolor.workloads import read_trace
 
@@ -127,6 +131,25 @@ def test_sweep_report(tmp_path, capsys):
     assert csv_text.splitlines()[0].startswith("policy,proxy_cycles")
 
 
+def test_sweep_records_infeasible_cell_as_skipped(tmp_path, capsys):
+    # bank-only has 2 LLC color groups; LLCT + LLCH + CCF need 3 quota groups
+    cfg = write_config(tmp_path, workload=SMALL_WORKLOAD + [
+        {"app": "C", "kind": "ccf", "accesses": 20000, "seed": 3}], profile=[
+        {"app": "H", "category": "LLCH"},
+        {"app": "T", "category": "LLCT"},
+        {"app": "C", "category": "CCF"},
+    ])
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = {line.split(",")[0]: line.split(",")[-1]
+            for line in (out / "sweep.csv").read_text().splitlines()[1:]}
+    assert rows["bank-only"].startswith("skipped: 3 quota groups")
+    assert all(status == "ok" for p, status in rows.items() if p != "bank-only")
+    report = json.loads((out / "sweep.json").read_text())
+    assert "bank-only" not in report["per_policy"]
+    assert len(report["per_policy"]) == 5
+
+
 def test_sweep_deterministic(tmp_path):
     cfg = write_config(tmp_path)
     o1, o2 = tmp_path / "s1", tmp_path / "s2"
@@ -139,3 +162,28 @@ def test_sweep_deterministic(tmp_path):
 def test_missing_config_file_is_runtime_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.yaml"),
                  "--out", str(tmp_path)]) == 3
+
+
+def test_short_trace_names_app_length_and_period(tmp_path, capsys):
+    cfg = write_config(tmp_path, workload=[
+        {"app": "S", "kind": "llch", "pages": 64, "accesses": 5000, "seed": 1}])
+    assert main(["classify", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "'S'" in err and "5000 accesses" in err and "10000" in err
+
+
+def test_unsupported_core_count_is_config_error(tmp_path):
+    cfg = write_config(tmp_path, core_count=6, policy="auto", profile=[
+        {"app": "H", "category": "LLCH"},
+        {"app": "T", "category": "LLCT"},
+    ])
+    src = os.path.dirname(os.path.dirname(memcolor.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "memcolor.cli", "run", "--config", cfg,
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "core_count" in proc.stderr
