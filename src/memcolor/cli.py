@@ -7,6 +7,8 @@ Exit codes: 0 ok, 1 usage, 2 invalid config, 3 simulation error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -257,10 +259,12 @@ def cmd_sweep(args) -> int:
         "evidence": evidence,
     }
     out = args.out or "."
-    _write(os.path.join(out, "sweep.csv"),
-           "\n".join([",".join(["policy", "proxy_cycles", "cross_app_conflicts",
-                                "cross_app_llc_evictions", "llc_miss_rate", "status"])]
-                     + [",".join(str(c) for c in r) for r in rows]) + "\n")
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(["policy", "proxy_cycles", "cross_app_conflicts",
+                     "cross_app_llc_evictions", "llc_miss_rate", "status"])
+    writer.writerows(rows)
+    _write(os.path.join(out, "sweep.csv"), table.getvalue())
     _write(os.path.join(out, "sweep.json"), json.dumps(report, sort_keys=True, indent=2))
     print(json.dumps(report, sort_keys=True, indent=2))
     return EXIT_OK

@@ -142,7 +142,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         cfg.allow_fallback = bool(doc.get("allow_fallback", False))
         if "epoch" in doc and doc["epoch"]:
             cfg.epoch = int(doc["epoch"])
-        if "total_pages" in doc and doc["total_pages"]:
+        if doc.get("total_pages") is not None:
             cfg.total_pages = int(doc["total_pages"])
         cfg.workload = [_workload_entry(w, i, cfg.seed)
                         for i, w in enumerate(doc.get("workload", []))]
@@ -157,4 +157,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     violations = validate_mapping(cfg.mapping)
     if violations:
         raise ConfigError("invalid mapping: " + "; ".join(violations))
+    limit = cfg.mapping.total_pages
+    if cfg.total_pages is not None and not 1 <= cfg.total_pages <= limit:
+        raise ConfigError(f"total_pages must be in [1, {limit}] (the mapping's "
+                          f"page frames), got {cfg.total_pages}")
     return cfg

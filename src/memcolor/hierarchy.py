@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
+
+import numpy as np
 
 from memcolor.mapping import AddressMapping, MappingError
 
@@ -228,26 +231,222 @@ class MemoryHierarchy:
         return AccessOutcome(False, False, dram, cross)
 
 
+# Outcome code per access, written by the replay loop: one terminal
+# outcome, plus the OUT_CROSS_EVICTION flag when an LLC miss evicted another
+# app's line.
+OUT_PRIVATE_HIT, OUT_LLC_HIT, OUT_ROW_HIT, OUT_ROW_MISS, OUT_ROW_CONFLICT, \
+    OUT_CROSS_CONFLICT = range(6)
+OUT_CROSS_EVICTION = 8
+N_CODES = 16
+
+
+def _code_counts() -> np.ndarray:
+    """(code, counter) matrix: what one access with each code adds to each
+    of COUNTER_KEYS."""
+    keys = {
+        OUT_PRIVATE_HIT: ("private_hits",),
+        OUT_LLC_HIT: ("llc_hits",),
+        OUT_ROW_HIT: ("llc_misses", "row_hits"),
+        OUT_ROW_MISS: ("llc_misses", "row_misses"),
+        OUT_ROW_CONFLICT: ("llc_misses", "row_conflicts"),
+        OUT_CROSS_CONFLICT: ("llc_misses", "row_conflicts", "cross_app_conflicts"),
+    }
+    counts = np.zeros((N_CODES, len(COUNTER_KEYS)), dtype=np.int64)
+    for code, names in keys.items():
+        for name in names:
+            counts[[code, code | OUT_CROSS_EVICTION], COUNTER_KEYS.index(name)] = 1
+        counts[code | OUT_CROSS_EVICTION, COUNTER_KEYS.index("cross_app_llc_evictions")] = 1
+    return counts
+
+
+CODE_COUNTS = _code_counts()
+
+# Accesses unboxed to Python ints at a time by the replay loop; a whole
+# trace at once would raise peak memory for no speed.
+CHUNK = 1 << 14
+
+
 def run_trace(trace, allocator, hierarchy: MemoryHierarchy,
               epoch: int | None = None):
-    """Replay a trace: first-touch translation then hierarchy access.
+    """Replay a trace (a sequence of TraceRecord): first-touch translation
+    then hierarchy access.
+
+    The result and the allocator's and hierarchy's end state equal those of
+    `allocator.touch` and `hierarchy.access` called record by record, the
+    per-access reference.  The replay is batched instead: each distinct
+    page is translated once, in first-touch order; line, LLC set, bank and
+    row of every access come from numpy; one LRU/open-row loop writes an
+    outcome code per access, and the counters are bincounts of the codes.
 
     Returns (Metrics, snapshots); snapshots holds one metrics dict per epoch
     of `epoch` accesses when requested.
     """
+    metrics = hierarchy.metrics
+    n = len(trace)
+    if not n:
+        return metrics, []
     m = hierarchy.mapping
-    page_shift = m.page_offset_bits
-    page_mask = m.page_bytes - 1
-    touch = allocator.touch
-    access = hierarchy.access
+    shift = m.page_offset_bits
+    apps = list(map(attrgetter("app"), trace))
+    app_order = list(dict.fromkeys(apps))
+    app_of = _index_of(apps, app_order)
+    del apps        # per-access lists go as soon as used, to bound peak memory
+
+    # 1. translate every distinct (app, vpn) once, in first-touch order
+    page_of, page_first, page_vpns, offset = _pages(trace, app_of, len(app_order), shift)
+    pfns, error = allocator.translate_pages(
+        list(map(app_order.__getitem__, app_of[page_first].tolist())), page_vpns)
+    del page_vpns
+    stop, failure = n, None
+    if error is not None:
+        stop = int(page_first[len(pfns)])
+        failure = SimulationError(f"record {stop}: {error}")
+        failure.__cause__ = error
+    # an access is out of range when its offset reaches past the end of
+    # memory from its frame's start
+    bad = np.flatnonzero(offset[:stop] >= (m.mem_bytes - (pfns << shift))[page_of[:stop]])
+    if bad.size:
+        stop = int(bad[0])
+        addr = (int(pfns[page_of[stop]]) << shift) | int(offset[stop])
+        failure = MappingError(f"record {stop}: address {addr:#x} out of range")
+
+    # 2. line, private set, LLC set, bank and row per access, chunk by
+    # chunk, each chunk replayed by the LRU/open-row loop
+    cores = list(map(attrgetter("core"), trace))
+    core_order = list(dict.fromkeys(cores))
+    core_of = _index_of(cores, core_order)
+    del cores
+    # the cores met before `stop` lead core_order
+    core_order = core_order[:int(core_of[:stop].max()) + 1 if stop else 0]
+    for core in core_order:
+        hierarchy.register_core(core)
+    private_sets = [s for core in core_order for s in hierarchy._private[core]]
+    private_sets_per_core = hierarchy.private_cfg.sets
+    codes = bytearray()
+    for start in range(0, stop, CHUNK):
+        end = min(start + CHUNK, stop)
+        addr = (pfns[page_of[start:end]] << shift) | offset[start:end]
+        line = addr >> hierarchy._line_shift
+        _replay(hierarchy, private_sets, codes.append, line.tolist(),
+                (core_of[start:end] * private_sets_per_core
+                 + (line & hierarchy._private_mask)).tolist(),
+                hierarchy._set_extract(addr).tolist(),
+                hierarchy._bank_extract(addr).tolist(),
+                (addr >> hierarchy._row_shift).tolist(),
+                list(map(app_order.__getitem__, app_of[start:end].tolist())))
+
+    # 3. counters per epoch from the outcome codes
+    key = app_of[:stop] * N_CODES + np.frombuffer(codes, dtype=np.uint8)
+    step = abs(epoch) if epoch else max(stop, 1)
     snapshots = []
-    for i, rec in enumerate(trace):
-        vpn = rec.vaddr >> page_shift
-        try:
-            pfn = touch(rec.app, vpn)
-        except Exception as exc:
-            raise SimulationError(f"record {i}: {exc}") from exc
-        access(rec.core, rec.app, (pfn << page_shift) | (rec.vaddr & page_mask))
-        if epoch and (i + 1) % epoch == 0:
-            snapshots.append(hierarchy.metrics.snapshot())
-    return hierarchy.metrics, snapshots
+    for start in range(0, stop, step):
+        part = key[start:start + step]
+        counts = np.bincount(part, minlength=len(app_order) * N_CODES)
+        _add_counts(metrics, app_order,
+                    counts.reshape(len(app_order), N_CODES) @ CODE_COUNTS)
+        if epoch and len(part) == step:
+            snapshots.append(metrics.snapshot())
+    if failure is not None:
+        raise failure
+    return metrics, snapshots
+
+
+def _index_of(items: list, order: list) -> np.ndarray:
+    """Position in `order` of each item."""
+    index = dict(zip(order, range(len(order))))
+    return np.fromiter(map(index.__getitem__, items), np.int32, len(items))
+
+
+def _pages(trace, app_of: np.ndarray, n_apps: int, shift: int):
+    """Distinct (app, vpn) pages of a trace, numbered in first-touch order.
+
+    Returns each access's page, each page's first access, each page's vpn
+    (a list) and each access's offset in its page.
+    """
+    try:
+        vaddr = np.fromiter(map(attrgetter("vaddr"), trace), np.int64, len(trace))
+    except OverflowError:               # virtual addresses past 63 bits
+        vaddr = np.array(list(map(attrgetter("vaddr"), trace)), dtype=object)
+    offset = (vaddr & ((1 << shift) - 1)).astype(np.int32)
+    vpn = vaddr >> shift
+    del vaddr
+    if n_apps.bit_length() >= shift:    # vpn * n_apps could overflow int64
+        vpn = vpn.astype(object)
+    key = vpn * n_apps + app_of
+    # group equal keys by sorting; a page's first access is the smallest
+    # position in its group
+    perm = np.argsort(key)
+    key = key[perm]
+    starts = np.empty(len(key), dtype=bool)
+    starts[0] = True
+    np.not_equal(key[1:], key[:-1], out=starts[1:])
+    group = np.cumsum(starts) - 1
+    first = np.minimum.reduceat(perm, np.flatnonzero(starts))
+    by_first = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int32)
+    rank[by_first] = np.arange(len(first))
+    page_of = np.empty(len(key), dtype=np.int32)
+    page_of[perm] = rank[group]
+    page_first = first[by_first]
+    return page_of, page_first, vpn[page_first].tolist(), offset
+
+
+def _add_counts(metrics: Metrics, app_order, counts: np.ndarray):
+    """Add per-app counter rows (apps in first-access order) to `metrics`;
+    an app enters `per_app` with its first counted access."""
+    total = metrics.total
+    for app, row in zip(app_order, counts.tolist()):
+        if any(row):
+            mine = metrics.app(app)
+            for key, value in zip(COUNTER_KEYS, row):
+                mine[key] += value
+                total[key] += value
+
+
+def _replay(h: MemoryHierarchy, private_sets, emit, lines, psets, lsets, banks,
+            rows, apps):
+    """The LRU/open-row loop of `MemoryHierarchy.access` over per-access
+    ids, on the hierarchy's own cache and bank state; emits each access's
+    outcome code."""
+    llc = h._llc
+    private_ways = h._private_ways
+    llc_ways = h._llc_ways
+    bank_row = h._bank_row
+    bank_app = h._bank_app
+    for line, p, ls, bank, row, app in zip(lines, psets, lsets, banks, rows, apps):
+        pset = private_sets[p]
+        if line in pset:
+            del pset[line]
+            pset[line] = None
+            emit(OUT_PRIVATE_HIT)
+            continue
+        pset[line] = None
+        if len(pset) > private_ways:
+            for victim in pset:     # least recent; cheaper than next(iter())
+                break
+            del pset[victim]
+        lset = llc[ls]
+        if line in lset:
+            del lset[line]
+            lset[line] = app
+            emit(OUT_LLC_HIT)
+            continue
+        lset[line] = app
+        code = 0
+        if len(lset) > llc_ways:
+            for victim in lset:
+                break
+            if lset.pop(victim) != app:
+                code = OUT_CROSS_EVICTION
+        open_row = bank_row[bank]
+        if open_row is None:
+            code |= OUT_ROW_MISS
+        elif open_row == row:
+            code |= OUT_ROW_HIT
+        elif bank_app[bank] != app:
+            code |= OUT_CROSS_CONFLICT
+        else:
+            code |= OUT_ROW_CONFLICT
+        bank_row[bank] = row
+        bank_app[bank] = app
+        emit(code)

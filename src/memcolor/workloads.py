@@ -151,19 +151,14 @@ def mix(traces, k: int = 1, core_count: int | None = None) -> list[TraceRecord]:
         raise TraceError(f"{len(traces)} apps exceed {core_count} cores")
     if len(traces) == 1:
         return list(traces[0])
-    merged = []
-    positions = [0] * len(traces)
-    remaining = sum(len(t) for t in traces)
-    while remaining:
-        for core, t in enumerate(traces):
-            pos = positions[core]
-            take = t[pos:pos + k]
-            if not take:
-                continue
-            merged.extend(r._replace(core=core) for r in take)
-            positions[core] = pos + len(take)
-            remaining -= len(take)
-    return merged
+    records = [r if r.core == core else r._replace(core=core)
+               for core, t in enumerate(traces) for r in t]
+    lengths = [len(t) for t in traces]
+    turn = np.concatenate([np.arange(n) // k for n in lengths])
+    source = np.repeat(np.arange(len(traces)), lengths)
+    # by turn, then trace; stable, so each trace keeps its record order
+    order = np.lexsort((source, turn))
+    return list(map(records.__getitem__, order.tolist()))
 
 
 def footprint_pages(trace) -> int:

@@ -167,3 +167,45 @@ def test_alloc_log_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "app_id,vpn,pfn,color,llc_group,bank_group"
     assert lines[1].startswith("A,3,")
+
+
+@pytest.mark.parametrize("kind", [PolicyKind.BANK_ONLY, PolicyKind.A_VP,
+                                  PolicyKind.B_VP, PolicyKind.C_VP])
+@pytest.mark.parametrize("total", [1, 7, 2047, 5000])
+def test_pools_hold_each_color_in_ascending_order(kind, total):
+    spec = policy_spec(kind, M)
+    a = Allocator(total, spec, M)
+    colors = [page_color(pfn, spec.color_bits, M) for pfn in range(total)]
+    for c in range(spec.page_colors):
+        assert a._pools[c].frames.tolist() == [p for p in range(total) if colors[p] == c]
+
+
+@pytest.mark.parametrize("allow_fallback", [False, True])
+@pytest.mark.parametrize("pages", [4, 5])
+def test_translate_pages_matches_touch(pages, allow_fallback):
+    # color 1 has 4 of the 16 frames: 4 pages fit in one batch, 5 do not
+    def fresh():
+        a = avp_alloc(total_pages=16, allow_fallback=allow_fallback, log=True)
+        a.assign_quota("A", {1})
+        a.assign_quota("B", {1, 2})
+        return a
+
+    apps = ["A", "B"] * pages
+    vpns = [vpn for vpn in range(pages) for _ in "AB"]
+    batched = fresh()
+    frames, error = batched.translate_pages(apps, vpns)
+    reference = fresh()
+    expected = []
+    for app, vpn in zip(apps, vpns):
+        try:
+            expected.append(reference.touch(app, vpn))
+        except OutOfColorMemory as exc:
+            assert str(error) == str(exc)
+            break
+    else:
+        assert error is None
+    assert frames.tolist() == expected
+    assert batched.page_tables == reference.page_tables
+    assert batched.alloc_log == reference.alloc_log
+    assert batched.free_by_color() == reference.free_by_color()
+    assert [q.rr for q in batched._quotas.values()] == [q.rr for q in reference._quotas.values()]

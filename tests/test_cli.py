@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -187,3 +188,27 @@ def test_unsupported_core_count_is_config_error(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "core_count" in proc.stderr
+
+
+def test_sweep_csv_quotes_failure_reasons(tmp_path, capsys):
+    # b-vp gives T colors [3, 7], 16384 of the 65536 frames, for its 20000 pages
+    cfg = write_config(tmp_path, total_pages=65536, profile=[
+        {"app": "H", "category": "LLCH"},
+        {"app": "T", "category": "LLCT"},
+    ])
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert all(len(row) == 6 for row in rows)
+    status = {row[0]: row[5] for row in rows[1:]}
+    assert status["b-vp"] == ("failed: record 32769: app 'T': all allowed color "
+                              "pools empty: [3, 7]")
+
+
+def test_total_pages_beyond_mapping_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, policy="random", total_pages=4194304)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "total_pages" in err and "2097152" in err and "4194304" in err
+    assert not (tmp_path / "o").exists()

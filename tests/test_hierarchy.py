@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from memcolor.allocator import Allocator
+from memcolor.classifier import cache_quota_spec
 from memcolor.hierarchy import (DEFAULT_LATENCIES, CacheConfig, MemoryHierarchy,
                                 Metrics, SimulationError, proxy_cycles,
                                 run_trace)
@@ -215,3 +216,166 @@ def test_metrics_json_stable_keys():
                 "row_misses", "row_conflicts", "cross_app_conflicts",
                 "proxy_cycles"):
         assert f'"{key}"' in doc
+
+
+# --- batched run_trace against the per-access reference ----------------------
+
+# 16384 frames; rows of 16 frames, so banks switch rows often
+DM = AddressMapping(row_shift=16, mem_bytes=1 << 26)
+TINY_PRIVATE = CacheConfig(2 * 2 * 64, 2)
+TINY_LLC = CacheConfig(DM.llc_sets * 64, 1)     # direct-mapped
+
+
+def replay_reference(trace, alloc, h, epoch=None):
+    """Record-by-record replay through `touch` and `access`."""
+    shift = h.mapping.page_offset_bits
+    snaps = []
+    for i, rec in enumerate(trace):
+        try:
+            pfn = alloc.touch(rec.app, rec.vaddr >> shift)
+        except Exception as exc:
+            raise SimulationError(f"record {i}: {exc}") from exc
+        h.access(rec.core, rec.app, (pfn << shift) | (rec.vaddr & (h.mapping.page_bytes - 1)))
+        if epoch and (i + 1) % epoch == 0:
+            snaps.append(h.metrics.snapshot())
+    return h.metrics, snaps
+
+
+def replay_state(alloc, h):
+    """Everything a replay leaves behind, orders included."""
+    return {
+        "per_app": list(h.metrics.per_app.items()),
+        "total": h.metrics.total,
+        "tables": [(a, list(pt.items())) for a, pt in alloc.page_tables.items()],
+        "alloc_log": alloc.alloc_log,
+        "free": (alloc.free_frames, alloc.free_by_color()),
+        "round_robin": [(a, q.rr) for a, q in alloc._quotas.items()],
+        "next_draw": int(alloc._rng.integers(1 << 30)),
+        "llc": [list(s.items()) for s in h._llc],
+        "private": [(c, [list(s.items()) for s in sets]) for c, sets in h._private.items()],
+        "banks": (list(h._bank_row), list(h._bank_app)),
+    }
+
+
+def mixed_trace(seed, n=6000, pages=300, late=None):
+    """Apps A, B and C at random turns.  B runs on cores 1 and 3; C starts
+    at record `late`.  Few line offsets per page, so lines crowd into few
+    LLC sets."""
+    rng = np.random.default_rng(seed)
+    trace = []
+    for i in range(n):
+        app = "ABC"[int(rng.integers(3 if late is None or i >= late else 2))]
+        core = {"A": 0, "B": 1 + 2 * int(rng.integers(2)), "C": 2}[app]
+        vpn = int(rng.integers(pages)) + 1000 * (ord(app) - ord("A"))
+        line = int(rng.integers(3))
+        trace.append(TraceRecord(app, core, vpn * 4096 + line * 64, "r"))
+    return trace
+
+
+def specs():
+    return [(k.value, policy_spec(k, DM)) for k in PolicyKind] + [
+        ("cache-quota", cache_quota_spec(DM))]
+
+
+def set_up(spec, quotas, total_pages, allow_fallback=False, log=False):
+    alloc = Allocator(total_pages, spec, DM, seed=7, allow_fallback=allow_fallback, log=log)
+    if spec.partitioning:
+        colors = range(spec.page_colors)
+        plan = {"disjoint": {app: [c for c in colors if c % 3 == i]
+                             for i, app in enumerate("ABC")},
+                "shared": {"A": list(colors), "B": list(colors), "C": [0]}}[quotas]
+        for app, mine in plan.items():
+            alloc.assign_quota(app, mine)
+    else:
+        for app in "ABC":
+            alloc.register(app)
+    return alloc, MemoryHierarchy(DM, TINY_PRIVATE, TINY_LLC)
+
+
+def replay_both(make, traces, epoch=None):
+    """Replay `traces` one after another on fresh objects from `make()`,
+    batched and by reference; returns each side's outcomes and end state."""
+    sides = []
+    for replay in (run_trace, replay_reference):
+        alloc, h = make()
+        outcomes = []
+        for trace in traces:
+            try:
+                metrics, snaps = replay(trace, alloc, h, epoch)
+                outcomes.append(("ok", snaps))
+            except SimulationError as exc:
+                outcomes.append(("error", str(exc)))
+            # clear the access bits, so the next replay must set them again
+            outcomes.append([alloc.access_bit_scan_and_clear(a) for a in alloc.page_tables])
+        sides.append((outcomes, replay_state(alloc, h)))
+    return sides
+
+
+@pytest.mark.parametrize("quotas", ["disjoint", "shared"])
+@pytest.mark.parametrize("name,spec", specs(), ids=[n for n, _ in specs()])
+def test_batched_replay_matches_reference(name, spec, quotas):
+    traces = [mixed_trace(1, late=2500), mixed_trace(2, n=3000)]
+    batched, reference = replay_both(
+        lambda: set_up(spec, quotas, 1 << 14, log=quotas == "shared"), traces, epoch=700)
+    assert batched == reference
+    outcomes, state = batched
+    assert [o[0] for o in outcomes[::2]] == ["ok", "ok"]
+    assert len(outcomes[0][1]) == 6000 // 700
+    assert "C" not in outcomes[0][1][2]["per_app"]      # C starts at record 2500
+    assert "C" in outcomes[0][1][3]["per_app"]
+    if quotas == "shared" or not spec.partitioning:
+        total = state["total"]
+        assert total["cross_app_llc_evictions"] > 0 and total["cross_app_conflicts"] > 0
+
+
+@pytest.mark.parametrize("allow_fallback", [False, True])
+@pytest.mark.parametrize("name,spec", specs(), ids=[n for n, _ in specs()])
+def test_batched_replay_pool_exhaustion_matches_reference(name, spec, allow_fallback):
+    # 256 frames for 3 x 300 pages: some pool runs dry mid-trace
+    traces = [mixed_trace(3, pages=300), mixed_trace(4, n=500)]
+    batched, reference = replay_both(
+        lambda: set_up(spec, "disjoint", 256, allow_fallback, log=True), traces)
+    assert batched == reference
+    outcomes = batched[0]
+    assert outcomes[0][0] == "error" and "pools empty" in outcomes[0][1]
+
+
+def test_batched_replay_unregistered_app_matches_reference():
+    spec = policy_spec(PolicyKind.A_VP, DM)
+
+    def make():
+        alloc, h = set_up(spec, "disjoint", 1 << 14)
+        del alloc.page_tables["C"], alloc._quotas["C"]
+        return alloc, h
+
+    batched, reference = replay_both(make, [mixed_trace(5, late=1000)])
+    assert batched == reference
+    status, message = batched[0][0]
+    assert status == "error" and message.endswith(": app 'C' not registered")
+
+
+def test_batched_replay_addresses_past_63_bits():
+    spec = policy_spec(PolicyKind.RANDOM, DM)
+    trace = [r._replace(vaddr=(1 << 64) - r.vaddr - 4096) for r in mixed_trace(6, n=2000)]
+    batched, reference = replay_both(lambda: set_up(spec, "disjoint", 1 << 14), [trace])
+    assert batched == reference
+
+
+def test_run_trace_out_of_range_names_record():
+    small = AddressMapping(mem_bytes=1 << 24)             # 4096 frames
+    alloc = Allocator(8192, policy_spec(PolicyKind.INTERLEAVE, small), small)
+    alloc.register("A")
+    h = MemoryHierarchy(small)
+    trace = [TraceRecord("A", 0, i * 4096, "r") for i in range(5000)]
+    with pytest.raises(MappingError, match=r"record 4096: address 0x1000000 out of range"):
+        run_trace(trace, alloc, h)
+    assert h.metrics.accesses == 4096
+
+
+@pytest.mark.parametrize("name,spec", specs(), ids=[n for n, _ in specs()])
+def test_batched_replay_needs_no_per_page_touch(name, spec):
+    alloc, h = set_up(spec, "shared", 1 << 14, log=True)
+    alloc.touch = None          # a per-page fallback would fail the replay
+    run_trace(mixed_trace(1), alloc, h)
+    run_trace(mixed_trace(2), alloc, h)
+    assert alloc.allocated_frames == len(alloc.alloc_log) > 0

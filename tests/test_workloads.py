@@ -61,6 +61,19 @@ def test_mix_projection_identity():
     assert [r.vaddr for r in merged if r.app == "B"] == [r.vaddr for r in b]
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_mix_rewrites_cores_in_chunks(k):
+    # A already sits on core 0; B and C arrive on core 7 and move to 1 and 2
+    a = [TraceRecord("A", 0, i * 64, "r") for i in range(7)]
+    b = [TraceRecord("B", 7, i * 128, "w") for i in range(2)]
+    c = [TraceRecord("C", 7, i * 256, "r") for i in range(5)]
+    expected = []
+    for start in range(0, 7, k):
+        for core, t in enumerate((a, b, c)):
+            expected += [r._replace(core=core) for r in t[start:start + k]]
+    assert mix([a, b, c], k=k) == expected
+
+
 def test_mix_too_many_apps():
     traces = [[TraceRecord(str(i), 0, 0, "r")] for i in range(5)]
     with pytest.raises(TraceError):
