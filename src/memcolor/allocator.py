@@ -16,6 +16,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from memcolor import _native
 from memcolor.mapping import AddressMapping
 from memcolor.policies import PolicyKind, PolicySpec
 
@@ -33,6 +34,17 @@ def _gc_paused():
     finally:
         if enabled:
             gc.enable()
+
+
+def _draw_frames(n, draws, free, left, frames):
+    """Swap-remove draws: frame k is free[draws[k]], whose slot then takes
+    the last of the `left` free frames.  The reference for the kernel's
+    `draw_frames` and its fallback, with the same arguments (`n` is
+    len(draws))."""
+    for k, idx in enumerate(draws.tolist()):
+        frames[k] = free[idx]
+        left -= 1
+        free[idx] = free[left]
 
 
 class AllocationError(RuntimeError):
@@ -290,14 +302,11 @@ class Allocator:
                 return None
             # one draw per page, the same stream as n scalar draws
             draws = self._rng.integers(np.arange(self._random_n, self._random_n - n, -1))
-            free = self._random_free
-            left = self._random_n
             frames = np.empty(n, dtype=np.int64)
-            for k, idx in enumerate(draws.tolist()):
-                frames[k] = free[idx]
-                left -= 1
-                free[idx] = free[left]
-            self._random_n = left
+            lib = _native.kernel()
+            draw = _draw_frames if lib is None else lib.draw_frames
+            draw(n, draws, self._random_free, self._random_n, frames)
+            self._random_n -= n
             return frames
         pool = self._pools[0]
         if n > pool.free:

@@ -23,8 +23,9 @@ from memcolor.hierarchy import (MemoryHierarchy, SimulationError, proxy_cycles,
                                 run_trace)
 from memcolor.mapping import MappingError
 from memcolor.policies import PolicyError, PolicyKind, PolicySpec, policy_spec
-from memcolor.workloads import (ArchetypeParams, TraceError, canonical_params,
-                                gen, mix, read_trace, write_trace)
+from memcolor.workloads import (ArchetypeParams, TraceError, TraceRecord,
+                                canonical_params, gen, mix, read_trace,
+                                write_trace)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,8 +44,10 @@ def _load_traces(cfg: ExperimentConfig) -> dict:
     traces = {}
     for entry in cfg.workload:
         if entry.trace_path:
-            trace = read_trace(entry.trace_path)
-            trace = [r._replace(app=entry.app, core=entry.core) for r in trace]
+            app, core = entry.app, entry.core
+            trace = [r if r.app == app and r.core == core
+                     else TraceRecord(app, core, r.vaddr, r.op)
+                     for r in read_trace(entry.trace_path)]
         else:
             trace = gen(entry.params)
         if entry.app in traces:
@@ -53,6 +56,15 @@ def _load_traces(cfg: ExperimentConfig) -> dict:
     if not traces:
         raise ConfigError("workload list is empty")
     return traces
+
+
+def _mix(cfg: ExperimentConfig, traces: dict) -> list:
+    """One mix of `traces` ({app: trace}), each app on the core its workload
+    entry names, or on its position when the config lists no workload."""
+    configured = {entry.app: entry.core for entry in cfg.workload}
+    cores = [configured[app] for app in traces] if configured else None
+    return mix(list(traces.values()), k=cfg.mix_chunk, core_count=cfg.core_count,
+               cores=cores)
 
 
 def _even_split_quotas(spec, apps):
@@ -112,7 +124,7 @@ def sweep_policies(cfg: ExperimentConfig, traces: dict,
     Returns {PolicyKind: Metrics, or the library error that stopped that
     cell}; a cell whose quota plan is infeasible holds an AdvisorError.
     """
-    merged = mix(list(traces.values()), k=cfg.mix_chunk, core_count=cfg.core_count)
+    merged = _mix(cfg, traces)
     cells = {}
     for policy in PolicyKind:
         try:
@@ -165,7 +177,7 @@ def cmd_run(args) -> int:
             policy = PolicyKind.from_name(cfg.policy)
             quotas = None
 
-        merged = mix(list(traces.values()), k=cfg.mix_chunk, core_count=cfg.core_count)
+        merged = _mix(cfg, traces)
         metrics, snapshots, alloc = _run_policy(
             cfg, merged, list(traces), policy_spec(policy, cfg.mapping),
             quotas=quotas, log_alloc=True)

@@ -157,6 +157,14 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     violations = validate_mapping(cfg.mapping)
     if violations:
         raise ConfigError("invalid mapping: " + "; ".join(violations))
+    taken = {}
+    for i, entry in enumerate(cfg.workload):
+        where = f"workload[{i}] (app {entry.app!r}): core {entry.core}"
+        if not 0 <= entry.core < cfg.core_count:
+            raise ConfigError(f"{where} is outside [0, {cfg.core_count}) (core_count)")
+        if entry.core in taken:
+            raise ConfigError(f"{where} is already taken by {taken[entry.core]}")
+        taken[entry.core] = f"workload[{i}] (app {entry.app!r})"
     limit = cfg.mapping.total_pages
     if cfg.total_pages is not None and not 1 <= cfg.total_pages <= limit:
         raise ConfigError(f"total_pages must be in [1, {limit}] (the mapping's "

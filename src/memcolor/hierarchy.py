@@ -10,12 +10,16 @@ comparisons only.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
+from memcolor import _native
+from memcolor.allocator import _gc_paused
 from memcolor.mapping import AddressMapping, MappingError
 
 
@@ -261,8 +265,9 @@ def _code_counts() -> np.ndarray:
 
 CODE_COUNTS = _code_counts()
 
-# Accesses unboxed to Python ints at a time by the replay loop; a whole
-# trace at once would raise peak memory for no speed.
+# Accesses whose ids are computed (and, for the Python loop, unboxed to
+# Python ints) at a time; a whole trace at once would raise peak memory for
+# no speed.
 CHUNK = 1 << 14
 
 
@@ -277,6 +282,8 @@ def run_trace(trace, allocator, hierarchy: MemoryHierarchy,
     page is translated once, in first-touch order; line, LLC set, bank and
     row of every access come from numpy; one LRU/open-row loop writes an
     outcome code per access, and the counters are bincounts of the codes.
+    That loop is the native kernel (`_kernel.c`) when gcc can build it, and
+    `_replay` otherwise.
 
     Returns (Metrics, snapshots); snapshots holds one metrics dict per epoch
     of `epoch` accesses when requested.
@@ -320,23 +327,20 @@ def run_trace(trace, allocator, hierarchy: MemoryHierarchy,
     core_order = core_order[:int(core_of[:stop].max()) + 1 if stop else 0]
     for core in core_order:
         hierarchy.register_core(core)
-    private_sets = [s for core in core_order for s in hierarchy._private[core]]
     private_sets_per_core = hierarchy.private_cfg.sets
-    codes = bytearray()
-    for start in range(0, stop, CHUNK):
-        end = min(start + CHUNK, stop)
-        addr = (pfns[page_of[start:end]] << shift) | offset[start:end]
-        line = addr >> hierarchy._line_shift
-        _replay(hierarchy, private_sets, codes.append, line.tolist(),
-                (core_of[start:end] * private_sets_per_core
-                 + (line & hierarchy._private_mask)).tolist(),
-                hierarchy._set_extract(addr).tolist(),
-                hierarchy._bank_extract(addr).tolist(),
-                (addr >> hierarchy._row_shift).tolist(),
-                list(map(app_order.__getitem__, app_of[start:end].tolist())))
+    codes = np.empty(stop, dtype=np.uint8)
+    with _replay_loop(hierarchy, core_order, app_order) as replay:
+        for start in range(0, stop, CHUNK):
+            end = min(start + CHUNK, stop)
+            addr = (pfns[page_of[start:end]] << shift) | offset[start:end]
+            line = addr >> hierarchy._line_shift
+            replay(codes[start:end], line,
+                   core_of[start:end] * private_sets_per_core + (line & hierarchy._private_mask),
+                   hierarchy._set_extract(addr), hierarchy._bank_extract(addr),
+                   addr >> hierarchy._row_shift, app_of[start:end])
 
     # 3. counters per epoch from the outcome codes
-    key = app_of[:stop] * N_CODES + np.frombuffer(codes, dtype=np.uint8)
+    key = app_of[:stop] * N_CODES + codes
     step = abs(epoch) if epoch else max(stop, 1)
     snapshots = []
     for start in range(0, stop, step):
@@ -401,6 +405,111 @@ def _add_counts(metrics: Metrics, app_order, counts: np.ndarray):
             for key, value in zip(COUNTER_KEYS, row):
                 mine[key] += value
                 total[key] += value
+
+
+@contextmanager
+def _replay_loop(h: MemoryHierarchy, cores: list, apps: list):
+    """Yield replay(codes, lines, psets, lsets, banks, rows, app_ids), which
+    runs one chunk of accesses through the LRU/open-row loop and writes
+    their outcome codes.  `psets` index the private sets of `cores` in
+    order; `app_ids` index `apps`.
+
+    The loop is the native kernel when it can be built; its state is copied
+    from the hierarchy on entry and back on exit.  Otherwise it is `_replay`,
+    on the hierarchy's own state."""
+    lib = _native.kernel()
+    if lib is not None:
+        state = _KernelState(lib, h, cores, apps)
+        try:
+            yield state.replay
+        finally:
+            state.store()
+        return
+    private_sets = [s for core in cores for s in h._private[core]]
+
+    def replay(codes, lines, psets, lsets, banks, rows, app_ids):
+        emitted = bytearray()
+        _replay(h, private_sets, emitted.append, lines.tolist(), psets.tolist(),
+                lsets.tolist(), banks.tolist(), rows.tolist(),
+                list(map(apps.__getitem__, app_ids.tolist())))
+        codes[:] = np.frombuffer(emitted, dtype=np.uint8)
+    yield replay
+
+
+class _KernelState:
+    """A hierarchy's cache and bank state as the kernel's flat arrays.
+
+    The private sets of `cores` (in order) and every LLC set are `ways`
+    slots each, way 0 the least recent, with a fill count per set.  Owners
+    are their positions in `owners`: `apps` first, then any other owner
+    (None among them) already in the LLC or the banks.  The row of a bank
+    never opened is -1.
+    """
+
+    def __init__(self, lib, h: MemoryHierarchy, cores: list, apps: list):
+        self.lib, self.h, self.cores = lib, h, cores
+        llc_owners = chain.from_iterable(s.values() for s in h._llc)
+        self.owners = list(dict.fromkeys(chain(apps, llc_owners, h._bank_app)))
+        index = dict(zip(self.owners, range(len(self.owners))))
+
+        private_sets = [s for core in cores for s in h._private[core]]
+        self.private, self.private_fill, _ = _slots(private_sets, h._private_ways)
+        self.llc, self.llc_fill, used = _slots(h._llc, h._llc_ways)
+        self.llc_owner = np.zeros(len(self.llc), dtype=np.int32)
+        self.llc_owner[used] = np.fromiter(
+            map(index.__getitem__, chain.from_iterable(s.values() for s in h._llc)),
+            np.int32, len(used))
+        self.bank_row = np.array([-1 if r is None else r for r in h._bank_row],
+                                 dtype=np.int64)
+        self.bank_app = np.fromiter(map(index.__getitem__, h._bank_app), np.int32,
+                                    len(h._bank_app))
+
+    def replay(self, codes, lines, psets, lsets, banks, rows, app_ids):
+        h = self.h
+        self.lib.replay(len(codes), lines, psets, lsets, banks, rows, app_ids,
+                        self.private, self.private_fill, h._private_ways,
+                        self.llc, self.llc_owner, self.llc_fill, h._llc_ways,
+                        self.bank_row, self.bank_app, codes)
+
+    def store(self):
+        """Write the state back into the hierarchy's dicts, orders included."""
+        h = self.h
+        owners = self.owners
+        with _gc_paused():          # thousands of new dicts; see _gc_paused
+            sets = iter(_unslot(self.private, self.private_fill, h._private_ways))
+            for core in self.cores:
+                mine = h._private[core]
+                mine[:] = [dict.fromkeys(next(sets)) for _ in mine]
+            # zip stops at the end of each set's lines without drawing
+            # another owner, so every set takes the next len(lines) owners
+            owner_of = map(owners.__getitem__,
+                           self.llc_owner[_used(self.llc_fill, h._llc_ways)].tolist())
+            h._llc[:] = [dict(zip(lines, owner_of))
+                         for lines in _unslot(self.llc, self.llc_fill, h._llc_ways)]
+        h._bank_row[:] = [None if r < 0 else r for r in self.bank_row.tolist()]
+        h._bank_app[:] = map(owners.__getitem__, self.bank_app.tolist())
+
+
+def _used(fill: np.ndarray, ways: int) -> np.ndarray:
+    """Mask of the occupied slots of sets with `fill` lines each."""
+    return (np.arange(ways) < fill[:, None]).ravel()
+
+
+def _slots(sets: list, ways: int):
+    """Lines of dict-based LRU sets as (slots, fill counts, occupied slot
+    positions), least recent first."""
+    fill = np.fromiter(map(len, sets), np.int32, len(sets))
+    used = np.flatnonzero(_used(fill, ways))
+    slots = np.zeros(len(sets) * ways, dtype=np.int64)
+    slots[used] = np.fromiter(chain.from_iterable(sets), np.int64, len(used))
+    return slots, fill, used
+
+
+def _unslot(slots: np.ndarray, fill: np.ndarray, ways: int) -> list:
+    """Lines of each set, least recent first: `_slots` undone."""
+    lines = slots[_used(fill, ways)].tolist()
+    ends = np.cumsum(fill).tolist()
+    return [lines[end - n:end] for end, n in zip(ends, fill.tolist())]
 
 
 def _replay(h: MemoryHierarchy, private_sets, emit, lines, psets, lsets, banks,

@@ -140,19 +140,25 @@ def gen(params: ArchetypeParams) -> list[TraceRecord]:
     return [TraceRecord(app, core, int(a), "r") for a in vaddr]
 
 
-def mix(traces, k: int = 1, core_count: int | None = None) -> list[TraceRecord]:
+def mix(traces, k: int = 1, core_count: int | None = None,
+        cores=None) -> list[TraceRecord]:
     """Round-robin interleave, k records per turn, each trace on its own
-    core; per-app record order is preserved."""
+    core: `cores[i]` for trace i, by default i.  Per-app record order is
+    preserved."""
     if not traces:
         raise TraceError("mix needs at least one trace")
     if k < 1:
         raise TraceError("k must be >= 1")
     if core_count is not None and len(traces) > core_count:
         raise TraceError(f"{len(traces)} apps exceed {core_count} cores")
-    if len(traces) == 1:
-        return list(traces[0])
+    if cores is None:
+        cores = range(len(traces))
+    elif len(cores) != len(traces):
+        raise TraceError(f"{len(cores)} cores for {len(traces)} traces")
     records = [r if r.core == core else r._replace(core=core)
-               for core, t in enumerate(traces) for r in t]
+               for core, t in zip(cores, traces) for r in t]
+    if len(traces) == 1:
+        return records
     lengths = [len(t) for t in traces]
     turn = np.concatenate([np.arange(n) // k for n in lengths])
     source = np.repeat(np.arange(len(traces)), lengths)
@@ -173,12 +179,14 @@ def write_trace(trace, path):
 
 def read_trace(path) -> list[TraceRecord]:
     trace = []
+    names = {}      # one string per app name, not one per record
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
+            if "#" in line:
+                line = line.split("#", 1)[0]
             parts = line.split()
+            if not parts:
+                continue
             if len(parts) != 4:
                 raise TraceError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
             app, core_s, vaddr_s, op = parts
@@ -189,5 +197,5 @@ def read_trace(path) -> list[TraceRecord]:
                 vaddr = int(vaddr_s, 16)
             except ValueError as exc:
                 raise TraceError(f"{path}:{lineno}: {exc}") from None
-            trace.append(TraceRecord(app, core, vaddr, op))
+            trace.append(TraceRecord(names.setdefault(app, app), core, vaddr, op))
     return trace

@@ -8,8 +8,10 @@ import pytest
 import yaml
 
 import memcolor
+from memcolor import cli
 from memcolor.cli import main
-from memcolor.workloads import read_trace
+from memcolor.config import load_config
+from memcolor.workloads import TraceRecord, read_trace, write_trace
 
 SMALL_WORKLOAD = [
     {"app": "H", "kind": "llch", "pages": 256, "accesses": 40000, "seed": 1},
@@ -211,4 +213,45 @@ def test_total_pages_beyond_mapping_is_config_error(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "total_pages" in err and "2097152" in err and "4194304" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_trace_file_app_and_core_follow_the_config(tmp_path):
+    path = tmp_path / "h.trace"
+    records = [TraceRecord("Z", 7, 0x1000, "r"), TraceRecord("H", 1, 0x2040, "w"),
+               TraceRecord("H", 0, 0x3000, "r")]
+    write_trace(records, path)
+    cfg = load_config(write_config(tmp_path, workload=[
+        {"app": "H", "core": 1, "trace": str(path)}]))
+    assert cli._load_traces(cfg) == {"H": [TraceRecord("H", 1, r.vaddr, r.op) for r in records]}
+
+
+def test_run_and_sweep_use_configured_cores(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def spy(trace, *args, **kwargs):
+        seen.append(dict((r.app, r.core) for r in trace))
+        return run_trace(trace, *args, **kwargs)
+
+    run_trace = cli.run_trace
+    monkeypatch.setattr(cli, "run_trace", spy)
+    workload = [dict(SMALL_WORKLOAD[0], core=3), dict(SMALL_WORKLOAD[1], core=2)]
+    cfg = write_config(tmp_path, workload=workload, policy="interleave", profile=[
+        {"app": "H", "category": "LLCH"}, {"app": "T", "category": "LLCT"}])
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 0
+    assert len(seen) == 1 + 6
+    assert all(cores == {"H": 3, "T": 2} for cores in seen)
+
+
+@pytest.mark.parametrize("cores,message", [
+    ((0, 4), "workload[1] (app 'T'): core 4 is outside [0, 4) (core_count)"),
+    ((-1, 0), "workload[0] (app 'H'): core -1 is outside [0, 4) (core_count)"),
+    ((2, 2), "workload[1] (app 'T'): core 2 is already taken by workload[0] (app 'H')"),
+])
+def test_bad_core_is_config_error(tmp_path, capsys, cores, message):
+    workload = [dict(w, core=c) for w, c in zip(SMALL_WORKLOAD, cores)]
+    cfg = write_config(tmp_path, workload=workload, policy="interleave")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "o").exists()

@@ -1,6 +1,15 @@
+import contextlib
+import shutil
+import warnings
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from memcolor import _native, hierarchy
 from memcolor.allocator import Allocator
 from memcolor.classifier import cache_quota_spec
 from memcolor.hierarchy import (DEFAULT_LATENCIES, CacheConfig, MemoryHierarchy,
@@ -379,3 +388,108 @@ def test_batched_replay_needs_no_per_page_touch(name, spec):
     run_trace(mixed_trace(1), alloc, h)
     run_trace(mixed_trace(2), alloc, h)
     assert alloc.allocated_frames == len(alloc.alloc_log) > 0
+
+
+# --- the native kernel against the Python loops ------------------------------
+
+needs_gcc = pytest.mark.skipif(shutil.which(_native.CC) is None,
+                               reason=f"{_native.CC} not installed")
+
+
+def python_loops():
+    """Run the Python loops instead of the kernel while active."""
+    return mock.patch.object(_native, "kernel", lambda: None)
+
+
+@st.composite
+def replay_calls(draw):
+    """Tiny cache and bank geometry, and 1-3 replay calls, each over its
+    own cores and apps (in first-access order), split into 1-2 chunks of
+    accesses (core, app, line, bank, row)."""
+    geometry = dict(psets=draw(st.integers(1, 3)), pways=draw(st.integers(1, 2)),
+                    lsets=draw(st.integers(1, 3)), lways=draw(st.integers(1, 2)),
+                    banks=draw(st.integers(1, 3)))
+    calls = []
+    for _ in range(draw(st.integers(1, 3))):
+        cores = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=3, unique=True))
+        apps = draw(st.lists(st.sampled_from(["A", "B", "C", None]), min_size=1,
+                             max_size=4, unique=True))
+        access = st.tuples(st.integers(0, len(cores) - 1), st.integers(0, len(apps) - 1),
+                           st.integers(0, 7), st.integers(0, geometry["banks"] - 1),
+                           st.integers(0, 2))
+        chunks = draw(st.lists(st.lists(access, max_size=40), min_size=1, max_size=2))
+        calls.append((cores, apps, chunks))
+    return geometry, calls
+
+
+def replay_tiny(geometry, calls):
+    """Replay `calls` through `_replay_loop` on a fresh tiny hierarchy
+    state; returns the codes and the end state, orders included."""
+    g = geometry
+    h = SimpleNamespace(
+        _private={core: [dict() for _ in range(g["psets"])] for core in (0, 1, 2)},
+        _private_ways=g["pways"], _llc=[dict() for _ in range(g["lsets"])],
+        _llc_ways=g["lways"], _bank_row=[None] * g["banks"], _bank_app=[None] * g["banks"])
+    codes = []
+    for cores, apps, chunks in calls:
+        with hierarchy._replay_loop(h, cores, apps) as replay:
+            for chunk in chunks:
+                core, app, line, bank, row = np.array(chunk, dtype=np.int64).reshape(-1, 5).T.copy()
+                out = np.empty(len(chunk), dtype=np.uint8)
+                replay(out, line, core * g["psets"] + line % g["psets"], line % g["lsets"],
+                       bank, row, app.astype(np.int32))
+                codes.append(out.tolist())
+    return codes, {
+        "private": {c: [list(s.items()) for s in sets] for c, sets in h._private.items()},
+        "llc": [list(s.items()) for s in h._llc],
+        "banks": (h._bank_row, h._bank_app),
+    }
+
+
+@needs_gcc
+@settings(max_examples=300, deadline=None)
+@given(replay_calls())
+def test_kernel_replay_matches_python_loop(case):
+    assert _native.kernel() is not None
+    native = replay_tiny(*case)
+    with python_loops():
+        assert native == replay_tiny(*case)
+
+
+@needs_gcc
+@settings(max_examples=100, deadline=None)
+@given(total=st.integers(1, 64), batches=st.lists(st.integers(0, 16), max_size=4),
+       seed=st.integers(0, 3))
+def test_kernel_draw_frames_matches_python_loop(total, batches, seed):
+    assert _native.kernel() is not None
+    sides = []
+    for loops in (contextlib.nullcontext(), python_loops()):
+        alloc = Allocator(total, policy_spec(PolicyKind.RANDOM, DM), DM, seed=seed)
+        alloc.register("A")
+        drawn, vpn = [], 0
+        with loops:
+            for n in batches:
+                frames, error = alloc.translate_pages(["A"] * n, list(range(vpn, vpn + n)))
+                vpn += len(frames)
+                drawn.append((frames.tolist(), str(error)))
+        sides.append((drawn, alloc._random_free.tolist(), alloc._random_n,
+                      int(alloc._rng.integers(1 << 30))))
+    assert sides[0] == sides[1]
+
+
+@needs_gcc
+def test_failed_build_falls_back_to_identical_results(monkeypatch, fresh_kernel):
+    def replay_twice():
+        alloc, h = set_up(policy_spec(PolicyKind.RANDOM, DM), "shared", 1 << 14, log=True)
+        snaps = [run_trace(mixed_trace(seed), alloc, h, epoch=700)[1] for seed in (1, 2)]
+        return snaps, h.metrics.to_json(), replay_state(alloc, h)
+
+    native = replay_twice()
+    _native.kernel.cache_clear()
+    monkeypatch.setattr(_native, "CC", "/nonexistent/gcc")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fallback = replay_twice()
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "/nonexistent/gcc" in str(caught[0].message)
+    assert fallback == native

@@ -74,6 +74,18 @@ def test_mix_rewrites_cores_in_chunks(k):
     assert mix([a, b, c], k=k) == expected
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_mix_puts_traces_on_given_cores(k):
+    a = [TraceRecord("A", 0, i * 64, "r") for i in range(7)]
+    b = [TraceRecord("B", 2, i * 128, "w") for i in range(2)]
+    merged = mix([a, b], k=k, cores=[3, 2])
+    assert {(r.app, r.core) for r in merged} == {("A", 3), ("B", 2)}
+    assert [r._replace(core=0) for r in merged] == mix([a, b], k=k, cores=[0, 0])
+    assert mix([a], cores=[5]) == [r._replace(core=5) for r in a]
+    with pytest.raises(TraceError, match="1 cores for 2 traces"):
+        mix([a, b], cores=[1])
+
+
 def test_mix_too_many_apps():
     traces = [[TraceRecord(str(i), 0, 0, "r")] for i in range(5)]
     with pytest.raises(TraceError):
@@ -95,6 +107,27 @@ def test_trace_line_format(tmp_path):
     p = tmp_path / "t.trace"
     p.write_text("# comment\nA 0 0x1f40 r\n")
     assert read_trace(p) == [TraceRecord("A", 0, 0x1F40, "r")]
+
+
+def test_trace_comments_and_blank_lines(tmp_path):
+    p = tmp_path / "t.trace"
+    p.write_text("# header\n\n   \nA 0 0x40 r  # trailing\n\t B 1 0x80 w\t\n"
+                 "#A 0 0x1 r\n  # indented comment\nC 2 0xc0 r#tight\n\nA 0 zzzz r\n")
+    with pytest.raises(TraceError, match=r"t\.trace:10: invalid literal"):
+        read_trace(p)
+    p.write_text("\n".join(p.read_text().splitlines()[:-1] + ["A 0 0x100 r"]))
+    trace = read_trace(p)
+    assert trace == [TraceRecord("A", 0, 0x40, "r"), TraceRecord("B", 1, 0x80, "w"),
+                     TraceRecord("C", 2, 0xC0, "r"), TraceRecord("A", 0, 0x100, "r")]
+    assert trace[0].app is trace[3].app         # one string per app name
+
+
+def test_trace_field_count_error_text(tmp_path):
+    p = tmp_path / "bad.trace"
+    p.write_text("# one\nA 0 0x40 r # fine\nA 0 0x40 # three\n")
+    with pytest.raises(TraceError) as err:
+        read_trace(p)
+    assert str(err.value) == f"{p}:3: expected 4 fields, got 3"
 
 
 def test_trace_parse_error_has_line_number(tmp_path):
