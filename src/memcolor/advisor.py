@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass
 
 from memcolor.classifier import Category
+from memcolor.errors import MemcolorError
 from memcolor.mapping import AddressMapping
 from memcolor.policies import PolicyKind, PolicySpec, policy_spec
 
@@ -30,7 +31,7 @@ TAG_SMALL_CCF = "small-share-ccf"
 TAG_NONE = "none"
 
 
-class AdvisorError(ValueError):
+class AdvisorError(MemcolorError, ValueError):
     pass
 
 

@@ -17,6 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from memcolor import _native
+from memcolor.errors import MemcolorError
 from memcolor.mapping import AddressMapping
 from memcolor.policies import PolicyKind, PolicySpec
 
@@ -25,8 +26,7 @@ from memcolor.policies import PolicyKind, PolicySpec
 def _gc_paused():
     """Pause the cyclic garbage collector while page-table entries are
     created in bulk: each entry is a new list, and the collections they
-    would trigger rescan every live object (the trace's records among
-    them) without freeing anything."""
+    would trigger rescan every live object without freeing anything."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -47,7 +47,7 @@ def _draw_frames(n, draws, free, left, frames):
         free[idx] = free[left]
 
 
-class AllocationError(RuntimeError):
+class AllocationError(MemcolorError, RuntimeError):
     pass
 
 

@@ -17,19 +17,22 @@ it to.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from memcolor.allocator import Allocator
+from memcolor.errors import MemcolorError
 from memcolor.hierarchy import (DEFAULT_LATENCIES, DEFAULT_LLC,
                                 DEFAULT_PRIVATE, MemoryHierarchy,
                                 proxy_cycles, run_trace)
 from memcolor.mapping import AddressMapping
 from memcolor.policies import custom_spec
+from memcolor.workloads import Trace
 
 
-class ClassifierError(ValueError):
+class ClassifierError(MemcolorError, ValueError):
     pass
 
 
@@ -196,6 +199,7 @@ def classify_offline(trace, m: AddressMapping,
     more rows, and that placement artifact must not leak into a metric that
     is supposed to measure cache-quota sensitivity alone.
     """
+    trace = Trace.of(trace)
     if not trace:
         raise ClassifierError("empty trace")
     thresholds = thresholds or Thresholds()
@@ -204,10 +208,10 @@ def classify_offline(trace, m: AddressMapping,
     latencies = {**base, "row_hit": flat, "row_conflict": flat}
     total_pages = total_pages or m.total_pages
     spec = cache_quota_spec(m)
-    apps = {r.app for r in trace}
-    if len(apps) != 1:
-        raise ClassifierError(f"offline oracle expects a single-app trace, got {sorted(apps)}")
-    (app,) = apps
+    if len(trace.apps) != 1:
+        raise ClassifierError(
+            f"offline oracle expects a single-app trace, got {sorted(trace.apps)}")
+    (app,) = trace.apps
 
     def run(colors):
         alloc = Allocator(total_pages, spec, m)
@@ -219,7 +223,7 @@ def classify_offline(trace, m: AddressMapping,
     full = run(range(spec.page_colors))
     confined = run([c for c in range(spec.page_colors) if spec.project(c)[0] == 0])
     d = (confined - full) / full
-    footprint = len({r.vaddr >> m.page_offset_bits for r in trace})
+    footprint = len(trace.pages(m.page_offset_bits).first)
 
     if d < thresholds.d_ccf_llct:
         cat = Category.CCF if footprint <= thresholds.footprint_pages else Category.LLCT
@@ -245,20 +249,26 @@ def classify_trace_online(trace, m: AddressMapping,
     """
     cfg = cfg or SamplerConfig()
     thresholds = thresholds or Thresholds()
-    apps = {r.app for r in trace}
-    if len(apps) != 1:
-        raise ClassifierError(f"online classification expects a single-app trace, got {sorted(apps)}")
-    (app,) = apps
+    trace = Trace.of(trace)
+    if len(trace.apps) != 1:
+        raise ClassifierError(
+            f"online classification expects a single-app trace, got {sorted(trace.apps)}")
+    (app,) = trace.apps
     period = cfg.period
     if len(trace) < period:
         raise ClassifierError(
             f"app {app!r}: trace has {len(trace)} accesses, fewer than one "
             f"sampling period ({period}), so no sampling interval completes")
-    shift = m.page_offset_bits
-    vpns = [r.vaddr >> shift for r in trace]
+    pages = trace.pages(m.page_offset_bits)
+    n_pages = len(pages.first)
+    # distinct pages per complete interval: the distinct (interval, page)
+    # pairs, counted per interval
+    intervals = len(trace) // period
+    interval = np.arange(intervals * period) // period
+    distinct = np.unique(interval * n_pages + pages.of[:intervals * period])
     ev = OnlineEvidence(
-        hot_pages=[len(set(vpns[i:i + period]))
-                   for i in range(0, len(vpns) - period + 1, period)],
-        access_counters=dict(Counter(vpns)))
+        hot_pages=np.bincount(distinct // n_pages, minlength=intervals).tolist(),
+        access_counters=dict(zip(pages.vpn.tolist(),
+                                 np.bincount(pages.of, minlength=n_pages).tolist())))
     wpd = ev.wpd(cfg)
     return _decide(ev.mean_hot_pages(), wpd, thresholds), ev, wpd

@@ -15,22 +15,27 @@ import sys
 
 from memcolor.advisor import (AdvisorError, WorkloadProfile, advise,
                               decide_policy, plan_quotas)
-from memcolor.allocator import AllocationError, Allocator
-from memcolor.classifier import (ClassifierError, classify_offline,
-                                 classify_trace_online)
+from memcolor.allocator import Allocator
+from memcolor.classifier import classify_offline, classify_trace_online
 from memcolor.config import ConfigError, ExperimentConfig, load_config
+from memcolor.errors import MemcolorError
 from memcolor.hierarchy import (MemoryHierarchy, SimulationError, proxy_cycles,
                                 run_trace)
-from memcolor.mapping import MappingError
 from memcolor.policies import PolicyError, PolicyKind, PolicySpec, policy_spec
-from memcolor.workloads import (ArchetypeParams, TraceError, TraceRecord,
-                                canonical_params, gen, mix, read_trace,
-                                write_trace)
+from memcolor.workloads import (ArchetypeParams, canonical_params, gen, mix,
+                                read_trace, write_trace)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+# (errors, exit code, message prefix) for what a command raises; the first
+# row that matches wins, and any other error propagates.
+EXIT_CODES = (
+    ((ConfigError, PolicyError, AdvisorError), EXIT_CONFIG, "config error"),
+    ((MemcolorError, OSError), EXIT_RUNTIME, "error"),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,10 +49,7 @@ def _load_traces(cfg: ExperimentConfig) -> dict:
     traces = {}
     for entry in cfg.workload:
         if entry.trace_path:
-            app, core = entry.app, entry.core
-            trace = [r if r.app == app and r.core == core
-                     else TraceRecord(app, core, r.vaddr, r.op)
-                     for r in read_trace(entry.trace_path)]
+            trace = read_trace(entry.trace_path).on(entry.app, entry.core)
         else:
             trace = gen(entry.params)
         if entry.app in traces:
@@ -131,8 +133,7 @@ def sweep_policies(cfg: ExperimentConfig, traces: dict,
             spec = policy_spec(policy, cfg.mapping)
             quotas = plan_quotas(profile, policy, spec).quotas if spec.partitioning else None
             cells[policy] = _run_policy(cfg, merged, list(traces), spec, quotas)[0]
-        except (AdvisorError, PolicyError, AllocationError, SimulationError,
-                MappingError) as exc:
+        except MemcolorError as exc:
             cells[policy] = exc
     return cells
 
@@ -289,6 +290,13 @@ def _apply_overrides(cfg: ExperimentConfig, args):
         cfg.seed = args.seed
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="memcolor",
                      description="page-coloring memory hierarchy simulator")
@@ -301,7 +309,7 @@ def build_parser() -> _Parser:
     p_gen.add_argument("--reuse", choices=["none", "loop", "zipf"], default=None)
     p_gen.add_argument("--stride", type=int, default=None)
     p_gen.add_argument("--zipf-s", dest="zipf_s", type=float, default=0.8)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=non_negative_int, default=0)
     p_gen.add_argument("--app", default="A")
     p_gen.add_argument("-o", "--output", required=True)
     p_gen.set_defaults(func=cmd_gen)
@@ -310,7 +318,7 @@ def build_parser() -> _Parser:
                               ("advise", cmd_advise, False), ("sweep", cmd_sweep, False)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=non_negative_int, default=None)
         p.add_argument("--out", default=None)
         if extra:
             p.add_argument("--policy", default=None,
@@ -329,13 +337,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ConfigError, PolicyError, AdvisorError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (TraceError, ClassifierError, AllocationError, SimulationError,
-            MappingError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    except Exception as exc:
+        for errors, code, prefix in EXIT_CODES:
+            if isinstance(exc, errors):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -8,13 +8,14 @@ from dataclasses import dataclass, field
 import yaml
 
 from memcolor.classifier import Category, SamplerConfig, Thresholds
+from memcolor.errors import MemcolorError
 from memcolor.hierarchy import (DEFAULT_LATENCIES, DEFAULT_LLC,
                                 DEFAULT_PRIVATE, CacheConfig)
 from memcolor.mapping import AddressMapping, validate_mapping
 from memcolor.workloads import ArchetypeParams, canonical_params
 
 
-class ConfigError(ValueError):
+class ConfigError(MemcolorError, ValueError):
     pass
 
 
@@ -77,8 +78,9 @@ def _workload_entry(doc: dict, index: int, default_seed: int) -> WorkloadEntry:
     if "kind" not in doc:
         raise ConfigError(f"workload[{index}]: needs either 'trace' or 'kind'")
     kind = str(doc["kind"])
-    base = canonical_params(kind, seed=int(doc.get("seed", default_seed)),
-                            app=app, core=core)
+    seed = _at_least(f"workload[{index}] (app {app!r}): seed",
+                     doc.get("seed", default_seed), 0)
+    base = canonical_params(kind, seed=seed, app=app, core=core)
     overrides = {}
     if "pages" in doc:
         overrides["working_set_pages"] = int(doc["pages"])
@@ -96,6 +98,13 @@ def _workload_entry(doc: dict, index: int, default_seed: int) -> WorkloadEntry:
                                      ("working_set_pages", "access_count", "reuse",
                                       "stride", "zipf_s")}, **overrides})
     return WorkloadEntry(app=app, core=core, params=base)
+
+
+def _at_least(name: str, value, low: int) -> int:
+    value = int(value)
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def load_config(path) -> ExperimentConfig:
@@ -134,14 +143,14 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                 f: type(getattr(defaults, f))(t.get(f, getattr(defaults, f)))
                 for f in ("hot_page_low", "hot_page_high", "wpd_low", "wpd_high",
                           "d_ccf_llct", "d_llch", "footprint_pages")})
-        cfg.seed = int(doc.get("seed", 0))
+        cfg.seed = _at_least("seed", doc.get("seed", 0), 0)
         cfg.policy = str(doc.get("policy", "auto"))
         cfg.core_count = int(doc.get("core_count", 4))
         cfg.multithreaded = bool(doc.get("multithreaded", False))
-        cfg.mix_chunk = int(doc.get("mix_chunk", 1))
+        cfg.mix_chunk = _at_least("mix_chunk", doc.get("mix_chunk", 1), 1)
         cfg.allow_fallback = bool(doc.get("allow_fallback", False))
-        if "epoch" in doc and doc["epoch"]:
-            cfg.epoch = int(doc["epoch"])
+        # 0 (or none) means no epochs
+        cfg.epoch = _at_least("epoch", doc.get("epoch") or 0, 0) or None
         if doc.get("total_pages") is not None:
             cfg.total_pages = int(doc["total_pages"])
         cfg.workload = [_workload_entry(w, i, cfg.seed)

@@ -13,14 +13,15 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from memcolor import _native
 from memcolor.allocator import _gc_paused
+from memcolor.errors import MemcolorError
 from memcolor.mapping import AddressMapping, MappingError
+from memcolor.workloads import Trace
 
 
 DEFAULT_LATENCIES = {
@@ -47,7 +48,7 @@ COUNTER_KEYS = (
 )
 
 
-class SimulationError(RuntimeError):
+class SimulationError(MemcolorError, RuntimeError):
     pass
 
 
@@ -273,45 +274,48 @@ CHUNK = 1 << 14
 
 def run_trace(trace, allocator, hierarchy: MemoryHierarchy,
               epoch: int | None = None):
-    """Replay a trace (a sequence of TraceRecord): first-touch translation
-    then hierarchy access.
+    """Replay a trace (a `Trace`, or a sequence of TraceRecords): first-touch
+    translation then hierarchy access.
 
     The result and the allocator's and hierarchy's end state equal those of
     `allocator.touch` and `hierarchy.access` called record by record, the
     per-access reference.  The replay is batched instead: each distinct
-    page is translated once, in first-touch order; line, LLC set, bank and
-    row of every access come from numpy; one LRU/open-row loop writes an
-    outcome code per access, and the counters are bincounts of the codes.
-    That loop is the native kernel (`_kernel.c`) when gcc can build it, and
-    `_replay` otherwise.
+    page is translated once, in first-touch order (the trace's page
+    numbering, kept with the trace); line, LLC set, bank and row of every
+    access come from numpy; one LRU/open-row loop writes an outcome code per
+    access, and the counters are bincounts of the codes.  That loop is the
+    native kernel (`_kernel.c`) when gcc can build it, and `_replay`
+    otherwise.
 
     Returns (Metrics, snapshots); snapshots holds one metrics dict per epoch
-    of `epoch` accesses when requested.
+    of `epoch` accesses when requested (`epoch` > 0).
     """
+    if epoch is not None and epoch < 0:
+        raise SimulationError(f"epoch must be >= 0, got {epoch}")
+    trace = Trace.of(trace)
     metrics = hierarchy.metrics
     n = len(trace)
     if not n:
         return metrics, []
     m = hierarchy.mapping
     shift = m.page_offset_bits
-    apps = list(map(attrgetter("app"), trace))
-    app_order = list(dict.fromkeys(apps))
-    app_of = _index_of(apps, app_order)
-    del apps        # per-access lists go as soon as used, to bound peak memory
+    app_order = trace.apps
+    app_of = trace.app
 
     # 1. translate every distinct (app, vpn) once, in first-touch order
-    page_of, page_first, page_vpns, offset = _pages(trace, app_of, len(app_order), shift)
+    pages = trace.pages(shift)
+    page_of = pages.of
     pfns, error = allocator.translate_pages(
-        list(map(app_order.__getitem__, app_of[page_first].tolist())), page_vpns)
-    del page_vpns
+        list(map(app_order.__getitem__, app_of[pages.first].tolist())), pages.vpn.tolist())
     stop, failure = n, None
     if error is not None:
-        stop = int(page_first[len(pfns)])
+        stop = int(pages.first[len(pfns)])
         failure = SimulationError(f"record {stop}: {error}")
         failure.__cause__ = error
+    offset = (trace.vaddr[:stop] & np.uint64((1 << shift) - 1)).astype(np.int32)
     # an access is out of range when its offset reaches past the end of
     # memory from its frame's start
-    bad = np.flatnonzero(offset[:stop] >= (m.mem_bytes - (pfns << shift))[page_of[:stop]])
+    bad = np.flatnonzero(offset >= (m.mem_bytes - (pfns << shift))[page_of[:stop]])
     if bad.size:
         stop = int(bad[0])
         addr = (int(pfns[page_of[stop]]) << shift) | int(offset[stop])
@@ -319,10 +323,7 @@ def run_trace(trace, allocator, hierarchy: MemoryHierarchy,
 
     # 2. line, private set, LLC set, bank and row per access, chunk by
     # chunk, each chunk replayed by the LRU/open-row loop
-    cores = list(map(attrgetter("core"), trace))
-    core_order = list(dict.fromkeys(cores))
-    core_of = _index_of(cores, core_order)
-    del cores
+    core_order, core_of = trace.cores()
     # the cores met before `stop` lead core_order
     core_order = core_order[:int(core_of[:stop].max()) + 1 if stop else 0]
     for core in core_order:
@@ -341,7 +342,7 @@ def run_trace(trace, allocator, hierarchy: MemoryHierarchy,
 
     # 3. counters per epoch from the outcome codes
     key = app_of[:stop] * N_CODES + codes
-    step = abs(epoch) if epoch else max(stop, 1)
+    step = epoch or max(stop, 1)
     snapshots = []
     for start in range(0, stop, step):
         part = key[start:start + step]
@@ -353,46 +354,6 @@ def run_trace(trace, allocator, hierarchy: MemoryHierarchy,
     if failure is not None:
         raise failure
     return metrics, snapshots
-
-
-def _index_of(items: list, order: list) -> np.ndarray:
-    """Position in `order` of each item."""
-    index = dict(zip(order, range(len(order))))
-    return np.fromiter(map(index.__getitem__, items), np.int32, len(items))
-
-
-def _pages(trace, app_of: np.ndarray, n_apps: int, shift: int):
-    """Distinct (app, vpn) pages of a trace, numbered in first-touch order.
-
-    Returns each access's page, each page's first access, each page's vpn
-    (a list) and each access's offset in its page.
-    """
-    try:
-        vaddr = np.fromiter(map(attrgetter("vaddr"), trace), np.int64, len(trace))
-    except OverflowError:               # virtual addresses past 63 bits
-        vaddr = np.array(list(map(attrgetter("vaddr"), trace)), dtype=object)
-    offset = (vaddr & ((1 << shift) - 1)).astype(np.int32)
-    vpn = vaddr >> shift
-    del vaddr
-    if n_apps.bit_length() >= shift:    # vpn * n_apps could overflow int64
-        vpn = vpn.astype(object)
-    key = vpn * n_apps + app_of
-    # group equal keys by sorting; a page's first access is the smallest
-    # position in its group
-    perm = np.argsort(key)
-    key = key[perm]
-    starts = np.empty(len(key), dtype=bool)
-    starts[0] = True
-    np.not_equal(key[1:], key[:-1], out=starts[1:])
-    group = np.cumsum(starts) - 1
-    first = np.minimum.reduceat(perm, np.flatnonzero(starts))
-    by_first = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.int32)
-    rank[by_first] = np.arange(len(first))
-    page_of = np.empty(len(key), dtype=np.int32)
-    page_of[perm] = rank[group]
-    page_first = first[by_first]
-    return page_of, page_first, vpn[page_first].tolist(), offset
 
 
 def _add_counts(metrics: Metrics, app_order, counts: np.ndarray):

@@ -13,11 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from memcolor.errors import MemcolorError
+
 
 DEFAULT_MEM_BYTES = 8 << 30
 
 
-class MappingError(ValueError):
+class MappingError(MemcolorError, ValueError):
     """Raised for addresses or bit requests a mapping cannot serve."""
 
 

@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from memcolor.errors import MemcolorError
 from memcolor.mapping import AddressMapping, page_color
 
 
-class PolicyError(ValueError):
+class PolicyError(MemcolorError, ValueError):
     pass
 
 

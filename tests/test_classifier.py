@@ -9,7 +9,8 @@ from memcolor.classifier import (Category, ClassifierError, OnlineEvidence,
                                  classify_trace_online, count_bucket, job2_wpd)
 from memcolor.mapping import AddressMapping
 from memcolor.policies import PolicyKind, policy_spec
-from memcolor.workloads import ArchetypeParams, canonical_params, gen
+from memcolor.workloads import (ArchetypeParams, Trace, TraceRecord,
+                                canonical_params, gen)
 
 M = AddressMapping()
 CFG = SamplerConfig()
@@ -163,6 +164,38 @@ def test_online_evidence_matches_sampler(params, cfg):
     assert list(ev.access_counters.items()) == list(ref.access_counters.items())
     assert wpd == ref.wpd(cfg)
     assert cat is classify_online(ref, TH, cfg)
+
+
+@given(accesses=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 4095)),
+                         min_size=1, max_size=300),
+       period=st.integers(1, 60), start=st.integers(0, 20))
+@settings(max_examples=200, deadline=None)
+def test_online_evidence_of_trace_matches_sampler(accesses, period, start):
+    # vpns far apart (up to 2^46), so page keys use the high address bits
+    records = [TraceRecord("A", 0, ((vpn << 40) + 1 << 12) + offset, "r")
+               for vpn, offset in accesses]
+    trace = Trace.of([TraceRecord("B", 1, 0, "w")] * start + records)[start:]
+    cfg = SamplerConfig(period=period)
+    if len(records) < period:
+        with pytest.raises(ClassifierError, match="fewer than one sampling period"):
+            classify_trace_online(trace, M, cfg=cfg)
+        return
+    ref = reference_evidence(records, cfg)
+    cat, ev, wpd = classify_trace_online(trace, M, cfg=cfg)
+    assert ev.hot_pages == ref.hot_pages
+    assert list(ev.access_counters.items()) == list(ref.access_counters.items())
+    assert all(type(v) is int for v in ev.access_counters)
+    assert wpd == ref.wpd(cfg)
+    assert (cat, ev, wpd) == classify_trace_online(records, M, cfg=cfg)
+
+
+def test_offline_of_trace_matches_record_list():
+    trace = gen(ArchetypeParams("llch", 40, 5120, seed=6))
+    res = classify_offline(trace, M)
+    assert res == classify_offline(list(trace), M)
+    assert res.footprint_pages == 40
+    with pytest.raises(ClassifierError, match=r"single-app trace, got \['A', 'B'\]"):
+        classify_offline(list(trace) + [TraceRecord("B", 0, 0, "r")], M)
 
 
 def test_offline_empty_trace():

@@ -1,11 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import memcolor
 from memcolor import cli
@@ -255,3 +260,103 @@ def test_bad_core_is_config_error(tmp_path, capsys, cores, message):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "o").exists()
+
+
+# --- load-time checks, the error base, and a fuzz of small configs ----------
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"workload": [dict(SMALL_WORKLOAD[0], seed=-3)]},
+     "workload[0] (app 'H'): seed must be >= 0, got -3"),
+    ({"mix_chunk": 0}, "mix_chunk must be >= 1, got 0"),
+    ({"mix_chunk": -2}, "mix_chunk must be >= 1, got -2"),
+    ({"epoch": -7}, "epoch must be >= 0, got -7"),
+])
+def test_bad_seed_chunk_or_epoch_is_config_error(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path, policy="interleave", **overrides)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_negative_seed_option_is_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, policy="interleave")
+    assert main(["run", "--config", cfg, "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "argument --seed: must be >= 0, got -1" in err and "Traceback" not in err
+
+
+def test_epoch_zero_means_no_epochs(tmp_path, capsys):
+    cfg = write_config(tmp_path, policy="interleave", epoch=0)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert load_config(cfg).epoch is None
+    assert not (tmp_path / "o" / "epochs.json").exists()
+
+
+def test_trace_address_outside_64_bits_is_runtime_error(tmp_path, capsys):
+    path = tmp_path / "h.trace"
+    path.write_text("H 0 0x1000 r\nH 0 -0x1000 r\n")
+    cfg = write_config(tmp_path, workload=[{"app": "H", "trace": str(path)}],
+                       policy="interleave")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == \
+        f"error: {path}:2: address -0x1000 outside [0, 2^64)\n"
+
+
+def test_every_library_error_has_one_base():
+    from memcolor.advisor import AdvisorError
+    from memcolor.allocator import AllocationError, OutOfColorMemory
+    from memcolor.classifier import ClassifierError
+    from memcolor.config import ConfigError
+    from memcolor.errors import MemcolorError
+    from memcolor.hierarchy import SimulationError
+    from memcolor.mapping import MappingError
+    from memcolor.policies import PolicyError
+    from memcolor.workloads import TraceError
+    for error, builtin in [(ConfigError, ValueError), (PolicyError, ValueError),
+                           (AdvisorError, ValueError), (TraceError, ValueError),
+                           (ClassifierError, ValueError), (MappingError, ValueError),
+                           (AllocationError, RuntimeError), (OutOfColorMemory, RuntimeError),
+                           (SimulationError, RuntimeError)]:
+        assert issubclass(error, MemcolorError) and issubclass(error, builtin)
+
+
+POLICY_NAMES = ["auto", "interleave", "bank-only", "a-vp", "b-vp", "c-vp", "random", "bogus"]
+FUZZ_APPS = [{"app": "H", "kind": "llch", "pages": 16, "accesses": 2048},
+             {"app": "C", "kind": "ccf", "pages": 4, "accesses": 1024},
+             {"app": "T", "kind": "llct", "pages": 600, "accesses": 600}]
+
+
+@st.composite
+def fuzz_configs(draw):
+    """A run or sweep of 1-3 small apps; each field is usually valid, now
+    and then out of range."""
+    n = draw(st.integers(1, 3))
+    cores = draw(st.permutations(range(4)))[:n]
+    if draw(st.integers(0, 9)) == 0:
+        cores[0] = draw(st.sampled_from([-1, 4, cores[-1]]))
+    workload = [dict(app, core=core, seed=draw(st.integers(-1, 50)))
+                for app, core in zip(FUZZ_APPS, cores)]
+    doc = {"seed": draw(st.integers(-1, 50)), "core_count": 4,
+           "policy": draw(st.sampled_from(POLICY_NAMES)),
+           "mix_chunk": draw(st.integers(-1, 8)),
+           "epoch": draw(st.one_of(st.none(), st.integers(-2, 1500))),
+           "total_pages": draw(st.one_of(st.none(), st.integers(0, 1500),
+                                         st.sampled_from([1 << 21, (1 << 21) + 1]))),
+           "sampler": {"period": 500}, "workload": workload}
+    return draw(st.sampled_from(["run", "sweep"])), doc
+
+
+@given(case=fuzz_configs())
+@settings(max_examples=100, deadline=None)
+def test_cli_fuzz_exits_cleanly(case):
+    command, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.yaml")
+        with open(path, "w") as fh:
+            yaml.safe_dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", path, "--out", os.path.join(tmp, "o")])
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()

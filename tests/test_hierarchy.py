@@ -17,7 +17,7 @@ from memcolor.hierarchy import (DEFAULT_LATENCIES, CacheConfig, MemoryHierarchy,
                                 run_trace)
 from memcolor.mapping import AddressMapping, MappingError, decompose
 from memcolor.policies import PolicyKind, policy_spec
-from memcolor.workloads import TraceRecord
+from memcolor.workloads import Trace, TraceRecord
 
 M = AddressMapping()
 
@@ -368,6 +368,30 @@ def test_batched_replay_addresses_past_63_bits():
     trace = [r._replace(vaddr=(1 << 64) - r.vaddr - 4096) for r in mixed_trace(6, n=2000)]
     batched, reference = replay_both(lambda: set_up(spec, "disjoint", 1 << 14), [trace])
     assert batched == reference
+
+
+@pytest.mark.parametrize("name,spec", specs(), ids=[n for n, _ in specs()])
+def test_batched_replay_of_trace_matches_reference(name, spec):
+    # one Trace replayed twice (its page numbering kept from the first
+    # replay), then a slice of it, against the record lists by reference
+    records = mixed_trace(7, late=2500)
+    trace = Trace.of(records)
+
+    def make():
+        return set_up(spec, "shared", 1 << 14, log=True)
+
+    batched = replay_both(make, [trace, trace, trace[1000:4000]], epoch=700)[0]
+    reference = replay_both(make, [records, records, records[1000:4000]], epoch=700)[1]
+    assert batched == reference
+    assert trace.pages(DM.page_offset_bits) is trace.pages(DM.page_offset_bits)
+
+
+def test_run_trace_rejects_negative_epoch():
+    alloc, h = set_up(policy_spec(PolicyKind.A_VP, DM), "disjoint", 1 << 14)
+    with pytest.raises(SimulationError, match="epoch must be >= 0, got -7"):
+        run_trace(mixed_trace(1, n=100), alloc, h, epoch=-7)
+    assert h.metrics.accesses == 0
+    assert run_trace(mixed_trace(1, n=100), alloc, h, epoch=0)[1] == []
 
 
 def test_run_trace_out_of_range_names_record():

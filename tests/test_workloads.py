@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memcolor.workloads import (ARCHETYPE_KINDS, PAGE_BYTES, ArchetypeParams,
-                                TraceError, TraceRecord, canonical_params,
+                                Trace, TraceError, TraceRecord, canonical_params,
                                 footprint_pages, gen, mix, read_trace,
                                 write_trace)
 
@@ -152,3 +153,186 @@ def test_loop_footprint_property(pages, seed):
     trace = gen(p)
     assert footprint_pages(trace) == pages
     assert len(trace) == p.access_count
+
+
+# --- Trace, the columnar trace, against the record lists it replaced ---------
+
+def reference_gen(p):
+    """`gen` built record by record, from the same random draws."""
+    rng = np.random.default_rng(p.seed)
+    per_page = PAGE_BYTES // p.stride
+    order = rng.permutation(p.working_set_pages).tolist()
+    n = p.access_count
+    if p.reuse in ("none", "loop"):
+        pass_len = p.working_set_pages * per_page
+        vaddrs = [order[i % pass_len // per_page] * PAGE_BYTES + i % pass_len % per_page * p.stride
+                  for i in range(n)]
+    else:
+        weights = np.arange(1, p.working_set_pages + 1, dtype=np.float64) ** -p.zipf_s
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        draws = np.searchsorted(cdf, rng.random(n - p.working_set_pages), side="right")
+        offsets = rng.integers(0, per_page, size=n - p.working_set_pages)
+        vaddrs = [page * PAGE_BYTES for page in order]
+        vaddrs += [order[d] * PAGE_BYTES + o * p.stride
+                   for d, o in zip(draws.tolist(), offsets.tolist())]
+    return [TraceRecord(p.app, p.core, v, "r") for v in vaddrs]
+
+
+def reference_mix(traces, k, cores):
+    """Round-robin interleave, k records of each trace per turn."""
+    out = []
+    for start in range(0, max(map(len, traces)), k):
+        for core, t in zip(cores, traces):
+            out += [r._replace(core=core) for r in t[start:start + k]]
+    return out
+
+
+def reference_write(records) -> bytes:
+    return "".join(f"{r.app} {r.core} {r.vaddr:#x} {r.op}\n" for r in records).encode()
+
+
+def reference_read(path):
+    records = []
+    with open(path) as fh:
+        for line in fh:
+            parts = line.split("#", 1)[0].split()
+            if parts:
+                app, core, vaddr, op = parts
+                records.append(TraceRecord(app, int(core), int(vaddr, 16), op))
+    return records
+
+
+def assert_plain(records):
+    for r in records:
+        assert (type(r), type(r.app), type(r.core), type(r.vaddr), type(r.op)) == \
+            (TraceRecord, str, int, int, str)
+
+
+@pytest.mark.parametrize("params", [
+    canonical_params("llcm", seed=5, app="M", core=2),
+    ArchetypeParams("llch", 40, 5120, seed=6, app="H", core=1),
+    ArchetypeParams("llct", 3000, 3000, reuse="none", stride=4096, seed=4),
+    ArchetypeParams("ccf", 8, 6000, stride=512, seed=3),
+], ids=lambda p: p.kind)
+def test_gen_matches_record_reference(params):
+    trace = gen(params)
+    expected = reference_gen(params)
+    assert isinstance(trace, Trace)
+    assert trace == expected and list(trace) == expected
+    assert_plain(trace)
+
+
+records_st = st.lists(st.tuples(st.sampled_from(["A", "B", "C"]), st.integers(0, 9),
+                                st.integers(0, (1 << 64) - 1), st.sampled_from(["r", "w"])),
+                      max_size=30).map(lambda rs: [TraceRecord(*r) for r in rs])
+
+
+@given(traces=st.lists(records_st.filter(bool), min_size=1, max_size=4),
+       k=st.sampled_from([1, 3]), columnar=st.lists(st.booleans(), min_size=4, max_size=4),
+       data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_mix_matches_record_reference(traces, k, columnar, data):
+    cores = data.draw(st.permutations(range(6)))[:len(traces)]
+    inputs = [Trace.of(t) if c else t for t, c in zip(traces, columnar)]
+    expected = reference_mix(traces, k, cores)
+    merged = mix(inputs, k=k, cores=cores)
+    assert isinstance(merged, Trace)
+    assert merged == expected
+    assert merged.apps == tuple(dict.fromkeys(r.app for r in expected))
+    assert mix(inputs, k=k) == reference_mix(traces, k, range(len(traces)))
+
+
+@given(records=records_st, data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_write_read_match_record_reference(tmp_path_factory, records, data):
+    path = tmp_path_factory.mktemp("t") / "t.trace"
+    write_trace(records, path)
+    assert path.read_bytes() == reference_write(records)
+    # the same records among comments, blank lines and odd spacing
+    lines = []
+    for r in records:
+        lines += data.draw(st.lists(st.sampled_from(["", "   ", "# note", "\t# x 1 0x0 r"]),
+                                    max_size=2))
+        sep = data.draw(st.sampled_from([" ", "  ", "\t"]))
+        tail = data.draw(st.sampled_from(["", " ", " # trailing", "#tight"]))
+        lines.append(sep.join([r.app, str(r.core), hex(r.vaddr), r.op]) + tail)
+    path.write_text("\n".join(lines) + data.draw(st.sampled_from(["", "\n"])))
+    trace = read_trace(path)
+    assert trace == reference_read(path) == records
+    assert_plain(trace)
+    write_trace(trace, path)
+    assert path.read_bytes() == reference_write(records)
+
+
+def test_trace_columns():
+    records = [TraceRecord("B", 3, 0x5040, "w"), TraceRecord("A", 1, 0x1000, "r"),
+               TraceRecord("B", 3, 0x5080, "r")]
+    trace = Trace.of(records)
+    assert Trace.of(trace) is trace
+    assert trace.apps == ("B", "A")
+    assert trace.app.tolist() == [0, 1, 0]
+    assert (trace.app.dtype, trace.core.dtype, trace.vaddr.dtype, trace.write.dtype) == \
+        (np.int32, np.int64, np.uint64, np.bool_)
+    for column in (trace.app, trace.core, trace.vaddr, trace.write):
+        with pytest.raises(ValueError):
+            column[0] = 0
+    assert len(trace) == 3 and trace[1] == records[1] and trace[-1] == records[-1]
+    assert_plain([trace[0]])
+    # a slice is a Trace, its apps renumbered by first appearance
+    tail = trace[1:]
+    assert isinstance(tail, Trace) and tail.apps == ("A", "B") and tail == records[1:]
+    assert trace[:0] == [] and trace[:0].apps == ()
+    assert trace != records[:2] and trace != Trace.of(records[:2])
+    assert trace.on("Z", 2) == [r._replace(app="Z", core=2) for r in records]
+    assert trace.on("Z", 2).vaddr is trace.vaddr
+    single = trace.on("Z", 2)
+    assert single.on("Z", 2) is single
+
+
+def test_trace_numbering_is_kept_per_shift():
+    records = [TraceRecord(app, 0, vaddr, "r") for app, vaddr in [
+        ("A", 0x3000), ("B", 0x3000), ("A", 0x3fff), ("A", 0x1000), ("B", 0x2000)]]
+    trace = Trace.of(records)
+    pages = trace.pages(12)
+    assert trace.pages(12) is pages
+    assert pages.of.tolist() == [0, 1, 0, 2, 3]
+    assert pages.first.tolist() == [0, 1, 3, 4]
+    assert pages.vpn.tolist() == [3, 3, 1, 2]
+    assert not pages.of.flags.writeable
+    assert trace.pages(13).of.tolist() == [0, 1, 0, 2, 1]
+    assert trace.pages(14).of.tolist() == [0, 1, 0, 0, 1]
+    assert trace.cores() == trace.cores() and trace.cores()[0] == (0,)
+
+
+def test_trace_of_rejects_unfit_records():
+    good = TraceRecord("A", 0, 0x40, "r")
+    for bad, message in [(good._replace(op="x"), "record 1: unknown op 'x'"),
+                         (good._replace(vaddr=-4096), "record 1: address -0x1000 outside"),
+                         (good._replace(vaddr=1 << 64), "record 1: address 0x10000000000000000"),
+                         (good._replace(core=1 << 63), "record 1: core 9223372036854775808")]:
+        with pytest.raises(TraceError, match=message):
+            Trace.of([good, bad])
+
+
+@pytest.mark.parametrize("vaddr", ["-0x1000", "0x10000000000000000"])
+def test_trace_address_outside_64_bits(tmp_path, vaddr):
+    p = tmp_path / "bad.trace"
+    p.write_text(f"A 0 0x40 r\n# fine\nA 0 {vaddr} r\nA 0 zzzz r\n")
+    with pytest.raises(TraceError) as err:
+        read_trace(p)
+    assert str(err.value) == f"{p}:3: address {int(vaddr, 16):#x} outside [0, 2^64)"
+    p.write_text(f"A 0 0x{(1 << 64) - 1:x} r\n")
+    assert read_trace(p)[0].vaddr == (1 << 64) - 1
+
+
+def test_trace_first_bad_line_wins(tmp_path):
+    p = tmp_path / "bad.trace"
+    p.write_text("A 0 0x40 r\nA x -0x1 q\nA 0 -0x1 r\n")
+    with pytest.raises(TraceError, match=r":2: unknown op 'q'"):
+        read_trace(p)
+    p.write_text("A 0 0x40 r\nA 99999999999999999999 0x0 r\n")
+    with pytest.raises(TraceError, match=r":2: core 99999999999999999999 outside"):
+        read_trace(p)
+    p.write_text("")
+    assert read_trace(p) == [] and footprint_pages(read_trace(p)) == 0
