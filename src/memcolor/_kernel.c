@@ -1,5 +1,5 @@
 /* Native forms of memcolor's two per-element replay loops, loaded with
- * ctypes by memcolor._native.  hierarchy._replay and the swap-remove loop
+ * ctypes by memcolor._native.  MemoryHierarchy._step and the swap-remove loop
  * of Allocator._new_frames are the Python references they are tested
  * against.
  *

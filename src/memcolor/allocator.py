@@ -6,13 +6,15 @@ policy draws uniformly from all free frames with a seeded RNG.  There is no
 fallback across color quotas unless explicitly enabled: exhausting an app's
 colors is an error even when other colors have free frames, so isolation
 can never erode silently.
+
+Neither pools nor page tables hold a Python object per frame or page: a
+pool is arithmetic over one period of frame colors, and a page table is
+arrays in first-touch order.
 """
 
 from __future__ import annotations
 
 import csv
-import gc
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -20,20 +22,6 @@ from memcolor import _native
 from memcolor.errors import MemcolorError
 from memcolor.mapping import AddressMapping
 from memcolor.policies import PolicyKind, PolicySpec
-
-
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector while page-table entries are
-    created in bulk: each entry is a new list, and the collections they
-    would trigger rescan every live object without freeing anything."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _draw_frames(n, draws, free, left, frames):
@@ -60,22 +48,31 @@ class OutOfColorMemory(AllocationError):
 
 
 class _Pool:
-    """Free frames of one color, ascending pfn, consumed front-to-back."""
+    """Free frames of one color, ascending pfn, consumed front-to-back.  The
+    color's frames repeat with `period`, at `offsets` within each period, so
+    the k-th is (k // len(offsets)) * period + offsets[k % len(offsets)]."""
 
-    __slots__ = ("frames", "cursor")
+    __slots__ = ("period", "offsets", "size", "cursor")
 
-    def __init__(self, frames: np.ndarray):
-        self.frames = frames
+    def __init__(self, period: int, offsets: np.ndarray, total_pages: int):
+        self.period, self.offsets = period, offsets
+        full, rest = divmod(total_pages, period)
+        self.size = full * len(offsets) + int(np.searchsorted(offsets, rest))
         self.cursor = 0
 
     @property
     def free(self) -> int:
-        return len(self.frames) - self.cursor
+        return self.size - self.cursor
+
+    def take(self, count: int) -> np.ndarray:
+        turn, at = np.divmod(np.arange(self.cursor, self.cursor + count), len(self.offsets))
+        self.cursor += count
+        return turn * self.period + self.offsets[at]
 
     def pop(self) -> int:
-        pfn = int(self.frames[self.cursor])
+        turn, at = divmod(self.cursor, len(self.offsets))
         self.cursor += 1
-        return pfn
+        return turn * self.period + int(self.offsets[at])
 
 
 class _QuotaState:
@@ -84,6 +81,48 @@ class _QuotaState:
     def __init__(self, colors):
         self.colors = sorted(colors)
         self.rr = 0
+
+
+class _PageTable:
+    """One app's translations in first-touch order: `n` rows of vpn, pfn
+    and access bit, in arrays grown by doubling.  `rows()` maps vpn to row;
+    it is built on first use and kept up to date from then on."""
+
+    __slots__ = ("vpn", "pfn", "bit", "n", "_rows")
+
+    def __init__(self):
+        self.vpn = np.empty(0, dtype=np.uint64)
+        self.pfn = np.empty(0, dtype=np.int64)
+        self.bit = np.empty(0, dtype=bool)
+        self.n = 0
+        self._rows = None
+
+    def rows(self) -> dict:
+        if self._rows is None:
+            self._rows = dict(zip(self.vpn[:self.n].tolist(), range(self.n)))
+        return self._rows
+
+    def _reserve(self, end: int):
+        if end > len(self.vpn):
+            size = max(end, 2 * len(self.vpn))
+            self.vpn, self.pfn, self.bit = (np.resize(a, size) for a in (self.vpn, self.pfn, self.bit))
+
+    def append(self, vpns: np.ndarray, pfns: np.ndarray):
+        """Add new pages, their access bits set."""
+        n, end = self.n, self.n + len(vpns)
+        self._reserve(end)
+        self.vpn[n:end], self.pfn[n:end], self.bit[n:end] = vpns, pfns, True
+        if self._rows is not None:
+            self._rows.update(zip(vpns.tolist(), range(n, end)))
+        self.n = end
+
+    def add(self, vpn: int, pfn: int):
+        """`append` for one page."""
+        n = self.n
+        self._reserve(n + 1)
+        self.vpn[n], self.pfn[n], self.bit[n] = vpn, pfn, True
+        self.rows()[vpn] = n
+        self.n = n + 1
 
 
 class Allocator:
@@ -97,32 +136,33 @@ class Allocator:
         self.allow_fallback = allow_fallback
         self._rng = np.random.default_rng(seed)
         self._quotas: dict[object, _QuotaState] = {}
-        # page table: app -> {vpn: [pfn, access_bit]}
-        self.page_tables: dict[object, dict[int, list]] = {}
+        self._tables: dict[object, _PageTable] = {}
         self.alloc_log: list[tuple] | None = [] if log else None
+        self._random_free = None
 
         if spec.partitioning:
             # A frame's color repeats with the period of its highest color
-            # bit, so each pool is one period's offsets of that color,
-            # repeated up the frame range.
+            # bit; frames up to total_pages are all the pool needs, however
+            # high that bit.
             period = min(1 << (max(spec.color_bits) - m.page_offset_bits + 1), total_pages)
-            period_colors = self._colors_of(np.arange(period, dtype=np.int64))
-            starts = np.arange(0, total_pages, period, dtype=np.int64)[:, None]
-            self._pools = []
-            for c in range(spec.page_colors):
-                frames = (starts + np.flatnonzero(period_colors == c)).ravel()
-                self._pools.append(_Pool(frames[:np.searchsorted(frames, total_pages)]))
-            self._random_free = None
+            colors = self._colors_of(np.arange(period, dtype=np.int64))
+            self._pools = [_Pool(period, np.flatnonzero(colors == c), total_pages)
+                           for c in range(spec.page_colors)]
         else:
-            pfns = np.arange(total_pages, dtype=np.int64)
-            self._pools = [_Pool(pfns)]
+            self._pools = [_Pool(1, np.zeros(1, dtype=np.int64), total_pages)]
             if spec.kind is PolicyKind.RANDOM:
-                self._random_free = pfns.copy()
+                self._random_free = np.arange(total_pages, dtype=np.int64)
                 self._random_n = total_pages
-            else:
-                self._random_free = None
 
     # --- bookkeeping -----------------------------------------------------
+
+    @property
+    def page_tables(self) -> dict:
+        """{app: {vpn: [pfn, access bit]}}, each table in first-touch order;
+        a new copy on every read."""
+        return {app: dict(zip(t.vpn[:t.n].tolist(),
+                              map(list, zip(t.pfn[:t.n].tolist(), t.bit[:t.n].tolist()))))
+                for app, t in self._tables.items()}
 
     @property
     def free_frames(self) -> int:
@@ -132,7 +172,7 @@ class Allocator:
 
     @property
     def allocated_frames(self) -> int:
-        return sum(len(pt) for pt in self.page_tables.values())
+        return sum(t.n for t in self._tables.values())
 
     def free_by_color(self) -> list[int]:
         return [p.free for p in self._pools]
@@ -152,8 +192,7 @@ class Allocator:
 
     def register(self, app_id):
         """Register an app with no color constraint (non-partitioning use)."""
-        if app_id not in self.page_tables:
-            self.page_tables[app_id] = {}
+        self._tables.setdefault(app_id, _PageTable())
 
     def assign_quota(self, app_id, colors):
         colors = set(colors)
@@ -164,10 +203,9 @@ class Allocator:
                 raise AllocationError(
                     f"app {app_id!r}: unknown color {c} (policy has "
                     f"{self.spec.page_colors} colors)")
-        if self.page_tables.get(app_id):
+        if self._tables.setdefault(app_id, _PageTable()).n:
             raise AllocationError(f"app {app_id!r} already has allocated pages")
         self._quotas[app_id] = _QuotaState(colors)
-        self.page_tables.setdefault(app_id, {})
 
     # --- allocation ------------------------------------------------------
 
@@ -205,18 +243,18 @@ class Allocator:
     def touch(self, app_id, vpn: int):
         """First-touch translate: return the frame backing (app, vpn),
         allocating one on first access; sets the page's access bit."""
-        pt = self.page_tables.get(app_id)
-        if pt is None:
+        table = self._tables.get(app_id)
+        if table is None:
             raise AllocationError(f"app {app_id!r} not registered")
-        entry = pt.get(vpn)
-        if entry is not None:
-            entry[1] = True
-            return entry[0]
+        row = table.rows().get(vpn)
+        if row is not None:
+            table.bit[row] = True
+            return int(table.pfn[row])
         if self.spec.partitioning:
             pfn = self._alloc_colored(app_id)
         else:
             pfn = self._alloc_free(app_id)
-        pt[vpn] = [pfn, True]
+        table.add(vpn, pfn)
         if self.alloc_log is not None:
             if self.spec.partitioning:
                 from memcolor.policies import page_color_under
@@ -228,12 +266,22 @@ class Allocator:
         return pfn
 
     def translate_pages(self, app_ids, vpns):
+        """`translate_page_array` for pages given as lists of app ids and
+        vpns."""
+        apps = list(dict.fromkeys(app_ids))
+        index = dict(zip(apps, range(len(apps))))
+        return self.translate_page_array(
+            apps, np.fromiter(map(index.__getitem__, app_ids), np.int64, len(app_ids)),
+            np.array(vpns, dtype=np.uint64))
+
+    def translate_page_array(self, apps, app: np.ndarray, vpn: np.ndarray):
         """First-touch translate distinct pages, listed in the order of their
-        first access: the batch form of `touch`.
+        first access: the batch form of `touch`.  Page k is (apps[app[k]],
+        vpn[k]).
 
         Leaves the allocator exactly as `touch` at each page's first access
-        would: page-table entries in order, access bits, `alloc_log` rows,
-        pool cursors, quota round-robin positions and the RNG.  Pages already
+        would: page-table rows in order, access bits, `alloc_log` rows, pool
+        cursors, quota round-robin positions and the RNG.  Pages already
         mapped are looked up.  A batch the pools cannot serve whole (an
         exhausted pool, fallback, a missing quota or registration) goes page
         by page through `touch`.
@@ -242,61 +290,58 @@ class Allocator:
         order, and None, or the exception that stopped translation at page
         `len(frames)`.
         """
-        tables = self.page_tables
-        apps = dict.fromkeys(app_ids)
-        if not all(a in tables and (a in self._quotas or not self.spec.partitioning)
+        if not all(a in self._tables and (a in self._quotas or not self.spec.partitioning)
                    for a in apps):
-            return self._translate_each(app_ids, vpns)
-        entries = None
-        new_apps, new_vpns = app_ids, vpns
-        if any(tables[a] for a in apps):    # some pages may be mapped already
-            entries = [tables[a].get(v) for a, v in zip(app_ids, vpns)]
-            new_apps = [a for a, e in zip(app_ids, entries) if e is None]
-            new_vpns = [v for v, e in zip(vpns, entries) if e is None]
-        new_frames = self._new_frames(new_apps)
+            return self._translate_each(apps, app, vpn)
+        tables = [self._tables[a] for a in apps]
+        row = None
+        if any(t.n for t in tables):    # some pages may be mapped already
+            row = np.fromiter((tables[a].rows().get(v, -1) for a, v in
+                               zip(app.tolist(), vpn.tolist())), np.int64, len(vpn))
+        new = slice(None) if row is None else row < 0
+        new_app, new_vpn = app[new], vpn[new]
+        new_frames = self._new_frames(apps, new_app)
         if new_frames is None:
-            return self._translate_each(app_ids, vpns)
+            return self._translate_each(apps, app, vpn)
 
         frames = new_frames
-        if entries is not None:
-            is_new = np.array([e is None for e in entries], dtype=bool)
-            frames = np.empty(len(entries), dtype=np.int64)
-            frames[is_new] = new_frames
-            mapped = [e for e in entries if e is not None]
-            for e in mapped:
-                e[1] = True
-            frames[~is_new] = [e[0] for e in mapped]
-        new_pfns = new_frames.tolist()
-        with _gc_paused():
-            for app, vpn, pfn in zip(new_apps, new_vpns, new_pfns):
-                tables[app][vpn] = [pfn, True]
+        if row is not None:
+            frames = np.empty(len(vpn), dtype=np.int64)
+            frames[new] = new_frames
+            for i, t in enumerate(tables):
+                mapped = row[~new & (app == i)]
+                t.bit[mapped] = True
+                frames[~new & (app == i)] = t.pfn[mapped]
+        for i, t in enumerate(tables):
+            mine = new_app == i
+            t.append(new_vpn[mine], new_frames[mine])
         if self.alloc_log is not None:
+            rows = zip(map(apps.__getitem__, new_app.tolist()), new_vpn.tolist(),
+                       new_frames.tolist())
             if self.spec.partitioning:
-                colors = self._colors_of(new_frames).tolist()
                 groups = [self.spec.project(c) for c in range(self.spec.page_colors)]
                 self.alloc_log.extend(
-                    (app, vpn, pfn, c) + groups[c]
-                    for app, vpn, pfn, c in zip(new_apps, new_vpns, new_pfns, colors))
+                    (a, v, f, c) + groups[c]
+                    for (a, v, f), c in zip(rows, self._colors_of(new_frames).tolist()))
             else:
-                self.alloc_log.extend((app, vpn, pfn, -1, -1, -1)
-                                      for app, vpn, pfn in zip(new_apps, new_vpns, new_pfns))
+                self.alloc_log.extend((a, v, f, -1, -1, -1) for a, v, f in rows)
         return frames, None
 
-    def _translate_each(self, app_ids, vpns):
+    def _translate_each(self, apps, app, vpn):
         frames = []
-        for app, vpn in zip(app_ids, vpns):
+        for a, v in zip(app.tolist(), vpn.tolist()):
             try:
-                frames.append(self.touch(app, vpn))
+                frames.append(self.touch(apps[a], v))
             except Exception as exc:    # whatever touch raises; the caller names the record
                 return np.array(frames, dtype=np.int64), exc
         return np.array(frames, dtype=np.int64), None
 
-    def _new_frames(self, app_ids):
-        """Frames for one new page per entry of `app_ids`, in order, or None
+    def _new_frames(self, apps, app):
+        """Frames for one new page of apps[app[k]] per k, in order, or None
         (with nothing consumed) when a pool would run out on the way."""
-        n = len(app_ids)
+        n = len(app)
         if self.spec.partitioning:
-            return self._new_colored_frames(app_ids)
+            return self._new_colored_frames(apps, app)
         if self._random_free is not None:
             if n > self._random_n:
                 return None
@@ -309,47 +354,38 @@ class Allocator:
             self._random_n -= n
             return frames
         pool = self._pools[0]
-        if n > pool.free:
-            return None
-        pool.cursor += n
-        return pool.frames[pool.cursor - n:pool.cursor]
+        return pool.take(n) if n <= pool.free else None
 
-    def _new_colored_frames(self, app_ids):
+    def _new_colored_frames(self, apps, app):
         # The k-th new page of an app takes the quota color k steps past its
         # round-robin position, and the frame at its rank among the requests
         # for that color; this holds while no pool runs empty.
-        index = {a: i for i, a in enumerate(dict.fromkeys(app_ids))}
-        app_of = np.fromiter(map(index.__getitem__, app_ids), np.int64, len(app_ids))
-        colors = np.empty(len(app_ids), dtype=np.int64)
+        colors = np.empty(len(app), dtype=np.int64)
         taken = []
-        for app, i in index.items():
-            q = self._quotas[app]
-            sel = np.flatnonzero(app_of == i)
+        for i, a in enumerate(apps):
+            q = self._quotas[a]
+            sel = np.flatnonzero(app == i)
             steps = (q.rr + np.arange(len(sel))) % len(q.colors)
             colors[sel] = np.array(q.colors, dtype=np.int64)[steps]
             taken.append((q, len(sel)))
         counts = np.bincount(colors, minlength=len(self._pools)).tolist()
         if any(c > pool.free for c, pool in zip(counts, self._pools)):
             return None
-        frames = np.empty(len(app_ids), dtype=np.int64)
+        frames = np.empty(len(app), dtype=np.int64)
         for color, count in enumerate(counts):
             if count:
-                pool = self._pools[color]
-                frames[colors == color] = pool.frames[pool.cursor:pool.cursor + count]
-                pool.cursor += count
+                frames[colors == color] = self._pools[color].take(count)
         for q, count in taken:
             q.rr = (q.rr + count) % len(q.colors)
         return frames
 
     def access_bit_scan_and_clear(self, app_id) -> int:
-        pt = self.page_tables.get(app_id)
-        if pt is None:
+        table = self._tables.get(app_id)
+        if table is None:
             raise AllocationError(f"app {app_id!r} not registered")
-        count = 0
-        for entry in pt.values():
-            if entry[1]:
-                count += 1
-                entry[1] = False
+        bits = table.bit[:table.n]
+        count = int(np.count_nonzero(bits))
+        bits[:] = False
         return count
 
     def write_alloc_csv(self, path):

@@ -8,15 +8,12 @@ from dataclasses import dataclass, field
 import yaml
 
 from memcolor.classifier import Category, SamplerConfig, Thresholds
-from memcolor.errors import MemcolorError
+from memcolor.errors import ConfigError
 from memcolor.hierarchy import (DEFAULT_LATENCIES, DEFAULT_LLC,
-                                DEFAULT_PRIVATE, CacheConfig)
+                                DEFAULT_PRIVATE, CacheConfig,
+                                check_llc_geometry)
 from memcolor.mapping import AddressMapping, validate_mapping
 from memcolor.workloads import ArchetypeParams, canonical_params
-
-
-class ConfigError(MemcolorError, ValueError):
-    pass
 
 
 @dataclass
@@ -64,13 +61,26 @@ def _mapping_from(doc: dict) -> AddressMapping:
     return AddressMapping(**kwargs)
 
 
-def _cache_from(doc: dict, default: CacheConfig) -> CacheConfig:
-    return CacheConfig(size_bytes=int(doc.get("size", default.size_bytes)),
-                       ways=int(doc.get("ways", default.ways)),
-                       line_bytes=int(doc.get("line", default.line_bytes)))
+def _cache_from(doc: dict, default: CacheConfig, name: str) -> CacheConfig:
+    try:
+        return CacheConfig(size_bytes=int(doc.get("size", default.size_bytes)),
+                           ways=int(doc.get("ways", default.ways)),
+                           line_bytes=int(doc.get("line", default.line_bytes)))
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
+def _bucket_weights(weights) -> tuple:
+    if not (isinstance(weights, list) and weights
+            and all(isinstance(w, (int, float)) for w in weights)):
+        raise ConfigError(f"sampler.bucket_weights must be a non-empty list of "
+                          f"numbers, got {weights!r}")
+    return tuple(weights)
 
 
 def _workload_entry(doc: dict, index: int, default_seed: int) -> WorkloadEntry:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"workload[{index}] must be a mapping, got {doc!r}")
     app = str(doc.get("app", chr(ord("A") + index)))
     core = int(doc.get("core", index))
     if "trace" in doc:
@@ -125,9 +135,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             cfg.mapping = _mapping_from(doc["mapping"])
         hier = doc.get("hierarchy", {})
         if "private" in hier:
-            cfg.private_cache = _cache_from(hier["private"], DEFAULT_PRIVATE)
+            cfg.private_cache = _cache_from(hier["private"], DEFAULT_PRIVATE,
+                                            "hierarchy.private")
         if "llc" in hier:
-            cfg.llc = _cache_from(hier["llc"], DEFAULT_LLC)
+            cfg.llc = _cache_from(hier["llc"], DEFAULT_LLC, "hierarchy.llc")
         if "latencies" in hier:
             cfg.latencies = {**DEFAULT_LATENCIES,
                              **{k: int(v) for k, v in hier["latencies"].items()}}
@@ -135,7 +146,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             s = doc["sampler"]
             cfg.sampler = SamplerConfig(
                 period=int(s.get("period", SamplerConfig.period)),
-                bucket_weights=tuple(s["bucket_weights"]) if "bucket_weights" in s else None)
+                bucket_weights=_bucket_weights(s["bucket_weights"]) if "bucket_weights" in s
+                else None)
         if "thresholds" in doc:
             t = doc["thresholds"]
             defaults = Thresholds()
@@ -153,12 +165,14 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         cfg.epoch = _at_least("epoch", doc.get("epoch") or 0, 0) or None
         if doc.get("total_pages") is not None:
             cfg.total_pages = int(doc["total_pages"])
-        cfg.workload = [_workload_entry(w, i, cfg.seed)
-                        for i, w in enumerate(doc.get("workload", []))]
+        workload = doc.get("workload", [])
+        if not isinstance(workload, list):
+            raise ConfigError(f"workload must be a list of mappings, got {workload!r}")
+        cfg.workload = [_workload_entry(w, i, cfg.seed) for i, w in enumerate(workload)]
         if "profile" in doc and doc["profile"]:
             cfg.profile = [(str(p["app"]), Category(str(p["category"]).upper()))
                            for p in doc["profile"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid config: {exc}") from None
@@ -166,6 +180,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     violations = validate_mapping(cfg.mapping)
     if violations:
         raise ConfigError("invalid mapping: " + "; ".join(violations))
+    if cfg.mapping.total_pages < 1:
+        raise ConfigError(f"mapping.mem_bytes must hold at least one "
+                          f"{cfg.mapping.page_bytes}-byte page, got {cfg.mapping.mem_bytes}")
+    check_llc_geometry(cfg.mapping, cfg.llc, "hierarchy.llc")
     taken = {}
     for i, entry in enumerate(cfg.workload):
         where = f"workload[{i}] (app {entry.app!r}): core {entry.core}"

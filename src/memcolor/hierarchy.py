@@ -1,7 +1,7 @@
 """Memory hierarchy model: per-core private cache, shared physically-indexed
 LLC, and per-bank open-row DRAM state.
 
-LRU replacement everywhere (insertion-ordered dicts, least-recent first).
+LRU replacement everywhere (slot arrays, least-recent first).
 No timing model: every access resolves to exactly one terminal outcome and
 a latency table turns outcome counts into proxy cycles for relative policy
 comparisons only.
@@ -10,16 +10,13 @@ comparisons only.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from memcolor import _native
-from memcolor.allocator import _gc_paused
-from memcolor.errors import MemcolorError
+from memcolor.errors import ConfigError, MemcolorError
 from memcolor.mapping import AddressMapping, MappingError
 from memcolor.workloads import Trace
 
@@ -73,6 +70,15 @@ class CacheConfig:
 
 DEFAULT_PRIVATE = CacheConfig(256 * 1024, 8)
 DEFAULT_LLC = CacheConfig(8 * 1024 * 1024, 16)
+
+
+def check_llc_geometry(m: AddressMapping, llc: CacheConfig, where: str = "LLC geometry"):
+    """Raise ConfigError unless the LLC has the mapping's sets and lines."""
+    if (llc.sets, llc.line_bytes) != (m.llc_sets, m.line_bytes):
+        raise ConfigError(
+            f"{where}: {llc.sets} sets of {llc.line_bytes}-byte lines disagree with "
+            f"the mapping's {m.llc_sets} sets ({len(m.set_index_bits)} set index "
+            f"bits) of {m.line_bytes}-byte lines")
 
 
 class AccessOutcome(NamedTuple):
@@ -146,16 +152,22 @@ def proxy_cycles(metrics: Metrics, latencies=None) -> int:
 
 
 class MemoryHierarchy:
+    """Private caches, the shared LLC and the DRAM banks, in the native
+    kernel's layout, which `run_trace` hands to it as is.
+
+    A cache set is `ways` slots of lines, way 0 the least recent, and a fill
+    count: the LLC's sets in set order, with an owner id per slot, and the
+    private sets of each core in registration order.  A bank holds its open
+    row (-1 before the first access) and the owner id of its last access.
+    Owner ids index `_owners`: None (the owner of a bank never opened), then
+    each app in order of first access.
+    """
+
     def __init__(self, m: AddressMapping,
                  private_cfg: CacheConfig = DEFAULT_PRIVATE,
                  llc_cfg: CacheConfig = DEFAULT_LLC,
                  latencies: dict | None = None):
-        if llc_cfg.sets != m.llc_sets:
-            raise ValueError(
-                f"LLC geometry ({llc_cfg.sets} sets) disagrees with the mapping's "
-                f"set index bits ({m.llc_sets} sets)")
-        if llc_cfg.line_bytes != m.line_bytes:
-            raise ValueError("LLC line size disagrees with mapping line offset bits")
+        check_llc_geometry(m, llc_cfg)
         self.mapping = m
         self.private_cfg = private_cfg
         self.llc_cfg = llc_cfg
@@ -168,72 +180,154 @@ class MemoryHierarchy:
         self._row_shift = m.row_shift
         self._mem_bytes = m.mem_bytes
 
-        self._llc = [dict() for _ in range(llc_cfg.sets)]  # set -> {tag: owner}
         self._llc_ways = llc_cfg.ways
-        self._private: dict[object, list[dict]] = {}       # core -> sets
+        self._llc = np.zeros(llc_cfg.sets * llc_cfg.ways, dtype=np.int64)
+        self._llc_owner = np.zeros(len(self._llc), dtype=np.int32)
+        self._llc_fill = np.zeros(llc_cfg.sets, dtype=np.int32)
+        self._private_sets = private_cfg.sets
         self._private_mask = private_cfg.sets - 1
         self._private_ways = private_cfg.ways
-        self._bank_row: list = [None] * m.banks
-        self._bank_app: list = [None] * m.banks
+        self._cores: dict = {}      # core -> its position in the private sets
+        self._private = np.zeros(private_cfg.sets * private_cfg.ways, dtype=np.int64)
+        self._private_fill = np.zeros(private_cfg.sets, dtype=np.int32)
+        self._bank_row = np.full(m.banks, -1, dtype=np.int64)
+        self._bank_app = np.zeros(m.banks, dtype=np.int32)
+        self._owners: list = [None]
+        self._owner_ids: dict = {None: 0}
+        self._views()
 
-    def register_core(self, core):
-        if core not in self._private:
-            self._private[core] = [dict() for _ in range(self.private_cfg.sets)]
+    def _views(self):
+        """Memoryviews of the state arrays, for the Python step."""
+        self._view = [memoryview(a) for a in (
+            self._private, self._private_fill, self._llc, self._llc_owner,
+            self._llc_fill, self._bank_row, self._bank_app)]
+
+    def register_core(self, core) -> int:
+        """The position of `core`'s private sets, registering it first if
+        new; the private arrays double when full."""
+        index = self._cores.get(core)
+        if index is None:
+            index = self._cores[core] = len(self._cores)
+            if index * self._private_sets == len(self._private_fill):
+                self._private, self._private_fill = (
+                    np.concatenate([a, np.zeros_like(a)])
+                    for a in (self._private, self._private_fill))
+                self._views()
+        return index
+
+    def owner(self, app_id) -> int:
+        """The owner id of `app_id`, assigned on first use."""
+        owner = self._owner_ids.get(app_id)
+        if owner is None:
+            owner = self._owner_ids[app_id] = len(self._owners)
+            self._owners.append(app_id)
+        return owner
+
+    def state(self) -> dict:
+        """The cache and bank state as plain values, orders included: the
+        private sets of each core, as (core, sets) in registration order,
+        and the LLC sets, as lists of lines (LLC lines as (line, owner)),
+        least recent first; and each bank's (open row or None, owner of its
+        last access)."""
+        def sets(slots, fill, ways):
+            return [s[:n] for s, n in zip(slots.reshape(-1, ways).tolist(), fill.tolist())]
+
+        owners = self._owners
+        private = sets(self._private, self._private_fill, self._private_ways)
+        n = self._private_sets
+        llc_owner = sets(self._llc_owner, self._llc_fill, self._llc_ways)
+        return {
+            "private": [(core, private[i * n:(i + 1) * n]) for core, i in self._cores.items()],
+            "llc": [list(zip(lines, map(owners.__getitem__, ids))) for lines, ids in
+                    zip(sets(self._llc, self._llc_fill, self._llc_ways), llc_owner)],
+            "banks": [(None if row < 0 else row, owners[app]) for row, app in
+                      zip(self._bank_row.tolist(), self._bank_app.tolist())],
+        }
 
     def access(self, core, app_id, addr: int) -> AccessOutcome:
+        """One access, counted in `metrics`: the per-access reference for
+        `run_trace`."""
         if addr < 0 or addr >= self._mem_bytes:
             raise MappingError(f"address {addr:#x} out of range")
-        priv = self._private.get(core)
-        if priv is None:
-            self.register_core(core)
-            priv = self._private[core]
-        metrics = self.metrics
         line = addr >> self._line_shift
+        pset = self.register_core(core) * self._private_sets + (line & self._private_mask)
+        code = self._step(line, pset, self._set_extract(addr), self._bank_extract(addr),
+                          addr >> self._row_shift, self.owner(app_id))
+        for key in CODE_KEYS[code]:
+            self.metrics.bump(app_id, key)
+        return OUTCOMES[code]
 
-        pset = priv[line & self._private_mask]
-        if line in pset:
-            # refresh LRU position
-            del pset[line]
-            pset[line] = None
-            metrics.bump(app_id, "private_hits")
-            return AccessOutcome(True, False, None, False)
-        pset[line] = None
-        if len(pset) > self._private_ways:
-            del pset[next(iter(pset))]
-
-        lset = self._llc[self._set_extract(addr)]
-        if line in lset:
-            del lset[line]
-            lset[line] = app_id
-            metrics.bump(app_id, "llc_hits")
-            return AccessOutcome(False, True, None, False)
-        lset[line] = app_id
-        if len(lset) > self._llc_ways:
-            victim = next(iter(lset))
-            owner = lset.pop(victim)
-            if owner != app_id:
-                metrics.bump(app_id, "cross_app_llc_evictions")
-        metrics.bump(app_id, "llc_misses")
-
-        bank = self._bank_extract(addr)
-        row = addr >> self._row_shift
-        open_row = self._bank_row[bank]
-        cross = False
-        if open_row is None:
-            dram = ROW_MISS
-            metrics.bump(app_id, "row_misses")
+    def _step(self, line, pset, lset, bank, row, app) -> int:
+        """One access, as ids (line, private set, LLC set, bank, row, owner),
+        through the cache and bank state; returns its outcome code.  The
+        Python form of the kernel's loop body."""
+        private, private_fill, llc, llc_owner, llc_fill, bank_row, bank_app = self._view
+        if _lru(private, None, private_fill, pset, self._private_ways, line, app)[0] == HIT:
+            return OUT_PRIVATE_HIT
+        found, victim = _lru(llc, llc_owner, llc_fill, lset, self._llc_ways, line, app)
+        if found == HIT:
+            return OUT_LLC_HIT
+        code = OUT_CROSS_EVICTION if found == EVICTED and victim != app else 0
+        open_row = bank_row[bank]
+        if open_row < 0:
+            code |= OUT_ROW_MISS
         elif open_row == row:
-            dram = ROW_HIT
-            metrics.bump(app_id, "row_hits")
+            code |= OUT_ROW_HIT
+        elif bank_app[bank] != app:
+            code |= OUT_CROSS_CONFLICT
         else:
-            dram = ROW_CONFLICT
-            metrics.bump(app_id, "row_conflicts")
-            if self._bank_app[bank] != app_id:
-                cross = True
-                metrics.bump(app_id, "cross_app_conflicts")
-        self._bank_row[bank] = row
-        self._bank_app[bank] = app_id
-        return AccessOutcome(False, False, dram, cross)
+            code |= OUT_ROW_CONFLICT
+        bank_row[bank] = row
+        bank_app[bank] = app
+        return code
+
+    def _replay_chunk(self, codes, lines, psets, lsets, banks, rows, apps):
+        """Run a chunk of accesses, as id arrays, through the state and
+        write their outcome codes: in the native kernel when it can be
+        built, else by `_step`."""
+        lib = _native.kernel()
+        if lib is None:
+            codes[:] = list(map(self._step, lines.tolist(), psets.tolist(), lsets.tolist(),
+                                banks.tolist(), rows.tolist(), apps.tolist()))
+            return
+        lib.replay(len(codes), lines, psets, lsets, banks, rows, apps,
+                   self._private, self._private_fill, self._private_ways,
+                   self._llc, self._llc_owner, self._llc_fill, self._llc_ways,
+                   self._bank_row, self._bank_app, codes)
+
+
+# Results of a set lookup, as in the kernel's `lru`
+FILLED, HIT, EVICTED = range(3)
+
+
+def _lru(slots, owners, fill, s, ways, line, app):
+    """The kernel's `lru` on memoryviews: look `line` up in set `s`.  A hit
+    moves it to the most recent way; a miss inserts it there, evicting way
+    0 when the set is full.  Returns (HIT, FILLED or EVICTED, the evicted
+    line's owner or None); `owners` is None for a cache without owners."""
+    n = fill[s]
+    first = s * ways
+    last = first + n - 1
+    lines = slots[first:last + 1].tolist()
+    victim = None
+    if line in lines:
+        i, result = first + lines.index(line), HIT
+    elif n < ways:
+        fill[s] = n + 1
+        i = last = last + 1
+        result = FILLED
+    else:
+        i, result = first, EVICTED
+        if owners is not None:
+            victim = owners[first]
+    if i < last:
+        slots[i:last] = slots[i + 1:last + 1]
+        if owners is not None:
+            owners[i:last] = owners[i + 1:last + 1]
+    slots[last] = line
+    if owners is not None:
+        owners[last] = app
+    return result, victim
 
 
 # Outcome code per access, written by the replay loop: one terminal
@@ -266,6 +360,19 @@ def _code_counts() -> np.ndarray:
 
 CODE_COUNTS = _code_counts()
 
+
+def _outcome(code: int) -> AccessOutcome:
+    terminal = code & ~OUT_CROSS_EVICTION
+    dram = {OUT_ROW_HIT: ROW_HIT, OUT_ROW_MISS: ROW_MISS, OUT_ROW_CONFLICT: ROW_CONFLICT,
+            OUT_CROSS_CONFLICT: ROW_CONFLICT}.get(terminal)
+    return AccessOutcome(terminal == OUT_PRIVATE_HIT, terminal == OUT_LLC_HIT, dram,
+                         terminal == OUT_CROSS_CONFLICT)
+
+
+# per code: the counters it adds to, and the outcome `access` returns
+CODE_KEYS = [tuple(k for k, v in zip(COUNTER_KEYS, row) if v) for row in CODE_COUNTS.tolist()]
+OUTCOMES = [_outcome(code) for code in range(N_CODES)]
+
 # Accesses whose ids are computed (and, for the Python loop, unboxed to
 # Python ints) at a time; a whole trace at once would raise peak memory for
 # no speed.
@@ -284,8 +391,8 @@ def run_trace(trace, allocator, hierarchy: MemoryHierarchy,
     numbering, kept with the trace); line, LLC set, bank and row of every
     access come from numpy; one LRU/open-row loop writes an outcome code per
     access, and the counters are bincounts of the codes.  That loop is the
-    native kernel (`_kernel.c`) when gcc can build it, and `_replay`
-    otherwise.
+    native kernel (`_kernel.c`) on the hierarchy's own arrays when gcc can
+    build it, and `MemoryHierarchy._step` per access otherwise.
 
     Returns (Metrics, snapshots); snapshots holds one metrics dict per epoch
     of `epoch` accesses when requested (`epoch` > 0).
@@ -305,8 +412,7 @@ def run_trace(trace, allocator, hierarchy: MemoryHierarchy,
     # 1. translate every distinct (app, vpn) once, in first-touch order
     pages = trace.pages(shift)
     page_of = pages.of
-    pfns, error = allocator.translate_pages(
-        list(map(app_order.__getitem__, app_of[pages.first].tolist())), pages.vpn.tolist())
+    pfns, error = allocator.translate_page_array(app_order, app_of[pages.first], pages.vpn)
     stop, failure = n, None
     if error is not None:
         stop = int(pages.first[len(pfns)])
@@ -322,23 +428,23 @@ def run_trace(trace, allocator, hierarchy: MemoryHierarchy,
         failure = MappingError(f"record {stop}: address {addr:#x} out of range")
 
     # 2. line, private set, LLC set, bank and row per access, chunk by
-    # chunk, each chunk replayed by the LRU/open-row loop
+    # chunk, each chunk replayed on the hierarchy's state; cores and apps
+    # become the hierarchy's private-set positions and owner ids
     core_order, core_of = trace.cores()
     # the cores met before `stop` lead core_order
     core_order = core_order[:int(core_of[:stop].max()) + 1 if stop else 0]
-    for core in core_order:
-        hierarchy.register_core(core)
-    private_sets_per_core = hierarchy.private_cfg.sets
+    core_ids = np.array([hierarchy.register_core(c) for c in core_order], dtype=np.int64)
+    owner_ids = np.array([hierarchy.owner(a) for a in app_order], dtype=np.int32)
     codes = np.empty(stop, dtype=np.uint8)
-    with _replay_loop(hierarchy, core_order, app_order) as replay:
-        for start in range(0, stop, CHUNK):
-            end = min(start + CHUNK, stop)
-            addr = (pfns[page_of[start:end]] << shift) | offset[start:end]
-            line = addr >> hierarchy._line_shift
-            replay(codes[start:end], line,
-                   core_of[start:end] * private_sets_per_core + (line & hierarchy._private_mask),
-                   hierarchy._set_extract(addr), hierarchy._bank_extract(addr),
-                   addr >> hierarchy._row_shift, app_of[start:end])
+    for start in range(0, stop, CHUNK):
+        end = min(start + CHUNK, stop)
+        addr = (pfns[page_of[start:end]] << shift) | offset[start:end]
+        line = addr >> hierarchy._line_shift
+        hierarchy._replay_chunk(
+            codes[start:end], line,
+            core_ids[core_of[start:end]] * hierarchy._private_sets + (line & hierarchy._private_mask),
+            hierarchy._set_extract(addr), hierarchy._bank_extract(addr),
+            addr >> hierarchy._row_shift, owner_ids[app_of[start:end]])
 
     # 3. counters per epoch from the outcome codes
     key = app_of[:stop] * N_CODES + codes
@@ -366,157 +472,3 @@ def _add_counts(metrics: Metrics, app_order, counts: np.ndarray):
             for key, value in zip(COUNTER_KEYS, row):
                 mine[key] += value
                 total[key] += value
-
-
-@contextmanager
-def _replay_loop(h: MemoryHierarchy, cores: list, apps: list):
-    """Yield replay(codes, lines, psets, lsets, banks, rows, app_ids), which
-    runs one chunk of accesses through the LRU/open-row loop and writes
-    their outcome codes.  `psets` index the private sets of `cores` in
-    order; `app_ids` index `apps`.
-
-    The loop is the native kernel when it can be built; its state is copied
-    from the hierarchy on entry and back on exit.  Otherwise it is `_replay`,
-    on the hierarchy's own state."""
-    lib = _native.kernel()
-    if lib is not None:
-        state = _KernelState(lib, h, cores, apps)
-        try:
-            yield state.replay
-        finally:
-            state.store()
-        return
-    private_sets = [s for core in cores for s in h._private[core]]
-
-    def replay(codes, lines, psets, lsets, banks, rows, app_ids):
-        emitted = bytearray()
-        _replay(h, private_sets, emitted.append, lines.tolist(), psets.tolist(),
-                lsets.tolist(), banks.tolist(), rows.tolist(),
-                list(map(apps.__getitem__, app_ids.tolist())))
-        codes[:] = np.frombuffer(emitted, dtype=np.uint8)
-    yield replay
-
-
-class _KernelState:
-    """A hierarchy's cache and bank state as the kernel's flat arrays.
-
-    The private sets of `cores` (in order) and every LLC set are `ways`
-    slots each, way 0 the least recent, with a fill count per set.  Owners
-    are their positions in `owners`: `apps` first, then any other owner
-    (None among them) already in the LLC or the banks.  The row of a bank
-    never opened is -1.
-    """
-
-    def __init__(self, lib, h: MemoryHierarchy, cores: list, apps: list):
-        self.lib, self.h, self.cores = lib, h, cores
-        llc_owners = chain.from_iterable(s.values() for s in h._llc)
-        self.owners = list(dict.fromkeys(chain(apps, llc_owners, h._bank_app)))
-        index = dict(zip(self.owners, range(len(self.owners))))
-
-        private_sets = [s for core in cores for s in h._private[core]]
-        self.private, self.private_fill, _ = _slots(private_sets, h._private_ways)
-        self.llc, self.llc_fill, used = _slots(h._llc, h._llc_ways)
-        self.llc_owner = np.zeros(len(self.llc), dtype=np.int32)
-        self.llc_owner[used] = np.fromiter(
-            map(index.__getitem__, chain.from_iterable(s.values() for s in h._llc)),
-            np.int32, len(used))
-        self.bank_row = np.array([-1 if r is None else r for r in h._bank_row],
-                                 dtype=np.int64)
-        self.bank_app = np.fromiter(map(index.__getitem__, h._bank_app), np.int32,
-                                    len(h._bank_app))
-
-    def replay(self, codes, lines, psets, lsets, banks, rows, app_ids):
-        h = self.h
-        self.lib.replay(len(codes), lines, psets, lsets, banks, rows, app_ids,
-                        self.private, self.private_fill, h._private_ways,
-                        self.llc, self.llc_owner, self.llc_fill, h._llc_ways,
-                        self.bank_row, self.bank_app, codes)
-
-    def store(self):
-        """Write the state back into the hierarchy's dicts, orders included."""
-        h = self.h
-        owners = self.owners
-        with _gc_paused():          # thousands of new dicts; see _gc_paused
-            sets = iter(_unslot(self.private, self.private_fill, h._private_ways))
-            for core in self.cores:
-                mine = h._private[core]
-                mine[:] = [dict.fromkeys(next(sets)) for _ in mine]
-            # zip stops at the end of each set's lines without drawing
-            # another owner, so every set takes the next len(lines) owners
-            owner_of = map(owners.__getitem__,
-                           self.llc_owner[_used(self.llc_fill, h._llc_ways)].tolist())
-            h._llc[:] = [dict(zip(lines, owner_of))
-                         for lines in _unslot(self.llc, self.llc_fill, h._llc_ways)]
-        h._bank_row[:] = [None if r < 0 else r for r in self.bank_row.tolist()]
-        h._bank_app[:] = map(owners.__getitem__, self.bank_app.tolist())
-
-
-def _used(fill: np.ndarray, ways: int) -> np.ndarray:
-    """Mask of the occupied slots of sets with `fill` lines each."""
-    return (np.arange(ways) < fill[:, None]).ravel()
-
-
-def _slots(sets: list, ways: int):
-    """Lines of dict-based LRU sets as (slots, fill counts, occupied slot
-    positions), least recent first."""
-    fill = np.fromiter(map(len, sets), np.int32, len(sets))
-    used = np.flatnonzero(_used(fill, ways))
-    slots = np.zeros(len(sets) * ways, dtype=np.int64)
-    slots[used] = np.fromiter(chain.from_iterable(sets), np.int64, len(used))
-    return slots, fill, used
-
-
-def _unslot(slots: np.ndarray, fill: np.ndarray, ways: int) -> list:
-    """Lines of each set, least recent first: `_slots` undone."""
-    lines = slots[_used(fill, ways)].tolist()
-    ends = np.cumsum(fill).tolist()
-    return [lines[end - n:end] for end, n in zip(ends, fill.tolist())]
-
-
-def _replay(h: MemoryHierarchy, private_sets, emit, lines, psets, lsets, banks,
-            rows, apps):
-    """The LRU/open-row loop of `MemoryHierarchy.access` over per-access
-    ids, on the hierarchy's own cache and bank state; emits each access's
-    outcome code."""
-    llc = h._llc
-    private_ways = h._private_ways
-    llc_ways = h._llc_ways
-    bank_row = h._bank_row
-    bank_app = h._bank_app
-    for line, p, ls, bank, row, app in zip(lines, psets, lsets, banks, rows, apps):
-        pset = private_sets[p]
-        if line in pset:
-            del pset[line]
-            pset[line] = None
-            emit(OUT_PRIVATE_HIT)
-            continue
-        pset[line] = None
-        if len(pset) > private_ways:
-            for victim in pset:     # least recent; cheaper than next(iter())
-                break
-            del pset[victim]
-        lset = llc[ls]
-        if line in lset:
-            del lset[line]
-            lset[line] = app
-            emit(OUT_LLC_HIT)
-            continue
-        lset[line] = app
-        code = 0
-        if len(lset) > llc_ways:
-            for victim in lset:
-                break
-            if lset.pop(victim) != app:
-                code = OUT_CROSS_EVICTION
-        open_row = bank_row[bank]
-        if open_row is None:
-            code |= OUT_ROW_MISS
-        elif open_row == row:
-            code |= OUT_ROW_HIT
-        elif bank_app[bank] != app:
-            code |= OUT_CROSS_CONFLICT
-        else:
-            code |= OUT_ROW_CONFLICT
-        bank_row[bank] = row
-        bank_app[bank] = app
-        emit(code)

@@ -176,8 +176,8 @@ def test_pools_hold_each_color_in_ascending_order(kind, total):
     spec = policy_spec(kind, M)
     a = Allocator(total, spec, M)
     colors = [page_color(pfn, spec.color_bits, M) for pfn in range(total)]
-    for c in range(spec.page_colors):
-        assert a._pools[c].frames.tolist() == [p for p in range(total) if colors[p] == c]
+    for c, pool in enumerate(a._pools):
+        assert pool.take(pool.free).tolist() == [p for p in range(total) if colors[p] == c]
 
 
 @pytest.mark.parametrize("allow_fallback", [False, True])

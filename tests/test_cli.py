@@ -279,6 +279,35 @@ def test_bad_seed_chunk_or_epoch_is_config_error(tmp_path, capsys, overrides, me
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("llc", [{"size": 1 << 22}, {"line": 128}])
+@pytest.mark.parametrize("command", [["run"], ["sweep"], ["classify", "--method", "offline"]])
+def test_llc_geometry_against_mapping_is_config_error(tmp_path, capsys, command, llc):
+    cfg = write_config(tmp_path, policy="interleave", hierarchy={"llc": llc})
+    assert main([*command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    line = llc.get("line", 64)
+    assert capsys.readouterr().err == (
+        f"config error: hierarchy.llc: 4096 sets of {line}-byte lines disagree with the "
+        f"mapping's 8192 sets (13 set index bits) of 64-byte lines\n")
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"sampler": {"bucket_weights": []}},
+     "sampler.bucket_weights must be a non-empty list of numbers, got []"),
+    ({"sampler": {"bucket_weights": ["a"]}},
+     "sampler.bucket_weights must be a non-empty list of numbers, got ['a']"),
+    ({"workload": {"app": "A"}}, "workload must be a list of mappings, got {'app': 'A'}"),
+    ({"workload": [5]}, "workload[0] must be a mapping, got 5"),
+    ({"mapping": {"mem_bytes": 1024}},
+     "mapping.mem_bytes must hold at least one 4096-byte page, got 1024"),
+    ({"hierarchy": {"llc": {"ways": 3}}},
+     "hierarchy.llc: cache ways must be a power of two, got 3"),
+])
+def test_malformed_config_field_is_config_error(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["classify", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_negative_seed_option_is_usage_error(tmp_path, capsys):
     cfg = write_config(tmp_path, policy="interleave")
     assert main(["run", "--config", cfg, "--seed", "-1"]) == 1
@@ -330,7 +359,7 @@ FUZZ_APPS = [{"app": "H", "kind": "llch", "pages": 16, "accesses": 2048},
 @st.composite
 def fuzz_configs(draw):
     """A run or sweep of 1-3 small apps; each field is usually valid, now
-    and then out of range."""
+    and then out of range or of the wrong shape."""
     n = draw(st.integers(1, 3))
     cores = draw(st.permutations(range(4)))[:n]
     if draw(st.integers(0, 9)) == 0:
@@ -344,6 +373,17 @@ def fuzz_configs(draw):
            "total_pages": draw(st.one_of(st.none(), st.integers(0, 1500),
                                          st.sampled_from([1 << 21, (1 << 21) + 1]))),
            "sampler": {"period": 500}, "workload": workload}
+    odd = draw(st.integers(0, 9))
+    if odd == 0:
+        doc["sampler"]["bucket_weights"] = draw(st.one_of(
+            st.lists(st.integers(0, 9), max_size=3), st.lists(st.text(max_size=2), max_size=2)))
+    elif odd == 1:
+        doc["workload"] = draw(st.sampled_from([{"app": "A"}, [5], ["H"], "H"]))
+    elif odd == 2:
+        doc["mapping"] = {"mem_bytes": draw(st.sampled_from([-4096, 0, 1024]))}
+    elif odd == 3:
+        doc["hierarchy"] = {"llc": {"size": draw(st.sampled_from([1 << 22, 3 << 21, 1 << 23])),
+                                    "ways": draw(st.sampled_from([3, 8, 16]))}}
     return draw(st.sampled_from(["run", "sweep"])), doc
 
 

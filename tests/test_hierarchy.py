@@ -1,7 +1,6 @@
 import contextlib
 import shutil
 import warnings
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memcolor import _native, hierarchy
+from memcolor import _native
 from memcolor.allocator import Allocator
 from memcolor.classifier import cache_quota_spec
 from memcolor.hierarchy import (DEFAULT_LATENCIES, CacheConfig, MemoryHierarchy,
@@ -260,9 +259,7 @@ def replay_state(alloc, h):
         "free": (alloc.free_frames, alloc.free_by_color()),
         "round_robin": [(a, q.rr) for a, q in alloc._quotas.items()],
         "next_draw": int(alloc._rng.integers(1 << 30)),
-        "llc": [list(s.items()) for s in h._llc],
-        "private": [(c, [list(s.items()) for s in sets]) for c, sets in h._private.items()],
-        "banks": (list(h._bank_row), list(h._bank_app)),
+        "hierarchy": h.state(),
     }
 
 
@@ -354,7 +351,7 @@ def test_batched_replay_unregistered_app_matches_reference():
 
     def make():
         alloc, h = set_up(spec, "disjoint", 1 << 14)
-        del alloc.page_tables["C"], alloc._quotas["C"]
+        del alloc._tables["C"], alloc._quotas["C"]
         return alloc, h
 
     batched, reference = replay_both(make, [mixed_trace(5, late=1000)])
@@ -430,9 +427,9 @@ def replay_calls(draw):
     """Tiny cache and bank geometry, and 1-3 replay calls, each over its
     own cores and apps (in first-access order), split into 1-2 chunks of
     accesses (core, app, line, bank, row)."""
-    geometry = dict(psets=draw(st.integers(1, 3)), pways=draw(st.integers(1, 2)),
-                    lsets=draw(st.integers(1, 3)), lways=draw(st.integers(1, 2)),
-                    banks=draw(st.integers(1, 3)))
+    sizes = st.sampled_from([1, 2, 4])
+    geometry = dict(psets=draw(sizes), pways=draw(st.integers(1, 2)),
+                    lsets=draw(sizes), lways=draw(st.integers(1, 2)), banks=draw(sizes))
     calls = []
     for _ in range(draw(st.integers(1, 3))):
         cores = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=3, unique=True))
@@ -446,28 +443,34 @@ def replay_calls(draw):
     return geometry, calls
 
 
+def tiny_hierarchy(g):
+    """A hierarchy of geometry `g`, whose set and bank counts are powers of
+    two; only the ids passed to `_replay_chunk` address it."""
+    def bits(count, low):
+        return tuple(range(low, low + count.bit_length() - 1))
+
+    m = AddressMapping(set_index_bits=bits(g["lsets"], 6), bank_index_bits=bits(g["banks"], 20),
+                       b_bits=(), c_bits=(), o_bits=())
+    return MemoryHierarchy(m, CacheConfig(g["psets"] * g["pways"] * 64, g["pways"]),
+                           CacheConfig(g["lsets"] * g["lways"] * 64, g["lways"]))
+
+
 def replay_tiny(geometry, calls):
-    """Replay `calls` through `_replay_loop` on a fresh tiny hierarchy
-    state; returns the codes and the end state, orders included."""
+    """Replay `calls` through `MemoryHierarchy._replay_chunk` on a fresh tiny
+    hierarchy; returns the codes and the end state, orders included."""
     g = geometry
-    h = SimpleNamespace(
-        _private={core: [dict() for _ in range(g["psets"])] for core in (0, 1, 2)},
-        _private_ways=g["pways"], _llc=[dict() for _ in range(g["lsets"])],
-        _llc_ways=g["lways"], _bank_row=[None] * g["banks"], _bank_app=[None] * g["banks"])
+    h = tiny_hierarchy(g)
     codes = []
     for cores, apps, chunks in calls:
-        with hierarchy._replay_loop(h, cores, apps) as replay:
-            for chunk in chunks:
-                core, app, line, bank, row = np.array(chunk, dtype=np.int64).reshape(-1, 5).T.copy()
-                out = np.empty(len(chunk), dtype=np.uint8)
-                replay(out, line, core * g["psets"] + line % g["psets"], line % g["lsets"],
-                       bank, row, app.astype(np.int32))
-                codes.append(out.tolist())
-    return codes, {
-        "private": {c: [list(s.items()) for s in sets] for c, sets in h._private.items()},
-        "llc": [list(s.items()) for s in h._llc],
-        "banks": (h._bank_row, h._bank_app),
-    }
+        core_ids = np.array([h.register_core(c) for c in cores], dtype=np.int64)
+        owner_ids = np.array([h.owner(a) for a in apps], dtype=np.int32)
+        for chunk in chunks:
+            core, app, line, bank, row = np.array(chunk, dtype=np.int64).reshape(-1, 5).T.copy()
+            out = np.empty(len(chunk), dtype=np.uint8)
+            h._replay_chunk(out, line, core_ids[core] * g["psets"] + line % g["psets"],
+                            line % g["lsets"], bank, row, owner_ids[app])
+            codes.append(out.tolist())
+    return codes, h.state()
 
 
 @needs_gcc
