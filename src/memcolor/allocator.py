@@ -7,9 +7,9 @@ fallback across color quotas unless explicitly enabled: exhausting an app's
 colors is an error even when other colors have free frames, so isolation
 can never erode silently.
 
-Neither pools nor page tables hold a Python object per frame or page: a
-pool is arithmetic over one period of frame colors, and a page table is
-arrays in first-touch order.
+Neither pools nor the page table hold a Python object per frame or page:
+a pool is arithmetic over one period of frame colors, and the page table
+is one set of arrays for all apps in first-touch order.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from memcolor import _native
 from memcolor.errors import MemcolorError
-from memcolor.mapping import AddressMapping
+from memcolor.mapping import AddressMapping, BitExtractor
 from memcolor.policies import PolicyKind, PolicySpec
 
 
@@ -33,6 +33,13 @@ def _draw_frames(n, draws, free, left, frames):
         frames[k] = free[idx]
         left -= 1
         free[idx] = free[left]
+
+
+def _page_key(app: int, vpn: int) -> int:
+    """The row map's key of page (app index, vpn): one int, which keeps the
+    map free of tuples for the garbage collector to track.  App indices fit
+    the int32 app column, so below 2**31."""
+    return vpn << 31 | app
 
 
 class AllocationError(MemcolorError, RuntimeError):
@@ -83,51 +90,18 @@ class _QuotaState:
         self.rr = 0
 
 
-class _PageTable:
-    """One app's translations in first-touch order: `n` rows of vpn, pfn
-    and access bit, in arrays grown by doubling.  `rows()` maps vpn to row;
-    it is built on first use and kept up to date from then on."""
-
-    __slots__ = ("vpn", "pfn", "bit", "n", "_rows")
-
-    def __init__(self):
-        self.vpn = np.empty(0, dtype=np.uint64)
-        self.pfn = np.empty(0, dtype=np.int64)
-        self.bit = np.empty(0, dtype=bool)
-        self.n = 0
-        self._rows = None
-
-    def rows(self) -> dict:
-        if self._rows is None:
-            self._rows = dict(zip(self.vpn[:self.n].tolist(), range(self.n)))
-        return self._rows
-
-    def _reserve(self, end: int):
-        if end > len(self.vpn):
-            size = max(end, 2 * len(self.vpn))
-            self.vpn, self.pfn, self.bit = (np.resize(a, size) for a in (self.vpn, self.pfn, self.bit))
-
-    def append(self, vpns: np.ndarray, pfns: np.ndarray):
-        """Add new pages, their access bits set."""
-        n, end = self.n, self.n + len(vpns)
-        self._reserve(end)
-        self.vpn[n:end], self.pfn[n:end], self.bit[n:end] = vpns, pfns, True
-        if self._rows is not None:
-            self._rows.update(zip(vpns.tolist(), range(n, end)))
-        self.n = end
-
-    def add(self, vpn: int, pfn: int):
-        """`append` for one page."""
-        n = self.n
-        self._reserve(n + 1)
-        self.vpn[n], self.pfn[n], self.bit[n] = vpn, pfn, True
-        self.rows()[vpn] = n
-        self.n = n + 1
-
-
 class Allocator:
+    """Frames for the pages of registered apps, translated on first touch.
+
+    Every translation is one row of a single page table, in global
+    first-touch order (the order of `alloc.csv`): the app (its index in
+    registration order), vpn, pfn and access bit, in arrays grown by
+    doubling.  A dict from page (app index, vpn) to row is built on the
+    first lookup of a mapped page and kept up to date from then on.
+    """
+
     def __init__(self, total_pages: int, spec: PolicySpec, m: AddressMapping,
-                 seed: int = 0, allow_fallback: bool = False, log: bool = False):
+                 seed: int = 0, allow_fallback: bool = False):
         if total_pages <= 0:
             raise AllocationError("total_pages must be positive")
         self.total_pages = total_pages
@@ -136,15 +110,22 @@ class Allocator:
         self.allow_fallback = allow_fallback
         self._rng = np.random.default_rng(seed)
         self._quotas: dict[object, _QuotaState] = {}
-        self._tables: dict[object, _PageTable] = {}
-        self.alloc_log: list[tuple] | None = [] if log else None
+        self._apps: dict = {}       # app -> its index, in registration order
+        self._app = np.empty(0, dtype=np.int32)
+        self._vpn = np.empty(0, dtype=np.uint64)
+        self._pfn = np.empty(0, dtype=np.int64)
+        self._bit = np.empty(0, dtype=bool)
+        self._n = 0
+        self._rows = None
         self._random_free = None
 
         if spec.partitioning:
+            shift = m.page_offset_bits
+            self._colors_of = BitExtractor([p - shift for p in spec.color_bits]).extract
             # A frame's color repeats with the period of its highest color
             # bit; frames up to total_pages are all the pool needs, however
             # high that bit.
-            period = min(1 << (max(spec.color_bits) - m.page_offset_bits + 1), total_pages)
+            period = min(1 << (max(spec.color_bits) - shift + 1), total_pages)
             colors = self._colors_of(np.arange(period, dtype=np.int64))
             self._pools = [_Pool(period, np.flatnonzero(colors == c), total_pages)
                            for c in range(spec.page_colors)]
@@ -158,41 +139,62 @@ class Allocator:
 
     @property
     def page_tables(self) -> dict:
-        """{app: {vpn: [pfn, access bit]}}, each table in first-touch order;
-        a new copy on every read."""
-        return {app: dict(zip(t.vpn[:t.n].tolist(),
-                              map(list, zip(t.pfn[:t.n].tolist(), t.bit[:t.n].tolist()))))
-                for app, t in self._tables.items()}
+        """{app: {vpn: [pfn, access bit]}}, apps in registration order and
+        each table in first-touch order; a new copy on every read."""
+        n = self._n
+        app = self._app[:n]
+        order = np.argsort(app, kind="stable")
+        vpn, pfn, bit = (a[:n][order].tolist() for a in (self._vpn, self._pfn, self._bit))
+        ends = np.cumsum(np.bincount(app, minlength=len(self._apps))).tolist()
+        tables, start = {}, 0
+        for name, end in zip(self._apps, ends):
+            tables[name] = dict(zip(vpn[start:end], map(list, zip(pfn[start:end], bit[start:end]))))
+            start = end
+        return tables
 
     @property
     def free_frames(self) -> int:
-        if self._random_free is not None:
-            return self._random_n
-        return sum(p.free for p in self._pools)
+        return sum(self.free_by_color())
 
     @property
     def allocated_frames(self) -> int:
-        return sum(t.n for t in self._tables.values())
+        return self._n
 
     def free_by_color(self) -> list[int]:
+        if self._random_free is not None:
+            return [self._random_n]
         return [p.free for p in self._pools]
 
     def quota_of(self, app_id) -> list[int]:
         return list(self._quotas[app_id].colors)
 
-    def _colors_of(self, pfns: np.ndarray) -> np.ndarray:
-        """Page colors of frames under the (partitioning) policy."""
-        shift = self.mapping.page_offset_bits
-        colors = np.zeros(len(pfns), dtype=np.int64)
-        for i, pos in enumerate(self.spec.color_bits):
-            colors |= ((pfns >> (pos - shift)) & 1) << i
-        return colors
+    def _row_map(self) -> dict:
+        if self._rows is None:
+            n = self._n
+            self._rows = dict(zip(map(_page_key, self._app[:n].tolist(), self._vpn[:n].tolist()),
+                                  range(n)))
+        return self._rows
+
+    def _reserve(self, end: int):
+        if end > len(self._vpn):
+            size = max(end, 2 * len(self._vpn))
+            self._app, self._vpn, self._pfn, self._bit = (
+                np.resize(a, size) for a in (self._app, self._vpn, self._pfn, self._bit))
+
+    def _append(self, app: np.ndarray, vpn: np.ndarray, pfn: np.ndarray):
+        """Add new pages, their access bits set, in the order given."""
+        n, end = self._n, self._n + len(vpn)
+        self._reserve(end)
+        self._app[n:end], self._vpn[n:end], self._pfn[n:end], self._bit[n:end] = app, vpn, pfn, True
+        if self._rows is not None:
+            self._rows.update(zip(map(_page_key, app.tolist(), vpn.tolist()), range(n, end)))
+        self._n = end
 
     # --- quota management ------------------------------------------------
 
     def register(self, app_id):
         """Register an app with no color constraint (non-partitioning use)."""
-        self._tables.setdefault(app_id, _PageTable())
+        self._apps.setdefault(app_id, len(self._apps))
 
     def assign_quota(self, app_id, colors):
         colors = set(colors)
@@ -203,7 +205,8 @@ class Allocator:
                 raise AllocationError(
                     f"app {app_id!r}: unknown color {c} (policy has "
                     f"{self.spec.page_colors} colors)")
-        if self._tables.setdefault(app_id, _PageTable()).n:
+        self.register(app_id)
+        if (self._app[:self._n] == self._apps[app_id]).any():
             raise AllocationError(f"app {app_id!r} already has allocated pages")
         self._quotas[app_id] = _QuotaState(colors)
 
@@ -243,36 +246,23 @@ class Allocator:
     def touch(self, app_id, vpn: int):
         """First-touch translate: return the frame backing (app, vpn),
         allocating one on first access; sets the page's access bit."""
-        table = self._tables.get(app_id)
-        if table is None:
+        index = self._apps.get(app_id)
+        if index is None:
             raise AllocationError(f"app {app_id!r} not registered")
-        row = table.rows().get(vpn)
+        rows = self._rows if self._rows is not None else self._row_map()
+        key = int(vpn) << 31 | index    # _page_key(index, vpn), without the call
+        row = rows.get(key)
         if row is not None:
-            table.bit[row] = True
-            return int(table.pfn[row])
-        if self.spec.partitioning:
-            pfn = self._alloc_colored(app_id)
-        else:
-            pfn = self._alloc_free(app_id)
-        table.add(vpn, pfn)
-        if self.alloc_log is not None:
-            if self.spec.partitioning:
-                from memcolor.policies import page_color_under
-                color = page_color_under(self.spec, pfn, self.mapping)
-                llc_g, bank_g = self.spec.project(color)
-            else:
-                color = llc_g = bank_g = -1
-            self.alloc_log.append((app_id, vpn, pfn, color, llc_g, bank_g))
+            self._bit[row] = True
+            return self._pfn.item(row)
+        pfn = self._alloc_colored(app_id) if self.spec.partitioning else self._alloc_free(app_id)
+        n = self._n
+        if n == len(self._vpn):
+            self._reserve(n + 1)
+        self._app[n], self._vpn[n], self._pfn[n], self._bit[n] = index, vpn, pfn, True
+        rows[key] = n
+        self._n = n + 1
         return pfn
-
-    def translate_pages(self, app_ids, vpns):
-        """`translate_page_array` for pages given as lists of app ids and
-        vpns."""
-        apps = list(dict.fromkeys(app_ids))
-        index = dict(zip(apps, range(len(apps))))
-        return self.translate_page_array(
-            apps, np.fromiter(map(index.__getitem__, app_ids), np.int64, len(app_ids)),
-            np.array(vpns, dtype=np.uint64))
 
     def translate_page_array(self, apps, app: np.ndarray, vpn: np.ndarray):
         """First-touch translate distinct pages, listed in the order of their
@@ -280,51 +270,38 @@ class Allocator:
         vpn[k]).
 
         Leaves the allocator exactly as `touch` at each page's first access
-        would: page-table rows in order, access bits, `alloc_log` rows, pool
-        cursors, quota round-robin positions and the RNG.  Pages already
-        mapped are looked up.  A batch the pools cannot serve whole (an
-        exhausted pool, fallback, a missing quota or registration) goes page
-        by page through `touch`.
+        would: page-table rows in order, access bits, pool cursors, quota
+        round-robin positions and the RNG.  Pages already mapped are looked
+        up.  A batch the pools cannot serve whole (an exhausted pool,
+        fallback, a missing quota or registration) goes page by page
+        through `touch`.
 
         Returns (frames, error): the frames of the pages translated, in
         order, and None, or the exception that stopped translation at page
         `len(frames)`.
         """
-        if not all(a in self._tables and (a in self._quotas or not self.spec.partitioning)
+        if not all(a in self._apps and (a in self._quotas or not self.spec.partitioning)
                    for a in apps):
             return self._translate_each(apps, app, vpn)
-        tables = [self._tables[a] for a in apps]
+        ids = np.array([self._apps[a] for a in apps], dtype=np.int32)[app]
         row = None
-        if any(t.n for t in tables):    # some pages may be mapped already
-            row = np.fromiter((tables[a].rows().get(v, -1) for a, v in
-                               zip(app.tolist(), vpn.tolist())), np.int64, len(vpn))
+        if self._n:     # some pages may be mapped already
+            rows = self._row_map()
+            row = np.fromiter((rows.get(k, -1) for k in map(_page_key, ids.tolist(), vpn.tolist())),
+                              np.int64, len(vpn))
         new = slice(None) if row is None else row < 0
-        new_app, new_vpn = app[new], vpn[new]
-        new_frames = self._new_frames(apps, new_app)
+        new_frames = self._new_frames(apps, app[new])
         if new_frames is None:
             return self._translate_each(apps, app, vpn)
 
         frames = new_frames
         if row is not None:
+            mapped = row[~new]
+            self._bit[mapped] = True
             frames = np.empty(len(vpn), dtype=np.int64)
             frames[new] = new_frames
-            for i, t in enumerate(tables):
-                mapped = row[~new & (app == i)]
-                t.bit[mapped] = True
-                frames[~new & (app == i)] = t.pfn[mapped]
-        for i, t in enumerate(tables):
-            mine = new_app == i
-            t.append(new_vpn[mine], new_frames[mine])
-        if self.alloc_log is not None:
-            rows = zip(map(apps.__getitem__, new_app.tolist()), new_vpn.tolist(),
-                       new_frames.tolist())
-            if self.spec.partitioning:
-                groups = [self.spec.project(c) for c in range(self.spec.page_colors)]
-                self.alloc_log.extend(
-                    (a, v, f, c) + groups[c]
-                    for (a, v, f), c in zip(rows, self._colors_of(new_frames).tolist()))
-            else:
-                self.alloc_log.extend((a, v, f, -1, -1, -1) for a, v, f in rows)
+            frames[~new] = self._pfn[mapped]
+        self._append(ids[new], vpn[new], new_frames)
         return frames, None
 
     def _translate_each(self, apps, app, vpn):
@@ -380,18 +357,31 @@ class Allocator:
         return frames
 
     def access_bit_scan_and_clear(self, app_id) -> int:
-        table = self._tables.get(app_id)
-        if table is None:
+        index = self._apps.get(app_id)
+        if index is None:
             raise AllocationError(f"app {app_id!r} not registered")
-        bits = table.bit[:table.n]
-        count = int(np.count_nonzero(bits))
-        bits[:] = False
+        n = self._n
+        mine = self._app[:n] == index
+        bits = self._bit[:n]
+        count = int(np.count_nonzero(bits & mine))
+        bits &= ~mine
         return count
 
     def write_alloc_csv(self, path):
-        if self.alloc_log is None:
-            raise AllocationError("allocation logging was not enabled")
+        """One row per translation, in first-touch order: app, vpn, pfn and
+        the frame's color, LLC group and bank group (-1 each when the policy
+        does not partition)."""
+        n = self._n
+        names = list(self._apps)
+        columns = [list(map(names.__getitem__, self._app[:n].tolist())),
+                   self._vpn[:n].tolist(), self._pfn[:n].tolist()]
+        if self.spec.partitioning:
+            colors = self._colors_of(self._pfn[:n])
+            groups = np.array([self.spec.project(c) for c in range(self.spec.page_colors)])
+            columns += [colors.tolist(), *groups[colors].T.tolist()]
+        else:
+            columns += [[-1] * n] * 3
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["app_id", "vpn", "pfn", "color", "llc_group", "bank_group"])
-            w.writerows(self.alloc_log)
+            w.writerows(zip(*columns))

@@ -55,12 +55,13 @@ class SamplerConfig:
         if self.period <= 0:
             raise ClassifierError("sampling period must be positive")
 
-    def weight(self, bucket: int) -> float:
-        if self.bucket_weights is not None:
-            if bucket > len(self.bucket_weights):
-                return self.bucket_weights[-1]
-            return self.bucket_weights[bucket - 1]
-        return float(bucket)
+    def weights(self, buckets: np.ndarray) -> np.ndarray:
+        """The weight of each bucket: `bucket_weights[b - 1]`, the last
+        weight for every bucket past the table, or b itself."""
+        if self.bucket_weights is None:
+            return buckets.astype(np.float64)
+        table = np.asarray(self.bucket_weights, dtype=np.float64)
+        return table[np.minimum(buckets, len(table)) - 1]
 
 
 @dataclass
@@ -110,18 +111,20 @@ def count_bucket(count: int) -> int:
 
 
 def job2_wpd(access_counters, cfg: SamplerConfig) -> float:
-    """Weighted page distribution: mean bucket weight over touched pages."""
-    counts = access_counters.values() if isinstance(access_counters, dict) else access_counters
-    total = 0
-    weighted = 0.0
-    for c in counts:
-        if c == 0:
-            continue
-        weighted += cfg.weight(count_bucket(c))
-        total += 1
-    if total == 0:
+    """Weighted page distribution: mean bucket weight over touched pages,
+    from a {vpn: count} dict or an array of counts.  A count's bucket
+    (`count_bucket`) is its bit length, the exponent `np.frexp` returns; the
+    weights add up in page order, as in a loop over the pages, not in
+    numpy's pairwise order."""
+    if isinstance(access_counters, dict):
+        access_counters = list(access_counters.values())
+    counts = np.asarray(access_counters, dtype=np.int64)
+    if (counts < 0).any():
+        raise ClassifierError(f"count {counts[counts < 0][0]} outside bucket domain [1, inf)")
+    buckets = np.frexp(counts[counts > 0])[1]
+    if not buckets.size:
         raise ClassifierError("WPD undefined: no page was accessed")
-    return weighted / total
+    return float(np.cumsum(cfg.weights(buckets))[-1]) / len(buckets)
 
 
 class PageAccessSampler:
@@ -216,7 +219,7 @@ def classify_offline(trace, m: AddressMapping,
     def run(colors):
         alloc = Allocator(total_pages, spec, m)
         alloc.assign_quota(app, colors)
-        hier = MemoryHierarchy(m, private_cfg, llc_cfg, latencies)
+        hier = MemoryHierarchy(m, private_cfg, llc_cfg)
         metrics, _ = run_trace(trace, alloc, hier)
         return proxy_cycles(metrics, latencies)
 
@@ -266,9 +269,9 @@ def classify_trace_online(trace, m: AddressMapping,
     intervals = len(trace) // period
     interval = np.arange(intervals * period) // period
     distinct = np.unique(interval * n_pages + pages.of[:intervals * period])
+    counts = np.bincount(pages.of, minlength=n_pages)
     ev = OnlineEvidence(
         hot_pages=np.bincount(distinct // n_pages, minlength=intervals).tolist(),
-        access_counters=dict(zip(pages.vpn.tolist(),
-                                 np.bincount(pages.of, minlength=n_pages).tolist())))
-    wpd = ev.wpd(cfg)
+        access_counters=dict(zip(pages.vpn.tolist(), counts.tolist())))
+    wpd = job2_wpd(counts, cfg)
     return _decide(ev.mean_hot_pages(), wpd, thresholds), ev, wpd

@@ -100,20 +100,18 @@ def _profile(cfg: ExperimentConfig, traces):
                             core_count=cfg.core_count), evidence)
 
 
-def _run_policy(cfg: ExperimentConfig, merged, apps, spec: PolicySpec,
-                quotas=None, log_alloc=False):
+def _run_policy(cfg: ExperimentConfig, merged, apps, spec: PolicySpec, quotas=None):
     """Replay a mixed trace under one policy; quotas default to an even
     color split.  Returns (Metrics, epoch snapshots, Allocator)."""
     alloc = Allocator(cfg.resolved_total_pages(), spec, cfg.mapping,
-                      seed=cfg.seed, allow_fallback=cfg.allow_fallback,
-                      log=log_alloc)
+                      seed=cfg.seed, allow_fallback=cfg.allow_fallback)
     if spec.partitioning:
         for app, colors in (quotas or _even_split_quotas(spec, apps)).items():
             alloc.assign_quota(app, colors)
     else:
         for app in apps:
             alloc.register(app)
-    hier = MemoryHierarchy(cfg.mapping, cfg.private_cache, cfg.llc, cfg.latencies)
+    hier = MemoryHierarchy(cfg.mapping, cfg.private_cache, cfg.llc)
     metrics, snapshots = run_trace(merged, alloc, hier, epoch=cfg.epoch)
     return metrics, snapshots, alloc
 
@@ -180,8 +178,7 @@ def cmd_run(args) -> int:
 
         merged = _mix(cfg, traces)
         metrics, snapshots, alloc = _run_policy(
-            cfg, merged, list(traces), policy_spec(policy, cfg.mapping),
-            quotas=quotas, log_alloc=True)
+            cfg, merged, list(traces), policy_spec(policy, cfg.mapping), quotas)
         path = os.path.join(out, "metrics.json")
         _write(path, metrics.to_json(cfg.latencies))
         written.append(path)

@@ -165,13 +165,11 @@ class MemoryHierarchy:
 
     def __init__(self, m: AddressMapping,
                  private_cfg: CacheConfig = DEFAULT_PRIVATE,
-                 llc_cfg: CacheConfig = DEFAULT_LLC,
-                 latencies: dict | None = None):
+                 llc_cfg: CacheConfig = DEFAULT_LLC):
         check_llc_geometry(m, llc_cfg)
         self.mapping = m
         self.private_cfg = private_cfg
         self.llc_cfg = llc_cfg
-        self.latencies = dict(latencies or DEFAULT_LATENCIES)
         self.metrics = Metrics()
 
         self._set_extract = m.set_extractor().extract

@@ -10,7 +10,8 @@ hardware bank function but are not colorable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from memcolor.errors import MemcolorError
@@ -61,12 +62,14 @@ class BitExtractor:
         return result
 
 
+# the BitExtractor of a tuple of positions, built on its first use
+_extractor = lru_cache(maxsize=None)(BitExtractor)
+
+
 def extract_bits(value: int, positions) -> int:
-    """One-shot LSB-first bit extraction (slow path; see BitExtractor)."""
-    result = 0
-    for i, p in enumerate(sorted(positions)):
-        result |= ((value >> p) & 1) << i
-    return result
+    """LSB-first extraction of `positions` from `value`, by the BitExtractor
+    of those positions (built on their first use)."""
+    return _extractor(tuple(sorted(positions))).extract(value)
 
 
 @dataclass(frozen=True)
@@ -113,10 +116,10 @@ class AddressMapping:
         return self.b_bits | self.c_bits | self.o_bits
 
     def set_extractor(self) -> BitExtractor:
-        return BitExtractor(self.set_index_bits)
+        return _extractor(self.set_index_bits)
 
     def bank_extractor(self) -> BitExtractor:
-        return BitExtractor(self.bank_index_bits)
+        return _extractor(self.bank_index_bits)
 
 
 class Decomposed(NamedTuple):
@@ -171,16 +174,16 @@ def validate_mapping(m: AddressMapping) -> list[str]:
     return violations
 
 
-def decompose(a: int, m: AddressMapping, check_range: bool = True) -> Decomposed:
+def decompose(a: int, m: AddressMapping) -> Decomposed:
     """Split a physical byte address into (set_id, bank_id, row_id, line_tag).
 
-    Bit assembly is LSB-first in ascending position order.
+    Bit assembly is LSB-first in ascending position order, by the mapping's
+    set and bank extractors, the ones the hierarchy uses.
     """
-    if a < 0 or (check_range and a >= m.mem_bytes):
+    if a < 0 or a >= m.mem_bytes:
         raise MappingError(f"address {a:#x} outside physical memory ({m.mem_bytes:#x})")
-    set_id = extract_bits(a, m.set_index_bits)
-    bank_id = extract_bits(a, m.bank_index_bits)
-    return Decomposed(set_id, bank_id, a >> m.row_shift, a >> m.line_offset_bits)
+    return Decomposed(m.set_extractor().extract(a), m.bank_extractor().extract(a),
+                      a >> m.row_shift, a >> m.line_offset_bits)
 
 
 def page_color(pfn: int, bits, m: AddressMapping) -> int:

@@ -61,6 +61,16 @@ def test_touch_idempotent():
     assert a.touch("A", 7) == a.touch("A", 7)
 
 
+def test_touch_numpy_vpns_above_32_bits():
+    a = avp_alloc()
+    a.assign_quota("A", {2})
+    vpns = [1 << 40, (1 << 40) + (1 << 33)]
+    frames = [a.touch("A", np.uint64(v)) for v in vpns]
+    assert frames[0] != frames[1]
+    assert [a.touch("A", v) for v in vpns] == frames
+    assert a.allocated_frames == 2
+
+
 def test_quota_color_respected():
     a = avp_alloc()
     a.assign_quota("A", {2})
@@ -159,14 +169,35 @@ def test_quota_change_after_allocation_rejected():
 
 
 def test_alloc_log_csv(tmp_path):
-    a = avp_alloc(total_pages=64, log=True)
+    # one row per translation in first-touch order, across apps
+    a = avp_alloc(total_pages=64)
     a.assign_quota("A", {0})
-    a.touch("A", 3)
+    a.assign_quota("B", {3})
+    for app, vpn in [("A", 3), ("B", 9), ("A", 3), ("A", 4)]:
+        a.touch(app, vpn)
     path = tmp_path / "alloc.csv"
     a.write_alloc_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "app_id,vpn,pfn,color,llc_group,bank_group"
-    assert lines[1].startswith("A,3,")
+    assert path.read_text().splitlines() == [
+        "app_id,vpn,pfn,color,llc_group,bank_group",
+        "A,3,0,0,0,0", "B,9,12,3,3,3", "A,4,1,0,0,0"]
+
+
+def test_alloc_csv_without_partitioning(tmp_path):
+    a = Allocator(64, policy_spec(PolicyKind.INTERLEAVE, M), M)
+    a.register("A")
+    a.touch("A", 5)
+    path = tmp_path / "alloc.csv"
+    a.write_alloc_csv(path)
+    assert path.read_text().splitlines()[1:] == ["A,5,0,-1,-1,-1"]
+
+
+def test_random_free_by_color_counts_drawn_frames():
+    a = Allocator(64, policy_spec(PolicyKind.RANDOM, M), M)
+    a.register("A")
+    for vpn in range(10):
+        a.touch("A", vpn)
+    assert a.free_frames == 54
+    assert a.free_by_color() == [54]
 
 
 @pytest.mark.parametrize("kind", [PolicyKind.BANK_ONLY, PolicyKind.A_VP,
@@ -182,18 +213,23 @@ def test_pools_hold_each_color_in_ascending_order(kind, total):
 
 @pytest.mark.parametrize("allow_fallback", [False, True])
 @pytest.mark.parametrize("pages", [4, 5])
-def test_translate_pages_matches_touch(pages, allow_fallback):
+def test_translate_pages_matches_touch(pages, allow_fallback, tmp_path):
     # color 1 has 4 of the 16 frames: 4 pages fit in one batch, 5 do not
     def fresh():
-        a = avp_alloc(total_pages=16, allow_fallback=allow_fallback, log=True)
+        a = avp_alloc(total_pages=16, allow_fallback=allow_fallback)
         a.assign_quota("A", {1})
         a.assign_quota("B", {1, 2})
         return a
 
+    def csv_text(a, name):
+        a.write_alloc_csv(tmp_path / name)
+        return (tmp_path / name).read_bytes()
+
     apps = ["A", "B"] * pages
     vpns = [vpn for vpn in range(pages) for _ in "AB"]
     batched = fresh()
-    frames, error = batched.translate_pages(apps, vpns)
+    frames, error = batched.translate_page_array(
+        ["A", "B"], np.arange(2 * pages) % 2, np.array(vpns, dtype=np.uint64))
     reference = fresh()
     expected = []
     for app, vpn in zip(apps, vpns):
@@ -206,6 +242,6 @@ def test_translate_pages_matches_touch(pages, allow_fallback):
         assert error is None
     assert frames.tolist() == expected
     assert batched.page_tables == reference.page_tables
-    assert batched.alloc_log == reference.alloc_log
+    assert csv_text(batched, "batched.csv") == csv_text(reference, "reference.csv")
     assert batched.free_by_color() == reference.free_by_color()
     assert [q.rr for q in batched._quotas.values()] == [q.rr for q in reference._quotas.values()]

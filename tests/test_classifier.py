@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,6 +58,33 @@ def test_wpd_matches_oracle():
 def test_wpd_all_zero_errors():
     with pytest.raises(ClassifierError):
         job2_wpd({1: 0}, CFG)
+
+
+def test_wpd_negative_count_errors():
+    with pytest.raises(ClassifierError, match=r"count -2 outside bucket domain"):
+        job2_wpd({1: 3, 2: -2, 3: -5}, CFG)
+
+
+def loop_wpd(counts, cfg):
+    """WPD page by page: one bucket and one weight per touched page,
+    summed in order."""
+    total, weighted = 0, 0.0
+    for c in counts:
+        if c:
+            b, w = count_bucket(c), cfg.bucket_weights
+            weighted += float(b) if w is None else w[min(b, len(w)) - 1]
+            total += 1
+    return weighted / total
+
+
+@given(counts=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=60).filter(any),
+       weights=st.none() | st.lists(st.floats(0.01, 100), min_size=1, max_size=25).map(tuple))
+@settings(max_examples=100)
+def test_wpd_equals_per_page_loop(counts, weights):
+    cfg = SamplerConfig(bucket_weights=weights)
+    expected = loop_wpd(counts, cfg)
+    assert job2_wpd(dict(enumerate(counts)), cfg) == expected
+    assert job2_wpd(np.array(counts), cfg) == expected
 
 
 @given(st.lists(st.integers(min_value=1, max_value=10 ** 6), min_size=1, max_size=50))

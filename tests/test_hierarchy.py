@@ -1,5 +1,7 @@
 import contextlib
+import os
 import shutil
+import tempfile
 import warnings
 from unittest import mock
 
@@ -249,13 +251,22 @@ def replay_reference(trace, alloc, h, epoch=None):
     return h.metrics, snaps
 
 
+def alloc_csv(alloc) -> bytes:
+    """The bytes of the allocator's `alloc.csv`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "alloc.csv")
+        alloc.write_alloc_csv(path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
 def replay_state(alloc, h):
     """Everything a replay leaves behind, orders included."""
     return {
         "per_app": list(h.metrics.per_app.items()),
         "total": h.metrics.total,
         "tables": [(a, list(pt.items())) for a, pt in alloc.page_tables.items()],
-        "alloc_log": alloc.alloc_log,
+        "alloc_csv": alloc_csv(alloc),
         "free": (alloc.free_frames, alloc.free_by_color()),
         "round_robin": [(a, q.rr) for a, q in alloc._quotas.items()],
         "next_draw": int(alloc._rng.integers(1 << 30)),
@@ -283,8 +294,8 @@ def specs():
         ("cache-quota", cache_quota_spec(DM))]
 
 
-def set_up(spec, quotas, total_pages, allow_fallback=False, log=False):
-    alloc = Allocator(total_pages, spec, DM, seed=7, allow_fallback=allow_fallback, log=log)
+def set_up(spec, quotas, total_pages, allow_fallback=False):
+    alloc = Allocator(total_pages, spec, DM, seed=7, allow_fallback=allow_fallback)
     if spec.partitioning:
         colors = range(spec.page_colors)
         plan = {"disjoint": {app: [c for c in colors if c % 3 == i]
@@ -322,7 +333,7 @@ def replay_both(make, traces, epoch=None):
 def test_batched_replay_matches_reference(name, spec, quotas):
     traces = [mixed_trace(1, late=2500), mixed_trace(2, n=3000)]
     batched, reference = replay_both(
-        lambda: set_up(spec, quotas, 1 << 14, log=quotas == "shared"), traces, epoch=700)
+        lambda: set_up(spec, quotas, 1 << 14), traces, epoch=700)
     assert batched == reference
     outcomes, state = batched
     assert [o[0] for o in outcomes[::2]] == ["ok", "ok"]
@@ -340,7 +351,7 @@ def test_batched_replay_pool_exhaustion_matches_reference(name, spec, allow_fall
     # 256 frames for 3 x 300 pages: some pool runs dry mid-trace
     traces = [mixed_trace(3, pages=300), mixed_trace(4, n=500)]
     batched, reference = replay_both(
-        lambda: set_up(spec, "disjoint", 256, allow_fallback, log=True), traces)
+        lambda: set_up(spec, "disjoint", 256, allow_fallback), traces)
     assert batched == reference
     outcomes = batched[0]
     assert outcomes[0][0] == "error" and "pools empty" in outcomes[0][1]
@@ -351,7 +362,7 @@ def test_batched_replay_unregistered_app_matches_reference():
 
     def make():
         alloc, h = set_up(spec, "disjoint", 1 << 14)
-        del alloc._tables["C"], alloc._quotas["C"]
+        del alloc._apps["C"], alloc._quotas["C"]
         return alloc, h
 
     batched, reference = replay_both(make, [mixed_trace(5, late=1000)])
@@ -375,7 +386,7 @@ def test_batched_replay_of_trace_matches_reference(name, spec):
     trace = Trace.of(records)
 
     def make():
-        return set_up(spec, "shared", 1 << 14, log=True)
+        return set_up(spec, "shared", 1 << 14)
 
     batched = replay_both(make, [trace, trace, trace[1000:4000]], epoch=700)[0]
     reference = replay_both(make, [records, records, records[1000:4000]], epoch=700)[1]
@@ -404,11 +415,11 @@ def test_run_trace_out_of_range_names_record():
 
 @pytest.mark.parametrize("name,spec", specs(), ids=[n for n, _ in specs()])
 def test_batched_replay_needs_no_per_page_touch(name, spec):
-    alloc, h = set_up(spec, "shared", 1 << 14, log=True)
+    alloc, h = set_up(spec, "shared", 1 << 14)
     alloc.touch = None          # a per-page fallback would fail the replay
     run_trace(mixed_trace(1), alloc, h)
     run_trace(mixed_trace(2), alloc, h)
-    assert alloc.allocated_frames == len(alloc.alloc_log) > 0
+    assert alloc.allocated_frames == alloc_csv(alloc).count(b"\n") - 1 > 0
 
 
 # --- the native kernel against the Python loops ------------------------------
@@ -496,7 +507,8 @@ def test_kernel_draw_frames_matches_python_loop(total, batches, seed):
         drawn, vpn = [], 0
         with loops:
             for n in batches:
-                frames, error = alloc.translate_pages(["A"] * n, list(range(vpn, vpn + n)))
+                frames, error = alloc.translate_page_array(
+                    ["A"], np.zeros(n, dtype=np.int64), np.arange(vpn, vpn + n, dtype=np.uint64))
                 vpn += len(frames)
                 drawn.append((frames.tolist(), str(error)))
         sides.append((drawn, alloc._random_free.tolist(), alloc._random_n,
@@ -507,7 +519,7 @@ def test_kernel_draw_frames_matches_python_loop(total, batches, seed):
 @needs_gcc
 def test_failed_build_falls_back_to_identical_results(monkeypatch, fresh_kernel):
     def replay_twice():
-        alloc, h = set_up(policy_spec(PolicyKind.RANDOM, DM), "shared", 1 << 14, log=True)
+        alloc, h = set_up(policy_spec(PolicyKind.RANDOM, DM), "shared", 1 << 14)
         snaps = [run_trace(mixed_trace(seed), alloc, h, epoch=700)[1] for seed in (1, 2)]
         return snaps, h.metrics.to_json(), replay_state(alloc, h)
 

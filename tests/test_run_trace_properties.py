@@ -1,8 +1,10 @@
 """Properties of `run_trace` on random traces and small geometries, through
 the native kernel and through the Python step a failed build falls back to:
-vertical isolation under disjoint quotas, conservation of the counters, and
-LRU inclusion in the LLC's ways."""
+vertical isolation under disjoint quotas, conservation of the counters and
+of `alloc.csv`, invariance under relabelled apps and cores, and LRU
+inclusion in the LLC's ways."""
 
+import csv
 import shutil
 
 import numpy as np
@@ -10,13 +12,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_acceptance import disjoint_quotas
+from test_hierarchy import alloc_csv
 
 from memcolor import _native
 from memcolor.allocator import Allocator
 from memcolor.hierarchy import (COUNTER_KEYS, CacheConfig, MemoryHierarchy,
                                 SimulationError, run_trace)
 from memcolor.mapping import AddressMapping, validate_mapping
-from memcolor.policies import PARTITIONING_KINDS, PolicyKind, policy_spec
+from memcolor.policies import (PARTITIONING_KINDS, PolicyKind, page_color_under,
+                               policy_spec)
 from memcolor.workloads import Trace
 
 # 16 LLC sets, 16 banks of 8 rows, 1024 frames: lines crowd into few sets
@@ -30,6 +34,9 @@ APPS = ("A", "B", "C")
 
 PROPERTY = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+# for the properties that replay each example twice or read alloc.csv
+# after every replay
+SHORT = settings(PROPERTY, max_examples=30)
 
 
 @pytest.fixture(params=["kernel", "fallback"])
@@ -66,10 +73,10 @@ def llc(ways):
     return CacheConfig(SMALL.llc_sets * ways * 64, ways)
 
 
-def set_up(kind, total_pages, quotas, ways=2):
+def set_up(kind, total_pages, quotas, ways=2, apps=APPS):
     spec = policy_spec(kind, SMALL)
     alloc = Allocator(total_pages, spec, SMALL, seed=3)
-    for app, colors in zip(APPS, quotas(spec)):
+    for app, colors in zip(apps, quotas(spec)):
         if spec.partitioning:
             alloc.assign_quota(app, colors)
         else:
@@ -79,6 +86,11 @@ def set_up(kind, total_pages, quotas, ways=2):
 
 def all_colors(spec):
     return [range(spec.page_colors)] * len(APPS)
+
+
+def dealt_colors(spec):
+    """The colors dealt out to the apps in turn: a different quota each."""
+    return [range(i, spec.page_colors, len(APPS)) for i in range(len(APPS))]
 
 
 @PROPERTY
@@ -140,3 +152,43 @@ def test_more_llc_ways_never_miss_more(engine, kind, calls, ways):
     assert more.total["llc_misses"] <= fewer.total["llc_misses"]
     for app, counters in more.per_app.items():
         assert counters["llc_misses"] <= fewer.per_app[app]["llc_misses"]
+
+
+@SHORT
+@given(kind=st.sampled_from(list(PolicyKind)), calls=traces(),
+       names=st.permutations(["x", "y", "z"]), cores=st.permutations([9, 4, 0, 6]))
+def test_relabelled_apps_and_cores_keep_totals(engine, kind, calls, names, cores):
+    # an app keeps its quota under its new name; core c runs as cores[c]
+    totals = []
+    for apps, core_of in ((APPS, range(4)), (names, cores)):
+        alloc, h = set_up(kind, SMALL.total_pages, dealt_colors, apps=apps)
+        for t in calls:
+            relabelled = Trace(tuple(apps[APPS.index(a)] for a in t.apps), t.app,
+                               np.array(core_of)[t.core], t.vaddr, t.write)
+            run_trace(relabelled, alloc, h)
+        totals.append(h.metrics.total)
+    assert totals[0] == totals[1]
+
+
+@SHORT
+@given(kind=st.sampled_from(list(PolicyKind)), calls=traces())
+def test_alloc_csv_rows_are_the_first_touches(engine, kind, calls):
+    alloc, h = set_up(kind, SMALL.total_pages, dealt_colors)
+    spec = alloc.spec
+    first_touches = {}      # pages in order of first touch
+    for trace in calls:
+        run_trace(trace, alloc, h)
+        first_touches.update(dict.fromkeys(zip(map(trace.apps.__getitem__, trace.app.tolist()),
+                                               (trace.vaddr >> np.uint64(12)).tolist())))
+        rows = list(csv.reader(alloc_csv(alloc).decode().splitlines()))[1:]
+        assert [(app, int(vpn)) for app, vpn, *_ in rows] == list(first_touches)
+        tables = alloc.page_tables
+        for app, vpn, pfn, *groups in rows:
+            pfn, (color, llc_group, bank_group) = int(pfn), map(int, groups)
+            assert tables[app][int(vpn)][0] == pfn
+            if spec.partitioning:
+                assert color == page_color_under(spec, pfn, SMALL)
+                assert color in alloc.quota_of(app)
+                assert (llc_group, bank_group) == spec.project(color)
+            else:
+                assert color == llc_group == bank_group == -1
