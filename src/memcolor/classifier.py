@@ -264,14 +264,13 @@ def classify_trace_online(trace, m: AddressMapping,
             f"sampling period ({period}), so no sampling interval completes")
     pages = trace.pages(m.page_offset_bits)
     n_pages = len(pages.first)
-    # distinct pages per complete interval: the distinct (interval, page)
-    # pairs, counted per interval
+    # distinct pages per complete interval: its sorted pages, counted where
+    # they change
     intervals = len(trace) // period
-    interval = np.arange(intervals * period) // period
-    distinct = np.unique(interval * n_pages + pages.of[:intervals * period])
+    per_interval = np.sort(pages.of[:intervals * period].reshape(intervals, period), axis=1)
+    hot = 1 + np.count_nonzero(per_interval[:, 1:] != per_interval[:, :-1], axis=1)
     counts = np.bincount(pages.of, minlength=n_pages)
-    ev = OnlineEvidence(
-        hot_pages=np.bincount(distinct // n_pages, minlength=intervals).tolist(),
-        access_counters=dict(zip(pages.vpn.tolist(), counts.tolist())))
+    ev = OnlineEvidence(hot_pages=hot.tolist(),
+                        access_counters=dict(zip(pages.vpn.tolist(), counts.tolist())))
     wpd = job2_wpd(counts, cfg)
     return _decide(ev.mean_hot_pages(), wpd, thresholds), ev, wpd

@@ -22,7 +22,7 @@ from memcolor.errors import MemcolorError
 from memcolor.hierarchy import (MemoryHierarchy, SimulationError, proxy_cycles,
                                 run_trace)
 from memcolor.policies import PolicyError, PolicyKind, PolicySpec, policy_spec
-from memcolor.workloads import (ArchetypeParams, canonical_params, gen, mix,
+from memcolor.workloads import (PARAM_NAMES, canonical_params, gen, mix,
                                 read_trace, write_trace)
 
 EXIT_OK = 0
@@ -145,13 +145,8 @@ def _write(path, text):
 # --- subcommands -----------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    params = ArchetypeParams(
-        kind=args.kind,
-        working_set_pages=args.pages or canonical_params(args.kind).working_set_pages,
-        access_count=args.accesses or canonical_params(args.kind).access_count,
-        reuse=args.reuse or canonical_params(args.kind).reuse,
-        stride=args.stride or canonical_params(args.kind).stride,
-        zipf_s=args.zipf_s, seed=args.seed, app=args.app)
+    params = canonical_params(args.kind, seed=args.seed, app=args.app,
+                              **{name: getattr(args, name) for name in PARAM_NAMES})
     write_trace(gen(params), args.output)
     print(f"wrote {args.output}")
     return EXIT_OK
@@ -305,7 +300,7 @@ def build_parser() -> _Parser:
     p_gen.add_argument("--accesses", type=int, default=None)
     p_gen.add_argument("--reuse", choices=["none", "loop", "zipf"], default=None)
     p_gen.add_argument("--stride", type=int, default=None)
-    p_gen.add_argument("--zipf-s", dest="zipf_s", type=float, default=0.8)
+    p_gen.add_argument("--zipf-s", dest="zipf_s", type=float, default=None)
     p_gen.add_argument("--seed", type=non_negative_int, default=0)
     p_gen.add_argument("--app", default="A")
     p_gen.add_argument("-o", "--output", required=True)

@@ -13,7 +13,7 @@ from memcolor.hierarchy import (DEFAULT_LATENCIES, DEFAULT_LLC,
                                 DEFAULT_PRIVATE, CacheConfig,
                                 check_llc_geometry)
 from memcolor.mapping import AddressMapping, validate_mapping
-from memcolor.workloads import ArchetypeParams, canonical_params
+from memcolor.workloads import PARAM_NAMES, ArchetypeParams, canonical_params
 
 
 @dataclass
@@ -82,36 +82,39 @@ def _workload_entry(doc: dict, index: int, default_seed: int) -> WorkloadEntry:
     if not isinstance(doc, dict):
         raise ConfigError(f"workload[{index}] must be a mapping, got {doc!r}")
     app = str(doc.get("app", chr(ord("A") + index)))
-    core = int(doc.get("core", index))
-    if "trace" in doc:
-        return WorkloadEntry(app=app, core=core, trace_path=str(doc["trace"]))
-    if "kind" not in doc:
-        raise ConfigError(f"workload[{index}]: needs either 'trace' or 'kind'")
-    kind = str(doc["kind"])
-    seed = _at_least(f"workload[{index}] (app {app!r}): seed",
-                     doc.get("seed", default_seed), 0)
-    base = canonical_params(kind, seed=seed, app=app, core=core)
-    overrides = {}
-    if "pages" in doc:
-        overrides["working_set_pages"] = int(doc["pages"])
-    if "accesses" in doc:
-        overrides["access_count"] = int(doc["accesses"])
-    if "reuse" in doc:
-        overrides["reuse"] = str(doc["reuse"])
-    if "stride" in doc:
-        overrides["stride"] = int(doc["stride"])
-    if "zipf_s" in doc:
-        overrides["zipf_s"] = float(doc["zipf_s"])
-    if overrides:
-        base = ArchetypeParams(kind=base.kind, seed=base.seed, app=app, core=core,
-                               **{**{k: getattr(base, k) for k in
-                                     ("working_set_pages", "access_count", "reuse",
-                                      "stride", "zipf_s")}, **overrides})
-    return WorkloadEntry(app=app, core=core, params=base)
+    try:
+        core = _integer("core", doc.get("core", index))
+        if "trace" in doc:
+            return WorkloadEntry(app=app, core=core, trace_path=str(doc["trace"]))
+        if "kind" not in doc:
+            raise ConfigError("needs either 'trace' or 'kind'")
+        seed = _at_least("seed", doc.get("seed", default_seed), 0)
+        params = canonical_params(str(doc["kind"]), seed=seed, app=app, core=core,
+                                  **{name: doc[name] for name in PARAM_NAMES if name in doc})
+    except ValueError as exc:
+        raise ConfigError(f"workload[{index}] (app {app!r}): {exc}") from None
+    return WorkloadEntry(app=app, core=core, params=params)
+
+
+def _profile_entry(doc, index: int) -> tuple:
+    if not isinstance(doc, dict) or "app" not in doc:
+        raise ConfigError(f"profile[{index}] must be a mapping with an 'app', got {doc!r}")
+    try:
+        return str(doc["app"]), Category(str(doc.get("category")).upper())
+    except ValueError:
+        raise ConfigError(f"profile[{index}] (app {str(doc['app'])!r}): category must be "
+                          f"CCF, LLCT, LLCM or LLCH, got {doc.get('category')!r}") from None
+
+
+def _integer(name: str, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _at_least(name: str, value, low: int) -> int:
-    value = int(value)
+    value = _integer(name, value)
     if value < low:
         raise ConfigError(f"{name} must be >= {low}, got {value}")
     return value
@@ -157,21 +160,20 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                           "d_ccf_llct", "d_llch", "footprint_pages")})
         cfg.seed = _at_least("seed", doc.get("seed", 0), 0)
         cfg.policy = str(doc.get("policy", "auto"))
-        cfg.core_count = int(doc.get("core_count", 4))
+        cfg.core_count = _integer("core_count", doc.get("core_count", 4))
         cfg.multithreaded = bool(doc.get("multithreaded", False))
         cfg.mix_chunk = _at_least("mix_chunk", doc.get("mix_chunk", 1), 1)
         cfg.allow_fallback = bool(doc.get("allow_fallback", False))
         # 0 (or none) means no epochs
         cfg.epoch = _at_least("epoch", doc.get("epoch") or 0, 0) or None
         if doc.get("total_pages") is not None:
-            cfg.total_pages = int(doc["total_pages"])
+            cfg.total_pages = _integer("total_pages", doc["total_pages"])
         workload = doc.get("workload", [])
         if not isinstance(workload, list):
             raise ConfigError(f"workload must be a list of mappings, got {workload!r}")
         cfg.workload = [_workload_entry(w, i, cfg.seed) for i, w in enumerate(workload)]
         if "profile" in doc and doc["profile"]:
-            cfg.profile = [(str(p["app"]), Category(str(p["category"]).upper()))
-                           for p in doc["profile"]]
+            cfg.profile = [_profile_entry(p, i) for i, p in enumerate(doc["profile"])]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise

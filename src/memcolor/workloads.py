@@ -49,45 +49,24 @@ class Pages(NamedTuple):
     vpn: np.ndarray         # per page: its virtual page number (uint64)
 
 
-def _numbering(values: np.ndarray):
-    """The distinct values in order of first appearance, and each value's
-    position in that order (int32)."""
-    distinct, first, inverse = np.unique(values, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(order), dtype=np.int32)
-    rank[order] = np.arange(len(order), dtype=np.int32)
-    return distinct[order], rank[inverse]
-
-
-def _number_pages(app: np.ndarray, n_apps: int, vpn: np.ndarray) -> Pages:
-    n = len(vpn)
-    if not n:
-        empty = np.empty(0, dtype=np.int64)
-        return Pages(empty.astype(np.int32), empty, empty.astype(np.uint64))
-    # group equal (app, vpn) keys by sorting; a page's first access is the
-    # smallest position in its group
-    if n_apps == 1:
-        perm = np.argsort(vpn)
-    elif int(vpn.max()) < ADDRESS_LIMIT // n_apps:
-        perm = np.argsort(vpn * np.uint64(n_apps) + app.astype(np.uint64))
-    else:                               # one key would overflow 64 bits
-        perm = np.lexsort((app, vpn))
-    vpn_sorted, app_sorted = vpn[perm], app[perm]
-    starts = np.empty(n, dtype=bool)
-    starts[0] = True
-    starts[1:] = (vpn_sorted[1:] != vpn_sorted[:-1]) | (app_sorted[1:] != app_sorted[:-1])
-    group = np.cumsum(starts) - 1
+def _numbering(key: np.ndarray):
+    """Number the values of `key` in order of first appearance: (each
+    distinct value's first position, in that order (int64); each element's
+    number (int32))."""
+    # group equal values by sorting; the sort is not stable, so a value's
+    # first position is the smallest in its group
+    perm = np.argsort(key)
+    sorted_key = key[perm]
+    starts = np.empty(len(key), dtype=bool)
+    starts[:1] = True
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=starts[1:])
     first = np.minimum.reduceat(perm, np.flatnonzero(starts))
     by_first = np.argsort(first)
     rank = np.empty(len(first), dtype=np.int32)
     rank[by_first] = np.arange(len(first), dtype=np.int32)
-    page_of = np.empty(n, dtype=np.int32)
-    page_of[perm] = rank[group]
-    page_first = first[by_first]
-    pages = Pages(page_of, page_first, vpn[page_first])
-    for column in pages:
-        column.setflags(write=False)
-    return pages
+    number = np.empty(len(key), dtype=np.int32)
+    number[perm] = rank[np.cumsum(starts) - 1]
+    return first[by_first], number
 
 
 class Trace(Sequence):
@@ -118,13 +97,10 @@ class Trace(Sequence):
                    np.asarray(write, dtype=bool))
         if any(c.shape != app.shape for c in columns) or app.ndim != 1:
             raise TraceError("trace columns must be 1-d and of equal length")
-        if len(apps) != 1 or not len(app):
-            seen, app = _numbering(app)
-            apps = tuple(map(apps.__getitem__, seen.tolist()))
-        self.apps = apps
-        self.app = app
+        first, self.app = _numbering(app)
+        self.apps = tuple(map(apps.__getitem__, app[first].tolist()))
         self.core, self.vaddr, self.write = columns
-        for column in (app, *columns):
+        for column in (self.app, *columns):
             column.setflags(write=False)
         self._pages: dict[int, Pages] = {}
         self._cores = None
@@ -165,17 +141,24 @@ class Trace(Sequence):
         """The trace's pages of 2^`shift` bytes; computed once per shift."""
         pages = self._pages.get(shift)
         if pages is None:
-            pages = self._pages[shift] = _number_pages(
-                self.app, len(self.apps), self.vaddr >> np.uint64(shift))
+            # one key per (app, vpn); where vpn * apps could overflow 64
+            # bits, the vpns' own numbers stand in for the vpns
+            vpn = key = self.vaddr >> np.uint64(shift)
+            if len(vpn) and int(vpn.max()) >= ADDRESS_LIMIT // len(self.apps):
+                key = _numbering(vpn)[1].astype(np.uint64)
+            first, of = _numbering(key * np.uint64(len(self.apps)) + self.app.astype(np.uint64))
+            pages = self._pages[shift] = Pages(of, first, vpn[first])
+            for column in pages:
+                column.setflags(write=False)
         return pages
 
     def cores(self):
         """(the cores in order of first appearance, each record's position
         in that order); computed once."""
         if self._cores is None:
-            seen, core_of = _numbering(self.core)
+            first, core_of = _numbering(self.core)
             core_of.setflags(write=False)
-            self._cores = (tuple(seen.tolist()), core_of)
+            self._cores = (tuple(self.core[first].tolist()), core_of)
         return self._cores
 
     def __len__(self) -> int:
@@ -246,6 +229,13 @@ class ArchetypeParams:
             raise TraceError(f"unknown reuse mode {self.reuse!r}")
         if self.stride < 1 or self.stride > PAGE_BYTES or PAGE_BYTES % self.stride:
             raise TraceError(f"stride must divide the page size, got {self.stride}")
+        # the accesses must touch every page of the working set: once each
+        # under zipf, at every stride step otherwise
+        pages = self.working_set_pages
+        need = pages if self.reuse == "zipf" else pages * (PAGE_BYTES // self.stride)
+        if self.access_count < need:
+            raise TraceError(f"{self.access_count} accesses cannot cover {pages} pages "
+                             f"at stride {self.stride} (need >= {need})")
 
 
 # Canonical per-kind parameterizations (desk-scale stand-ins for the four
@@ -259,9 +249,27 @@ CANONICAL_PARAMS = {
 }
 
 
-def canonical_params(kind: str, seed: int = 0, app: str = "A", core: int = 0) -> ArchetypeParams:
-    return ArchetypeParams(kind=kind, seed=seed, app=app, core=core,
-                           **CANONICAL_PARAMS[kind])
+# The name a config entry or `memcolor gen` gives each ArchetypeParams field
+# it can set, with the field and the type its value is read as.
+PARAM_NAMES = {"pages": ("working_set_pages", int), "accesses": ("access_count", int),
+               "reuse": ("reuse", str), "stride": ("stride", int), "zipf_s": ("zipf_s", float)}
+
+
+def canonical_params(kind: str, seed: int = 0, app: str = "A", core: int = 0,
+                     **overrides) -> ArchetypeParams:
+    """The kind's canonical parameters, with the fields `overrides` names
+    (keys of PARAM_NAMES) set; a None value keeps the canonical one."""
+    if kind not in CANONICAL_PARAMS:
+        raise TraceError(f"unknown archetype kind {kind!r}")
+    fields = dict(CANONICAL_PARAMS[kind])
+    for name, value in overrides.items():
+        field, read = PARAM_NAMES[name]
+        if value is not None:
+            try:
+                fields[field] = read(value)
+            except (TypeError, ValueError):
+                raise TraceError(f"{name} must be {read.__name__}, got {value!r}") from None
+    return ArchetypeParams(kind=kind, seed=seed, app=app, core=core, **fields)
 
 
 def randomized_params(kind: str, rng, app: str = "A", core: int = 0) -> ArchetypeParams:
@@ -308,16 +316,9 @@ def gen(params: ArchetypeParams) -> Trace:
     page_order = rng.permutation(pages).astype(np.int64)
 
     if params.reuse in ("none", "loop"):
-        pass_len = pages * per_page
-        if n < pass_len:
-            raise TraceError(
-                f"{n} accesses cannot cover {pages} pages at stride {params.stride} "
-                f"(need >= {pass_len})")
-        idx = np.arange(n, dtype=np.int64) % pass_len
+        idx = np.arange(n, dtype=np.int64) % (pages * per_page)
         vaddr = page_order[idx // per_page] * PAGE_BYTES + (idx % per_page) * params.stride
     else:
-        if n < pages:
-            raise TraceError(f"{n} accesses cannot cover {pages} pages")
         cover = page_order * PAGE_BYTES
         # bounded zipf over pages by inverse CDF
         weights = np.arange(1, pages + 1, dtype=np.float64) ** -params.zipf_s
@@ -365,19 +366,20 @@ def mix(traces, k: int = 1, core_count: int | None = None,
     return Trace(tuple(index), app, core, vaddr, write)
 
 
-def footprint_pages(trace) -> int:
-    return len(np.unique(Trace.of(trace).vaddr // PAGE_BYTES))
-
-
 def write_trace(trace, path):
+    """Write a trace file.  An app name `read_trace` could not read back, one
+    that is empty or holds whitespace or '#', is a TraceError."""
     trace = Trace.of(trace)
+    for name in map(str, trace.apps):
+        if name.split() != [name] or "#" in name:
+            raise TraceError(f"app name {name!r} cannot be written to a trace file: "
+                             f"it must be one token without whitespace or '#'")
     cores, core_of = trace.cores()
     # one line format per distinct (app, core, op), the address left open
-    kinds, kind_of = np.unique(
-        (trace.app.astype(np.int64) * len(cores) + core_of) * 2 + trace.write,
-        return_inverse=True)
+    key = (trace.app.astype(np.int64) * len(cores) + core_of) * 2 + trace.write
+    first, kind_of = _numbering(key)
     formats = []
-    for kind in kinds.tolist():
+    for kind in key[first].tolist():
         (app, core), write = divmod(kind >> 1, len(cores)), kind & 1
         prefix = f"{trace.apps[app]} {cores[core]} ".replace("%", "%%")
         formats.append(f"{prefix}%#x {OPS[write]}\n")

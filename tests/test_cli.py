@@ -16,7 +16,8 @@ import memcolor
 from memcolor import cli
 from memcolor.cli import main
 from memcolor.config import load_config
-from memcolor.workloads import TraceRecord, read_trace, write_trace
+from memcolor.workloads import (ARCHETYPE_KINDS, TraceRecord, canonical_params, gen,
+                                read_trace, write_trace)
 
 SMALL_WORKLOAD = [
     {"app": "H", "kind": "llch", "pages": 256, "accesses": 40000, "seed": 1},
@@ -52,6 +53,37 @@ def test_gen_deterministic(tmp_path):
 
 def test_gen_missing_kind_is_usage_error(tmp_path):
     assert main(["gen", "-o", str(tmp_path / "t.trace")]) == 1
+
+
+@pytest.mark.parametrize("kind", ARCHETYPE_KINDS)
+def test_gen_defaults_to_canonical_params(tmp_path, kind):
+    # the trace a config entry {kind: K} generates
+    out = tmp_path / "t.trace"
+    assert main(["gen", "--kind", kind, "-o", str(out)]) == 0
+    assert read_trace(out) == gen(canonical_params(kind))
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--pages", "0", "working_set_pages must be >= 1"),
+    ("--pages", "-3", "working_set_pages must be >= 1"),
+    ("--accesses", "0", "0 accesses cannot cover 8 pages at stride 64 (need >= 512)"),
+    ("--stride", "0", "stride must divide the page size, got 0"),
+])
+def test_gen_zero_or_negative_flag_is_runtime_error(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "t.trace"
+    assert main(["gen", "--kind", "ccf", flag, value, "-o", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("app", ["a b", "x#y", ""])
+def test_gen_app_name_the_reader_rejects_is_runtime_error(tmp_path, capsys, app):
+    out = tmp_path / "t.trace"
+    assert main(["gen", "--kind", "ccf", "--app", app, "-o", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: app name {app!r} cannot be written to a trace file: "
+        f"it must be one token without whitespace or '#'\n")
+    assert not out.exists()
 
 
 def test_run_explicit_policy(tmp_path, capsys):
@@ -306,6 +338,35 @@ def test_malformed_config_field_is_config_error(tmp_path, capsys, overrides, mes
     cfg = write_config(tmp_path, **overrides)
     assert main(["classify", "--config", cfg]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"workload": [dict(SMALL_WORKLOAD[0], kind="zzz")]},
+     "workload[0] (app 'H'): unknown archetype kind 'zzz'"),
+    ({"profile": [{"app": "H"}]},
+     "profile[0] (app 'H'): category must be CCF, LLCT, LLCM or LLCH, got None"),
+    ({"profile": [{"app": "H", "category": "llch"}, {"app": "T", "category": "big"}]},
+     "profile[1] (app 'T'): category must be CCF, LLCT, LLCM or LLCH, got 'big'"),
+    ({"profile": [{"category": "llch"}]},
+     "profile[0] must be a mapping with an 'app', got {'category': 'llch'}"),
+    ({"workload": [dict(SMALL_WORKLOAD[0], pages=0)]},
+     "workload[0] (app 'H'): working_set_pages must be >= 1"),
+    ({"workload": [SMALL_WORKLOAD[0], dict(SMALL_WORKLOAD[1], pages="many")]},
+     "workload[1] (app 'T'): pages must be int, got 'many'"),
+    ({"workload": [dict(SMALL_WORKLOAD[0], core="x")]},
+     "workload[0] (app 'H'): core must be an integer, got 'x'"),
+    ({"workload": [{"app": "H"}]}, "workload[0] (app 'H'): needs either 'trace' or 'kind'"),
+    ({"epoch": "x"}, "epoch must be an integer, got 'x'"),
+    ({"core_count": "four"}, "core_count must be an integer, got 'four'"),
+    ({"total_pages": [1]}, "total_pages must be an integer, got [1]"),
+    ({"workload": [{"app": "H", "kind": "llch", "pages": 64, "accesses": 10}]},
+     "workload[0] (app 'H'): 10 accesses cannot cover 64 pages at stride 64 (need >= 4096)"),
+])
+def test_config_error_names_entry_or_field(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path, policy="interleave", **overrides)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_negative_seed_option_is_usage_error(tmp_path, capsys):

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from memcolor.workloads import (ARCHETYPE_KINDS, PAGE_BYTES, ArchetypeParams,
                                 Trace, TraceError, TraceRecord, canonical_params,
-                                footprint_pages, gen, mix, read_trace,
-                                write_trace)
+                                gen, mix, read_trace, write_trace)
 
 
 def test_ccf_loop_revisits():
@@ -33,7 +32,7 @@ def test_generation_deterministic():
 @pytest.mark.parametrize("kind", ARCHETYPE_KINDS)
 def test_footprint_exactness(kind):
     p = canonical_params(kind, seed=2)
-    assert footprint_pages(gen(p)) == p.working_set_pages
+    assert len(gen(p).pages(12).first) == p.working_set_pages
 
 
 def test_undersized_access_count_rejected():
@@ -151,7 +150,7 @@ def test_loop_footprint_property(pages, seed):
     p = ArchetypeParams("ccf", pages, pages * 2 + 64, reuse="loop",
                         stride=4096, seed=seed)
     trace = gen(p)
-    assert footprint_pages(trace) == pages
+    assert len(trace.pages(12).first) == pages
     assert len(trace) == p.access_count
 
 
@@ -335,4 +334,80 @@ def test_trace_first_bad_line_wins(tmp_path):
     with pytest.raises(TraceError, match=r":2: core 99999999999999999999 outside"):
         read_trace(p)
     p.write_text("")
-    assert read_trace(p) == [] and footprint_pages(read_trace(p)) == 0
+    assert read_trace(p) == [] and len(read_trace(p).pages(12).first) == 0
+
+
+# --- first-appearance numbering, against a dict ------------------------------
+
+def reference_numbering(values):
+    """(each distinct value's first position, each value's number), in order
+    of first appearance."""
+    number, first = {}, []
+    for i, v in enumerate(values):
+        if v not in number:
+            number[v] = len(first)
+            first.append(i)
+    return first, [number[v] for v in values]
+
+
+def check_numbering(records, shift, start, stop):
+    trace = Trace.of(records)
+    first, of = reference_numbering([(r.app, r.vaddr >> shift) for r in records])
+    pages = trace.pages(shift)
+    assert (pages.of.dtype, pages.first.dtype, pages.vpn.dtype) == (np.int32, np.int64, np.uint64)
+    assert pages.of.tolist() == of and pages.first.tolist() == first
+    assert pages.vpn.tolist() == [records[i].vaddr >> shift for i in first]
+    first, of = reference_numbering([r.core for r in records])
+    cores, core_of = trace.cores()
+    assert cores == tuple(records[i].core for i in first) and core_of.tolist() == of
+    part = trace[start:stop]
+    first, of = reference_numbering([r.app for r in records[start:stop]])
+    assert part.apps == tuple(records[start + i].app for i in first)
+    assert part.app.tolist() == of and part == records[start:stop]
+
+
+# Addresses come from a small pool, so (app, page) keys repeat many times in
+# traces long enough that numpy's sort is not stable.  Each low part appears
+# under each base; bases at 2^62 or above make vpn * apps overflow 64 bits at
+# shift 0, where with 2 (4) apps v + 2^63 (v + 2^62) would wrap onto v.
+@given(bases=st.lists(st.sampled_from([0, 1 << 62, 1 << 63, (1 << 64) - (1 << 16)]),
+                      min_size=1, max_size=4, unique=True),
+       lows=st.lists(st.sampled_from([0, 0x40, 0x1000, 0xffff]), min_size=1, max_size=4,
+                     unique=True),
+       apps=st.lists(st.sampled_from("ABCD"), min_size=1, max_size=4, unique=True),
+       shift=st.sampled_from([0, 6, 12]), n=st.integers(0, 300),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_numbering_matches_dict_reference(bases, lows, apps, shift, n, seed, data):
+    pool = [base + low for base in bases for low in lows]
+    rng = np.random.default_rng(seed)
+    records = [TraceRecord(apps[a], [0, 5, -2, 1 << 40][c], pool[v], "rw"[w])
+               for a, c, v, w in zip(*(rng.integers(0, k, n).tolist()
+                                       for k in (len(apps), 4, len(pool), 2)))]
+    start, stop = sorted(data.draw(st.integers(0, len(records))) for _ in range(2))
+    check_numbering(records, shift, start, stop)
+
+
+def test_numbering_overflow_key():
+    # two apps at shift 0 with vpns v, 2^63 + v and 2^64 - 4 + v: the vpns
+    # are numbered first, since vpn * 2 + app would wrap or overflow
+    rng = np.random.default_rng(0)
+    bases = [0, 1 << 63, (1 << 64) - 4]
+    records = [TraceRecord("AB"[a], int(c), bases[b] + int(v), "r")
+               for a, c, b, v in zip(rng.integers(0, 2, 400), rng.integers(0, 3, 400),
+                                     rng.integers(0, 3, 400), rng.integers(0, 4, 400))]
+    check_numbering(records, 0, 17, 333)
+    assert len(Trace.of(records).pages(0).first) == 24
+
+
+def test_write_trace_rejects_unreadable_app_names(tmp_path):
+    p = tmp_path / "t.trace"
+    for app in ["a b", "x#y", "", "tab\there", "line\nbreak"]:
+        with pytest.raises(TraceError) as err:
+            write_trace([TraceRecord("A", 0, 0x40, "r"), TraceRecord(app, 1, 0x80, "w")], p)
+        assert str(err.value) == (f"app name {app!r} cannot be written to a trace file: "
+                                  f"it must be one token without whitespace or '#'")
+        assert not p.exists()
+    records = [TraceRecord("50%", 0, 0x40, "r"), TraceRecord("a,b:c", 1, 0x80, "w")]
+    write_trace(records, p)
+    assert read_trace(p) == records
