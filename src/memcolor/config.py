@@ -51,13 +51,13 @@ def _mapping_from(doc: dict) -> AddressMapping:
     kwargs = {}
     for key in ("page_offset_bits", "line_offset_bits", "row_shift", "mem_bytes"):
         if key in doc:
-            kwargs[key] = int(doc[key])
+            kwargs[key] = _integer(f"mapping.{key}", doc[key])
     for key in ("set_index_bits", "bank_index_bits"):
         if key in doc:
-            kwargs[key] = tuple(int(b) for b in doc[key])
+            kwargs[key] = tuple(_integer(f"mapping.{key}", b) for b in doc[key])
     for key in ("b_bits", "c_bits", "o_bits"):
         if key in doc:
-            kwargs[key] = frozenset(int(b) for b in doc[key])
+            kwargs[key] = frozenset(_integer(f"mapping.{key}", b) for b in doc[key])
     return AddressMapping(**kwargs)
 
 
@@ -113,6 +113,13 @@ def _integer(name: str, value) -> int:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _number(name: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
 def _at_least(name: str, value, low: int) -> int:
     value = _integer(name, value)
     if value < low:
@@ -122,10 +129,13 @@ def _at_least(name: str, value, low: int) -> int:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = yaml.safe_load(fh) or {}
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML/JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: byte {exc.object[exc.start]:#04x} is not UTF-8 "
+                          f"({exc.reason})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     return config_from_dict(doc)
@@ -144,18 +154,21 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             cfg.llc = _cache_from(hier["llc"], DEFAULT_LLC, "hierarchy.llc")
         if "latencies" in hier:
             cfg.latencies = {**DEFAULT_LATENCIES,
-                             **{k: int(v) for k, v in hier["latencies"].items()}}
+                             **{k: _integer(f"hierarchy.latencies.{k}", v)
+                                for k, v in hier["latencies"].items()}}
         if "sampler" in doc:
             s = doc["sampler"]
             cfg.sampler = SamplerConfig(
-                period=int(s.get("period", SamplerConfig.period)),
+                period=_integer("sampler.period", s.get("period", SamplerConfig.period)),
                 bucket_weights=_bucket_weights(s["bucket_weights"]) if "bucket_weights" in s
                 else None)
         if "thresholds" in doc:
             t = doc["thresholds"]
             defaults = Thresholds()
+            read = {int: _integer, float: _number}      # by the default's type
             cfg.thresholds = Thresholds(**{
-                f: type(getattr(defaults, f))(t.get(f, getattr(defaults, f)))
+                f: read[type(getattr(defaults, f))](f"thresholds.{f}",
+                                                    t.get(f, getattr(defaults, f)))
                 for f in ("hot_page_low", "hot_page_high", "wpd_low", "wpd_high",
                           "d_ccf_llct", "d_llch", "footprint_pages")})
         cfg.seed = _at_least("seed", doc.get("seed", 0), 0)

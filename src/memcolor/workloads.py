@@ -1,19 +1,26 @@
 """Synthetic trace generation for the four application archetypes, trace
 mixing, and the canonical text trace format.
 
-Trace format, one record per line, '#' starts a comment:
+Trace format, UTF-8 text, one record per line, '#' starts a comment:
 
     <app> <core> <hex vaddr> r|w
 
-Addresses are virtual, in [0, 2^64): physical placement is the
+Fields are split on any whitespace, and a line may end in '\n', '\r\n' or
+'\r'; the core and address are read as `int(core)` and `int(vaddr, 16)`
+read them.  Addresses are virtual, in [0, 2^64): physical placement is the
 allocator's job.  In memory a trace is a `Trace`, four read-only columns.
+
+`read_trace` parses a canonical file, the form `write_trace` writes (ASCII,
+fields split by spaces, a core of at most 18 decimal digits, `0x` and at
+most 16 hex digits, one record a line), with vectorized checks and decoding
+over the file's bytes; any other file goes through a per-line parser.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -391,50 +398,113 @@ def write_trace(trace, path):
 
 
 def read_trace(path) -> Trace:
-    """Parse a trace file.  A malformed line is a TraceError naming
+    """Parse a UTF-8 trace file.  A malformed line is a TraceError naming
     `path:line`."""
-    with open(path) as fh:
-        text = fh.read()
-    lines = text.split("\n")            # the lines iterating the file yields
-    if "#" in text:
-        lines = [line.partition("#")[0] for line in lines]
-        text = "\n".join(lines)
-    fields = text.split()
-    del text
-    apps, cores, vaddrs, ops = (fields[i::4] for i in range(4))
-    del fields
-    n = len(apps)
-    if set(map(len, map(str.split, lines))) <= {0, 4} and set(ops) <= set(OPS):
-        try:
-            # few distinct cores: parse each once
-            core_of = {s: int(s) for s in set(cores)}
-            core = np.fromiter(map(core_of.__getitem__, cores), np.int64, n)
-            vaddr = np.fromiter(map(int, vaddrs, repeat(16)), np.uint64, n)
-        except (ValueError, OverflowError):
-            pass
-        else:
-            index = {a: i for i, a in enumerate(dict.fromkeys(apps))}
-            return Trace(tuple(index), np.fromiter(map(index.__getitem__, apps), np.int32, n),
-                         core, vaddr, np.fromiter(map("w".__eq__, ops), bool, n))
-    _raise_line_error(path, lines)
-    raise TraceError(f"{path}: malformed trace")    # not reached
+    with open(path, "rb") as fh:
+        data = fh.read()
+    trace = _parse_canonical(np.frombuffer(data, dtype=np.uint8))
+    return _parse_lines(path, data) if trace is None else trace
 
 
-def _raise_line_error(path, lines):
-    """Raise the TraceError of the first malformed line of `lines`
-    (comments removed)."""
-    for lineno, line in enumerate(lines, start=1):
-        parts = line.split()
+# Each byte's value as a hex digit, 16 for a byte that is none.
+_DIGIT = np.full(256, 16, dtype=np.uint8)
+_DIGIT[np.frombuffer(b"0123456789abcdefABCDEF", dtype=np.uint8)] = [*range(16), *range(10, 16)]
+# The longest core (decimal) and address (hex) digit runs that fit the columns.
+_CORE_DIGITS = 18
+_ADDRESS_DIGITS = 16
+
+
+def _parse_canonical(data: np.ndarray) -> Trace | None:
+    """The trace in `data`, a file's bytes, if every non-blank line is
+    `<app> <core> 0x<hex> r|w` split by spaces, with an ASCII app name, a
+    core of at most 18 decimal digits and at most 16 hex digits; else None."""
+    # token bytes are printable ASCII other than '#'; the rest must be ' ' or '\n'
+    token = (data > 0x20) & (data < 0x7f) & (data != ord("#"))
+    newline = data == ord("\n")
+    if not (token | newline | (data == ord(" "))).all():
+        return None
+    bounds = np.flatnonzero(np.diff(token, prepend=False, append=False))
+    if len(bounds) % 8:
+        return None
+    n = len(bounds) // 8
+    if n == 0:
+        return Trace((), [], [], [], [])
+    # 4 tokens a line: the first token after each newline starts a record,
+    # and every record after the first follows a newline
+    after = np.searchsorted(bounds[0::2], np.flatnonzero(newline))
+    after = after[after < 4 * n]
+    if (after & 3).any() or not np.bincount(after >> 2, minlength=n)[1:].all():
+        return None
+    # start[f] and end[f]: field f's token bounds, one entry per record
+    start, end = np.ascontiguousarray(bounds.reshape(n, 4, 2).T)
+    length = end - start
+    op = data[start[3]]
+    write = op == ord("w")
+    if (length[3] != 1).any() or not (write | (op == ord("r"))).all():
+        return None
+    prefixed = (data[start[2]] == ord("0")) & (data[start[2] + 1] == ord("x"))
+    if (length[1].max() > _CORE_DIGITS or length[2].min() < 3
+            or length[2].max() > _ADDRESS_DIGITS + 2 or not prefixed.all()):
+        return None
+    core = _digits(data, start[1], end[1], 10)
+    vaddr = _digits(data, start[2] + 2, end[2], 16)
+    if core is None or vaddr is None:
+        return None
+    # app names as fixed-width byte strings, numbered, each decoded once
+    width = int(length[0].max())
+    names = np.zeros((n, width), dtype=np.uint8)
+    for k in range(width):
+        names[:, k] = np.where(length[0] > k, data.take(start[0] + k, mode="clip"), 0)
+    names = names.view(f"S{width}")[:, 0]
+    first, app = _numbering(names)
+    return Trace([name.decode() for name in names[first].tolist()], app,
+                 core.astype(np.int64), vaddr, write)
+
+
+def _digits(data, start, end, base):
+    """The values of the digit runs data[start:end] in `base`, or None if a
+    byte is not a digit.  The runs are right-aligned to the longest."""
+    value = np.zeros(len(start), dtype=np.uint64)
+    for k in range(int((end - start).max()), 0, -1):
+        at = end - k
+        digit = np.where(at >= start, _DIGIT.take(data.take(at, mode="clip")), 0)
+        if digit.max() >= base:
+            return None
+        value = value * np.uint64(base) + digit
+    return value
+
+
+def _parse_lines(path, data: bytes) -> Trace:
+    """Parse a trace file's bytes line by line: UTF-8 with universal newlines,
+    '#' comments, any whitespace, any token `int` reads.  The first malformed
+    line is a TraceError naming `path:line`."""
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        line = _universal_newlines(data[:exc.start].decode()).count("\n") + 1
+        raise TraceError(f"{path}:{line}: byte {data[exc.start]:#04x} is not UTF-8 "
+                         f"({exc.reason})") from None
+    records = []
+    for lineno, line in enumerate(_universal_newlines(text).split("\n"), start=1):
+        parts = line.partition("#")[0].split()
         if not parts:
             continue
         if len(parts) != 4:
             raise TraceError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-        _, core_s, vaddr_s, op = parts
+        app, core_s, vaddr_s, op = parts
         if op not in OPS:
             raise TraceError(f"{path}:{lineno}: unknown op {op!r}")
         try:
-            problem = _record_problem(int(core_s), int(vaddr_s, 16), op)
+            core, vaddr = int(core_s), int(vaddr_s, 16)
         except ValueError as exc:
-            problem = str(exc)
+            raise TraceError(f"{path}:{lineno}: {exc}") from None
+        problem = _record_problem(core, vaddr, op)
         if problem:
             raise TraceError(f"{path}:{lineno}: {problem}")
+        records.append((app, core, vaddr, op))
+    return Trace.of(records)
+
+
+def _universal_newlines(text: str) -> str:
+    """`text` with '\r\n' and '\r' read as '\n', as `open` reads it."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")

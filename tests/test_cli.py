@@ -361,6 +361,15 @@ def test_malformed_config_field_is_config_error(tmp_path, capsys, overrides, mes
     ({"total_pages": [1]}, "total_pages must be an integer, got [1]"),
     ({"workload": [{"app": "H", "kind": "llch", "pages": 64, "accesses": 10}]},
      "workload[0] (app 'H'): 10 accesses cannot cover 64 pages at stride 64 (need >= 4096)"),
+    ({"sampler": {"period": "x"}}, "sampler.period must be an integer, got 'x'"),
+    ({"hierarchy": {"latencies": {"row_hit": "x"}}},
+     "hierarchy.latencies.row_hit must be an integer, got 'x'"),
+    ({"mapping": {"row_shift": "x"}}, "mapping.row_shift must be an integer, got 'x'"),
+    ({"mapping": {"bank_index_bits": [13, "x"]}},
+     "mapping.bank_index_bits must be an integer, got 'x'"),
+    ({"thresholds": {"hot_page_low": "x"}}, "thresholds.hot_page_low must be a number, got 'x'"),
+    ({"thresholds": {"footprint_pages": None}},
+     "thresholds.footprint_pages must be an integer, got None"),
 ])
 def test_config_error_names_entry_or_field(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, policy="interleave", **overrides)
@@ -391,6 +400,24 @@ def test_trace_address_outside_64_bits_is_runtime_error(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == \
         f"error: {path}:2: address -0x1000 outside [0, 2^64)\n"
+
+
+def test_trace_file_not_utf8_is_runtime_error(tmp_path, capsys):
+    # universal newlines: '\r\n' and a lone '\r' each end a line
+    path = tmp_path / "h.trace"
+    path.write_bytes(b"H 0 0x1000 r\r\nH 0 0x2000 r\rH 0 0x\xff r\n")
+    cfg = write_config(tmp_path, workload=[{"app": "H", "trace": str(path)}])
+    assert main(["classify", "--config", cfg]) == 3
+    assert capsys.readouterr().err == \
+        f"error: {path}:3: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+
+def test_config_file_not_utf8_is_config_error(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_bytes(b"profile: [{app: H, category: llch}]\nseed: 1  # \xe9t\xe9\n")
+    assert main(["advise", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: {path}: byte 0xe9 is not UTF-8 (invalid continuation byte)\n"
 
 
 def test_every_library_error_has_one_base():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from memcolor import workloads
 from memcolor.workloads import (ARCHETYPE_KINDS, PAGE_BYTES, ArchetypeParams,
                                 Trace, TraceError, TraceRecord, canonical_params,
                                 gen, mix, read_trace, write_trace)
@@ -192,13 +193,22 @@ def reference_write(records) -> bytes:
 
 
 def reference_read(path):
+    """The records of a trace file; a line that holds no fit record is a
+    ValueError whose argument is the line's number."""
     records = []
-    with open(path) as fh:
-        for line in fh:
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
             parts = line.split("#", 1)[0].split()
             if parts:
-                app, core, vaddr, op = parts
-                records.append(TraceRecord(app, int(core), int(vaddr, 16), op))
+                try:
+                    app, core, vaddr, op = parts
+                    record = TraceRecord(app, int(core), int(vaddr, 16), op)
+                except ValueError:
+                    raise ValueError(lineno) from None
+                if op not in ("r", "w") or not -(1 << 63) <= record.core < 1 << 63 \
+                        or not 0 <= record.vaddr < 1 << 64:
+                    raise ValueError(lineno)
+                records.append(record)
     return records
 
 
@@ -262,6 +272,159 @@ def test_write_read_match_record_reference(tmp_path_factory, records, data):
     assert_plain(trace)
     write_trace(trace, path)
     assert path.read_bytes() == reference_write(records)
+
+
+# --- the vectorized reader against the per-line parser and the reference ----
+
+def with_underscore(digits, draw):
+    if len(digits) < 2:
+        return digits
+    at = draw(st.integers(1, len(digits) - 1))
+    return digits[:at] + "_" + digits[at:]
+
+
+@st.composite
+def odd_core(draw, core):
+    form = draw(st.sampled_from(["zeros", "long", "sign", "underscore", "wide"]))
+    if form == "zeros":
+        return "00" + str(core)
+    if form == "long":                  # 19+ digits, led by zeros
+        return str(core).zfill(draw(st.integers(19, 24)))
+    if form == "sign":
+        return draw(st.sampled_from(["+", "-"])) + str(core)
+    if form == "underscore":
+        return with_underscore(str(core), draw)
+    return str(draw(st.integers(10 ** 18, 10 ** 19 - 1)))     # 19 digits, in range or not
+
+
+@st.composite
+def odd_vaddr(draw, vaddr):
+    digits = f"{vaddr:x}"
+    form = draw(st.sampled_from(["0X", "upper", "bare", "sign", "underscore", "zeros",
+                                 "long"]))
+    if form == "0X":
+        return "0X" + digits
+    if form == "upper":
+        return "0x" + digits.upper()
+    if form == "bare":
+        return digits.zfill(draw(st.integers(1, 20)))
+    if form == "sign":
+        return draw(st.sampled_from(["+", "-"])) + "0x" + digits
+    if form == "underscore":
+        return "0x" + with_underscore(digits, draw)
+    if form == "zeros":
+        return "0x00" + digits
+    return "0x" + digits.zfill(draw(st.integers(17, 20)))     # 17+ digits, led by zeros
+
+
+# Each odd feature a file may have, with the forms it draws from; a file
+# with none is canonical.
+SEPARATORS = [" ", "  ", "\t", " \t", "\x1c", "\x1d", "\x1e", "\x1f"]
+BLANK_LINES = ["", "   ", "\t", "\x1f "]
+COMMENT_LINES = ["# note", "#A 0 0x1 r", "\t# x 1 0x0 r", "  # A 0 0x40 r"]
+FAULTS = ["R", "x", "rw", "drop", "extra", "join"]
+FEATURES = ("names", "cores", "addresses", "spacing", "comments", "newlines", "faults")
+
+
+@st.composite
+def trace_texts(draw):
+    """A trace file's text: records, and for each feature drawn, its odd
+    forms now and then: non-ASCII names, cores or addresses in forms `int`
+    reads (or rejects), other whitespace and blank lines, comments, '\r\n'
+    or '\r' newlines, malformed lines."""
+    odd = draw(st.sets(st.sampled_from(FEATURES), max_size=3))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        app = draw(st.sampled_from(["A", "B", "app.7", "Z"] + (
+            ["\u00e9t\u00e9", "\u65e5"] if "names" in odd else [])))
+        core = draw(st.one_of(st.integers(0, 9), st.integers(0, (1 << 63) - 1)))
+        vaddr = draw(st.one_of(st.integers(0, 1 << 20), st.integers(0, (1 << 64) - 1)))
+        fields = [app, str(core), hex(vaddr), draw(st.sampled_from(["r", "w"]))]
+        if "cores" in odd and draw(st.integers(0, 2)) == 0:
+            fields[1] = draw(odd_core(core))
+        if "addresses" in odd and draw(st.integers(0, 2)) == 0:
+            fields[2] = draw(odd_vaddr(vaddr))
+        if "faults" in odd and draw(st.integers(0, 7)) == 0:
+            fault = draw(st.sampled_from(FAULTS))
+            if fault == "drop":
+                del fields[draw(st.integers(0, 3))]
+            elif fault == "extra":
+                fields.append("r")
+            elif fault == "join":           # two records on one line
+                fields += fields
+            else:
+                fields[3] = fault
+        sep, tail = " ", ""
+        if "spacing" in odd:
+            sep = draw(st.sampled_from(SEPARATORS))
+            tail = draw(st.sampled_from(["", " ", "\t"]))
+            lines += draw(st.lists(st.sampled_from(BLANK_LINES), max_size=1))
+        if "comments" in odd:
+            tail += draw(st.sampled_from(["", " # trailing", "#tight"]))
+            lines += draw(st.lists(st.sampled_from(COMMENT_LINES), max_size=1))
+        lines.append(sep.join(fields) + tail)
+    ends = ["\n", "\r\n", "\r"] if "newlines" in odd else ["\n"]
+    text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
+    return text[:-1] if draw(st.booleans()) else text      # no final newline
+
+
+# Files one step from canonical, whose step the vectorized reader must see.
+@given(text=trace_texts())
+@example(text="A 0 0x40 x\n")
+@example(text="A 0 0x40 r\nA 0 0x40 r A 0 0x80 w\n")
+@example(text="A 0 0x40 r A\n0 0x80 w\n")
+@example(text="A 0 0x40\nr\n")
+@example(text="A 0 0X40 r\nA 0 00d40 r\nA 0 0x4_0 r\n")
+@example(text="A 0 0d40 r\n")
+@example(text="A 0 1x40 r\n")
+@example(text="A 0 0x r\n")
+@example(text="A 0 0x10000000000000000 r\n")
+@example(text="A 0 0x40 r\n#A 0 0x1 r\nA#B 0 0x40 r\n")
+@example(text="A 0 0x0000000000000000ff r\nA 0000000000000000000009 0x0 r\n")
+@example(text="A 9999999999999999999 0x40 r\n")
+@example(text="A 0 0x40 r#\n")
+@example(text="A 0 0x40 r\r\nB 1 0x80 w\n")
+@settings(max_examples=300, deadline=None)
+def test_read_trace_matches_line_parser_and_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("t") / "t.trace"
+    path.write_bytes(text.encode())
+    outcomes = []
+    for parse in (read_trace, lambda p: workloads._parse_lines(p, p.read_bytes())):
+        try:
+            outcomes.append(parse(path))
+        except TraceError as exc:
+            outcomes.append(str(exc))
+    fast, lines = outcomes
+    assert type(fast) is type(lines) and fast == lines
+    try:
+        records = reference_read(path)
+    except ValueError as exc:
+        assert isinstance(fast, str) and fast.startswith(f"{path}:{exc.args[0]}: ")
+    else:
+        assert fast == records
+        assert fast.apps == lines.apps == tuple(dict.fromkeys(r.app for r in records))
+        assert_plain(fast)
+
+
+@pytest.mark.parametrize("records", [
+    gen(canonical_params("ccf", seed=1)), gen(canonical_params("llct", seed=2)),
+    gen(canonical_params("llcm", seed=3)), gen(canonical_params("llch", seed=4)),
+    mix([gen(ArchetypeParams("llch", 16, 2048, seed=5, app="H1", core=3)),
+         gen(ArchetypeParams("ccf", 4, 700, seed=6, app="c", core=1)),
+         [TraceRecord("long-app-name", 0, (1 << 64) - 1, "w"),
+          TraceRecord("A", 0, 0, "r")]], k=3, cores=[7, 0, 99]),
+    [], [TraceRecord("A", 10 ** 18 - 1, (1 << 64) - 1, "w")]])
+def test_canonical_files_take_the_vectorized_path(tmp_path, monkeypatch, records):
+    def refuse(path, data):
+        raise AssertionError(f"{path} went to the per-line parser")
+    monkeypatch.setattr(workloads, "_parse_lines", refuse)
+    path = tmp_path / "t.trace"
+    write_trace(records, path)
+    trace = read_trace(path)
+    assert trace == records and trace.apps == Trace.of(records).apps
+    # the same file without its final newline
+    path.write_bytes(path.read_bytes()[:-1])
+    assert read_trace(path) == records
 
 
 def test_trace_columns():
