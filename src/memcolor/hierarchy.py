@@ -18,7 +18,7 @@ import numpy as np
 from memcolor import _native
 from memcolor.errors import ConfigError, MemcolorError
 from memcolor.mapping import AddressMapping, MappingError
-from memcolor.workloads import Trace
+from memcolor.workloads import CHUNK, Trace
 
 
 DEFAULT_LATENCIES = {
@@ -28,10 +28,6 @@ DEFAULT_LATENCIES = {
     "row_miss": 200,
     "row_conflict": 300,
 }
-
-ROW_HIT = "row_hit"
-ROW_MISS = "row_miss"
-ROW_CONFLICT = "row_conflict"
 
 COUNTER_KEYS = (
     "private_hits",
@@ -174,9 +170,15 @@ class MemoryHierarchy:
 
         self._set_extract = m.set_extractor().extract
         self._bank_extract = m.bank_extractor().extract
-        self._line_shift = m.line_offset_bits
-        self._row_shift = m.row_shift
-        self._mem_bytes = m.mem_bytes
+        self._line_shift, self._row_shift, self._mem_bytes = (
+            m.line_offset_bits, m.row_shift, m.mem_bytes)
+        # the layout as the kernel takes it; an extractor is its segments'
+        # flat (shift, mask, out) triples and their count
+        sets, banks = (np.array(e.segments, dtype=np.int64).reshape(-1)
+                       for e in (m.set_extractor(), m.bank_extractor()))
+        self._layout = (m.page_offset_bits, m.line_offset_bits, m.row_shift,
+                        private_cfg.sets - 1, m.mem_bytes, sets, len(sets) // 3,
+                        banks, len(banks) // 3, private_cfg.ways, llc_cfg.ways)
 
         self._llc_ways = llc_cfg.ways
         self._llc = np.zeros(llc_cfg.sets * llc_cfg.ways, dtype=np.int64)
@@ -195,13 +197,14 @@ class MemoryHierarchy:
         self._views()
 
     def _views(self):
-        """Memoryviews of the state arrays, for the Python step."""
-        self._view = [memoryview(a) for a in (
-            self._private, self._private_fill, self._llc, self._llc_owner,
-            self._llc_fill, self._bank_row, self._bank_app)]
+        """The state arrays, in the kernel's order, and memoryviews of them
+        for the Python step."""
+        self._state = (self._private, self._private_fill, self._llc, self._llc_owner,
+                       self._llc_fill, self._bank_row, self._bank_app)
+        self._view = list(map(memoryview, self._state))
 
-    def register_core(self, core) -> int:
-        """The position of `core`'s private sets, registering it first if
+    def private_base(self, core) -> int:
+        """The first of `core`'s private sets, registering the core first if
         new; the private arrays double when full."""
         index = self._cores.get(core)
         if index is None:
@@ -211,7 +214,7 @@ class MemoryHierarchy:
                     np.concatenate([a, np.zeros_like(a)])
                     for a in (self._private, self._private_fill))
                 self._views()
-        return index
+        return index * self._private_sets
 
     def owner(self, app_id) -> int:
         """The owner id of `app_id`, assigned on first use."""
@@ -247,25 +250,27 @@ class MemoryHierarchy:
         `run_trace`."""
         if addr < 0 or addr >= self._mem_bytes:
             raise MappingError(f"address {addr:#x} out of range")
-        line = addr >> self._line_shift
-        pset = self.register_core(core) * self._private_sets + (line & self._private_mask)
-        code = self._step(line, pset, self._set_extract(addr), self._bank_extract(addr),
-                          addr >> self._row_shift, self.owner(app_id))
+        code = self._step(addr, self.private_base(core), self.owner(app_id))
         for key in CODE_KEYS[code]:
             self.metrics.bump(app_id, key)
         return OUTCOMES[code]
 
-    def _step(self, line, pset, lset, bank, row, app) -> int:
-        """One access, as ids (line, private set, LLC set, bank, row, owner),
-        through the cache and bank state; returns its outcome code.  The
-        Python form of the kernel's loop body."""
+    def _step(self, addr, base, app) -> int:
+        """One access to an address in range by the core whose private sets
+        start at `base` and owner id `app`; returns its outcome code.  The
+        kernel's loop body: the LLC set is extracted only after a private
+        miss, the bank and row only after an LLC miss."""
         private, private_fill, llc, llc_owner, llc_fill, bank_row, bank_app = self._view
-        if _lru(private, None, private_fill, pset, self._private_ways, line, app)[0] == HIT:
+        line = addr >> self._line_shift
+        if _lru(private, None, private_fill, base + (line & self._private_mask),
+                self._private_ways, line, app)[0] == HIT:
             return OUT_PRIVATE_HIT
-        found, victim = _lru(llc, llc_owner, llc_fill, lset, self._llc_ways, line, app)
+        found, victim = _lru(llc, llc_owner, llc_fill, self._set_extract(addr),
+                             self._llc_ways, line, app)
         if found == HIT:
             return OUT_LLC_HIT
         code = OUT_CROSS_EVICTION if found == EVICTED and victim != app else 0
+        bank, row = self._bank_extract(addr), addr >> self._row_shift
         open_row = bank_row[bank]
         if open_row < 0:
             code |= OUT_ROW_MISS
@@ -279,19 +284,28 @@ class MemoryHierarchy:
         bank_app[bank] = app
         return code
 
-    def _replay_chunk(self, codes, lines, psets, lsets, banks, rows, apps):
-        """Run a chunk of accesses, as id arrays, through the state and
-        write their outcome codes: in the native kernel when it can be
-        built, else by `_step`."""
+    def _replay(self, page_of, vaddr, core_of, app_of, frames, private_base, owner_of, codes):
+        """Replay the first len(codes) accesses of a trace and write their
+        codes: access k is at offset vaddr[k] in frame frames[page_of[k]],
+        by private_base[core_of[k]] and owner_of[app_of[k]] as in `_step`.
+        Returns the number replayed, which stops before an address out of
+        range.  One kernel call when gcc can build it, else `_step`s."""
+        n = len(codes)
         lib = _native.kernel()
-        if lib is None:
-            codes[:] = list(map(self._step, lines.tolist(), psets.tolist(), lsets.tolist(),
-                                banks.tolist(), rows.tolist(), apps.tolist()))
-            return
-        lib.replay(len(codes), lines, psets, lsets, banks, rows, apps,
-                   self._private, self._private_fill, self._private_ways,
-                   self._llc, self._llc_owner, self._llc_fill, self._llc_ways,
-                   self._bank_row, self._bank_app, codes)
+        if lib is not None:
+            return lib.replay(n, page_of, vaddr, core_of, app_of, frames, private_base, owner_of,
+                              *self._layout, *self._state, codes)
+        shift, offset_mask = self.mapping.page_offset_bits, self.mapping.page_bytes - 1
+        for start in range(0, n, CHUNK):
+            part = slice(start, min(start + CHUNK, n))
+            addrs = (frames[page_of[part]] << shift) | (vaddr[part].astype(np.int64) & offset_mask)
+            for k, addr, base, app in zip(range(start, n), addrs.tolist(),
+                                          private_base[core_of[part]].tolist(),
+                                          owner_of[app_of[part]].tolist()):
+                if addr >= self._mem_bytes:
+                    return k
+                codes[k] = self._step(addr, base, app)
+        return n
 
 
 # Results of a set lookup, as in the kernel's `lru`
@@ -361,8 +375,8 @@ CODE_COUNTS = _code_counts()
 
 def _outcome(code: int) -> AccessOutcome:
     terminal = code & ~OUT_CROSS_EVICTION
-    dram = {OUT_ROW_HIT: ROW_HIT, OUT_ROW_MISS: ROW_MISS, OUT_ROW_CONFLICT: ROW_CONFLICT,
-            OUT_CROSS_CONFLICT: ROW_CONFLICT}.get(terminal)
+    dram = {OUT_ROW_HIT: "row_hit", OUT_ROW_MISS: "row_miss", OUT_ROW_CONFLICT: "row_conflict",
+            OUT_CROSS_CONFLICT: "row_conflict"}.get(terminal)
     return AccessOutcome(terminal == OUT_PRIVATE_HIT, terminal == OUT_LLC_HIT, dram,
                          terminal == OUT_CROSS_CONFLICT)
 
@@ -370,11 +384,6 @@ def _outcome(code: int) -> AccessOutcome:
 # per code: the counters it adds to, and the outcome `access` returns
 CODE_KEYS = [tuple(k for k, v in zip(COUNTER_KEYS, row) if v) for row in CODE_COUNTS.tolist()]
 OUTCOMES = [_outcome(code) for code in range(N_CODES)]
-
-# Accesses whose ids are computed (and, for the Python loop, unboxed to
-# Python ints) at a time; a whole trace at once would raise peak memory for
-# no speed.
-CHUNK = 1 << 14
 
 
 def run_trace(trace, allocator, hierarchy: MemoryHierarchy,
@@ -386,11 +395,12 @@ def run_trace(trace, allocator, hierarchy: MemoryHierarchy,
     `allocator.touch` and `hierarchy.access` called record by record, the
     per-access reference.  The replay is batched instead: each distinct
     page is translated once, in first-touch order (the trace's page
-    numbering, kept with the trace); line, LLC set, bank and row of every
-    access come from numpy; one LRU/open-row loop writes an outcome code per
-    access, and the counters are bincounts of the codes.  That loop is the
-    native kernel (`_kernel.c`) on the hierarchy's own arrays when gcc can
-    build it, and `MemoryHierarchy._step` per access otherwise.
+    numbering, kept with the trace); one call replays every access from
+    the trace's columns and its pages' frames, deriving address, line,
+    sets, bank and row and writing an outcome code, and the counters are
+    bincounts of the codes.  That call is the native kernel (`_kernel.c`)
+    on the hierarchy's own arrays when gcc can build it, and
+    `MemoryHierarchy._step` per access otherwise.
 
     Returns (Metrics, snapshots); snapshots holds one metrics dict per epoch
     of `epoch` accesses when requested (`epoch` > 0).
@@ -402,50 +412,40 @@ def run_trace(trace, allocator, hierarchy: MemoryHierarchy,
     n = len(trace)
     if not n:
         return metrics, []
-    m = hierarchy.mapping
-    shift = m.page_offset_bits
+    shift = hierarchy.mapping.page_offset_bits
     app_order = trace.apps
     app_of = trace.app
 
     # 1. translate every distinct (app, vpn) once, in first-touch order
     pages = trace.pages(shift)
-    page_of = pages.of
     pfns, error = allocator.translate_page_array(app_order, app_of[pages.first], pages.vpn)
     stop, failure = n, None
     if error is not None:
         stop = int(pages.first[len(pfns)])
         failure = SimulationError(f"record {stop}: {error}")
         failure.__cause__ = error
-    offset = (trace.vaddr[:stop] & np.uint64((1 << shift) - 1)).astype(np.int32)
-    # an access is out of range when its offset reaches past the end of
-    # memory from its frame's start
-    bad = np.flatnonzero(offset >= (m.mem_bytes - (pfns << shift))[page_of[:stop]])
-    if bad.size:
-        stop = int(bad[0])
-        addr = (int(pfns[page_of[stop]]) << shift) | int(offset[stop])
-        failure = MappingError(f"record {stop}: address {addr:#x} out of range")
 
-    # 2. line, private set, LLC set, bank and row per access, chunk by
-    # chunk, each chunk replayed on the hierarchy's state; cores and apps
-    # become the hierarchy's private-set positions and owner ids
+    # 2. replay the accesses before the stop in one call, on the cores'
+    # private sets and the apps' owner ids; it stops at an address out of range
     core_order, core_of = trace.cores()
-    # the cores met before `stop` lead core_order
-    core_order = core_order[:int(core_of[:stop].max()) + 1 if stop else 0]
-    core_ids = np.array([hierarchy.register_core(c) for c in core_order], dtype=np.int64)
-    owner_ids = np.array([hierarchy.owner(a) for a in app_order], dtype=np.int32)
+    known = len(hierarchy._cores)
+    met = int(core_of[:stop].max()) + 1 if stop else 0  # the cores met lead core_order
+    private_base = np.array([hierarchy.private_base(c) for c in core_order[:met]], dtype=np.int64)
+    owner_of = np.array([hierarchy.owner(a) for a in app_order], dtype=np.int32)
     codes = np.empty(stop, dtype=np.uint8)
-    for start in range(0, stop, CHUNK):
-        end = min(start + CHUNK, stop)
-        addr = (pfns[page_of[start:end]] << shift) | offset[start:end]
-        line = addr >> hierarchy._line_shift
-        hierarchy._replay_chunk(
-            codes[start:end], line,
-            core_ids[core_of[start:end]] * hierarchy._private_sets + (line & hierarchy._private_mask),
-            hierarchy._set_extract(addr), hierarchy._bank_extract(addr),
-            addr >> hierarchy._row_shift, owner_ids[app_of[start:end]])
+    done = hierarchy._replay(pages.of, np.ascontiguousarray(trace.vaddr), core_of, app_of,
+                             pfns, private_base, owner_of, codes)
+    if done < stop:
+        addr = (int(pfns[pages.of[done]]) << shift) | (int(trace.vaddr[done]) & ((1 << shift) - 1))
+        failure = MappingError(f"record {done}: address {addr:#x} out of range")
+        # unregister the cores first met at or after record `done`
+        for core in core_order[int(core_of[:done].max()) + 1 if done else 0:met]:
+            if hierarchy._cores[core] >= known:
+                del hierarchy._cores[core]
+        stop = done
 
     # 3. counters per epoch from the outcome codes
-    key = app_of[:stop] * N_CODES + codes
+    key = app_of[:stop] * N_CODES + codes[:stop]
     step = epoch or max(stop, 1)
     snapshots = []
     for start in range(0, stop, step):

@@ -40,10 +40,10 @@ def _runs(positions):
 
 class BitExtractor:
     """Extracts a set of bit positions from an integer, LSB-first in
-    ascending position order.  Precompiled into contiguous-run segments so
-    the common contiguous case costs one shift and one mask."""
+    ascending position order.  Precompiled into contiguous-run `segments`,
+    (shift, mask, out) triples, which the native kernel also takes."""
 
-    __slots__ = ("positions", "_segments")
+    __slots__ = ("positions", "segments")
 
     def __init__(self, positions):
         self.positions = tuple(sorted(positions))
@@ -53,11 +53,11 @@ class BitExtractor:
             for start, length in _runs(list(self.positions)):
                 segments.append((start, (1 << length) - 1, out))
                 out += length
-        self._segments = tuple(segments)
+        self.segments = tuple(segments)
 
     def extract(self, value: int) -> int:
         result = 0
-        for shift, mask, out in self._segments:
+        for shift, mask, out in self.segments:
             result |= ((value >> shift) & mask) << out
         return result
 

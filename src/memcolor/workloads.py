@@ -32,8 +32,8 @@ PAGE_BYTES = 4096
 LINE_BYTES = 64
 OPS = ("r", "w")                # a record's op; the write column indexes this
 ADDRESS_LIMIT = 1 << 64
-# Records converted to Python objects at a time when a trace is iterated or
-# written; a whole trace at once would raise peak memory for no speed.
+# Records converted to Python objects at a time (a trace iterated, written or
+# replayed in Python); a whole trace at once would raise peak memory for no speed.
 CHUNK = 1 << 14
 
 

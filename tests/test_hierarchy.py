@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memcolor import _native
@@ -404,13 +404,19 @@ def test_run_trace_rejects_negative_epoch():
 
 def test_run_trace_out_of_range_names_record():
     small = AddressMapping(mem_bytes=1 << 24)             # 4096 frames
-    alloc = Allocator(8192, policy_spec(PolicyKind.INTERLEAVE, small), small)
-    alloc.register("A")
-    h = MemoryHierarchy(small)
-    trace = [TraceRecord("A", 0, i * 4096, "r") for i in range(5000)]
-    with pytest.raises(MappingError, match=r"record 4096: address 0x1000000 out of range"):
-        run_trace(trace, alloc, h)
-    assert h.metrics.accesses == 4096
+    # core 1 first appears at the record out of range, core 2 after it
+    trace = [TraceRecord("A", 0 if i < 4096 else 1 + (i > 4096), i * 4096, "r")
+             for i in range(5000)]
+    for loops in (contextlib.nullcontext(), python_loops()):
+        alloc = Allocator(8192, policy_spec(PolicyKind.INTERLEAVE, small), small)
+        alloc.register("A")
+        h = MemoryHierarchy(small)
+        h.access(3, "A", 0)
+        with loops, pytest.raises(MappingError,
+                                  match=r"record 4096: address 0x1000000 out of range"):
+            run_trace(trace, alloc, h)
+        assert h.metrics.accesses == 4097
+        assert [core for core, _ in h.state()["private"]] == [3, 0]
 
 
 @pytest.mark.parametrize("name,spec", specs(), ids=[n for n, _ in specs()])
@@ -434,64 +440,81 @@ def python_loops():
 
 
 @st.composite
-def replay_calls(draw):
-    """Tiny cache and bank geometry, and 1-3 replay calls, each over its
-    own cores and apps (in first-access order), split into 1-2 chunks of
-    accesses (core, app, line, bank, row)."""
-    sizes = st.sampled_from([1, 2, 4])
-    geometry = dict(psets=draw(sizes), pways=draw(st.integers(1, 2)),
-                    lsets=draw(sizes), lways=draw(st.integers(1, 2)), banks=draw(sizes))
+def replay_cases(draw):
+    """A tiny mapping of 16 frames, whose set and bank bits each form 1-3
+    runs, so the extractors merge several segments; tiny caches; and 1-3
+    replay calls on one hierarchy.  A call has its own cores, apps (None
+    among the choices), frames for 1-4 pages (up to two frames past the
+    end of memory) and accesses (core, app, page, virtual address)."""
+    def runs(low):
+        bits, p = [], low + draw(st.integers(0, 2))
+        for _ in range(draw(st.integers(1, 3))):
+            length = draw(st.integers(1, 2))
+            bits += range(p, p + length)
+            p += length + draw(st.integers(1, 3))
+        return tuple(bits)
+
+    geometry = dict(set_bits=runs(6), bank_bits=runs(8), row_shift=draw(st.integers(12, 17)),
+                    psets=draw(st.sampled_from([1, 2, 4])), pways=draw(st.integers(1, 2)),
+                    lways=draw(st.integers(1, 2)))
     calls = []
     for _ in range(draw(st.integers(1, 3))):
         cores = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=3, unique=True))
         apps = draw(st.lists(st.sampled_from(["A", "B", "C", None]), min_size=1,
                              max_size=4, unique=True))
+        frames = draw(st.lists(st.integers(0, 17), min_size=1, max_size=4))
+        vaddr = st.builds(lambda high, offset: high << 12 | offset, st.integers(0, 2**52 - 1),
+                          st.sampled_from([0, 8, 64, 200, 2048, 4095]))
         access = st.tuples(st.integers(0, len(cores) - 1), st.integers(0, len(apps) - 1),
-                           st.integers(0, 7), st.integers(0, geometry["banks"] - 1),
-                           st.integers(0, 2))
-        chunks = draw(st.lists(st.lists(access, max_size=40), min_size=1, max_size=2))
-        calls.append((cores, apps, chunks))
+                           st.integers(0, len(frames) - 1), vaddr)
+        calls.append((cores, apps, frames, draw(st.lists(access, max_size=60))))
     return geometry, calls
 
 
-def tiny_hierarchy(g):
-    """A hierarchy of geometry `g`, whose set and bank counts are powers of
-    two; only the ids passed to `_replay_chunk` address it."""
-    def bits(count, low):
-        return tuple(range(low, low + count.bit_length() - 1))
-
-    m = AddressMapping(set_index_bits=bits(g["lsets"], 6), bank_index_bits=bits(g["banks"], 20),
-                       b_bits=(), c_bits=(), o_bits=())
-    return MemoryHierarchy(m, CacheConfig(g["psets"] * g["pways"] * 64, g["pways"]),
-                           CacheConfig(g["lsets"] * g["lways"] * 64, g["lways"]))
-
-
 def replay_tiny(geometry, calls):
-    """Replay `calls` through `MemoryHierarchy._replay_chunk` on a fresh tiny
-    hierarchy; returns the codes and the end state, orders included."""
+    """Replay `calls` through `MemoryHierarchy._replay` on a fresh tiny
+    hierarchy; returns per call the accesses replayed and their codes, and
+    the end state, orders included."""
     g = geometry
-    h = tiny_hierarchy(g)
-    codes = []
-    for cores, apps, chunks in calls:
-        core_ids = np.array([h.register_core(c) for c in cores], dtype=np.int64)
-        owner_ids = np.array([h.owner(a) for a in apps], dtype=np.int32)
-        for chunk in chunks:
-            core, app, line, bank, row = np.array(chunk, dtype=np.int64).reshape(-1, 5).T.copy()
-            out = np.empty(len(chunk), dtype=np.uint8)
-            h._replay_chunk(out, line, core_ids[core] * g["psets"] + line % g["psets"],
-                            line % g["lsets"], bank, row, owner_ids[app])
-            codes.append(out.tolist())
-    return codes, h.state()
+    m = AddressMapping(set_index_bits=g["set_bits"], bank_index_bits=g["bank_bits"],
+                       b_bits=(), c_bits=(), o_bits=(), row_shift=g["row_shift"],
+                       mem_bytes=1 << 16)
+    lsets = 1 << len(g["set_bits"])
+    h = MemoryHierarchy(m, CacheConfig(g["psets"] * g["pways"] * 64, g["pways"]),
+                        CacheConfig(lsets * g["lways"] * 64, g["lways"]))
+    out = []
+    for cores, apps, frames, accesses in calls:
+        private_base = np.array([h.private_base(c) for c in cores], dtype=np.int64)
+        owner_of = np.array([h.owner(a) for a in apps], dtype=np.int32)
+        core, app, page, vaddr = (np.array(column, dtype=dtype) for column, dtype in zip(
+            zip(*accesses) if accesses else ((),) * 4, (np.int32, np.int32, np.int32, np.uint64)))
+        codes = np.zeros(len(accesses), dtype=np.uint8)
+        done = h._replay(page, vaddr, core, app, np.array(frames, dtype=np.int64),
+                         private_base, owner_of, codes)
+        out.append((done, codes[:done].tolist()))
+    return out, h.state()
+
+
+# frames 16 and 17 start at and past the end of memory: the first call stops
+# at record 3, after a row miss, another core's LLC hit and a private hit
+PAST_THE_END = (dict(set_bits=(6, 8, 9, 12), bank_bits=(8, 10, 13, 14), row_shift=14, psets=2,
+                     pways=1, lways=1),
+                [([0, 1], ["A", None], [3, 16, 17],
+                  [(0, 0, 0, 64), (1, 1, 0, 64), (1, 1, 0, 64), (0, 0, 1, 8), (0, 0, 2, 0)]),
+                 ([2], ["B"], [0], [(0, 0, 0, 4095)])])
 
 
 @needs_gcc
 @settings(max_examples=300, deadline=None)
-@given(replay_calls())
+@example(PAST_THE_END)
+@given(replay_cases())
 def test_kernel_replay_matches_python_loop(case):
     assert _native.kernel() is not None
     native = replay_tiny(*case)
     with python_loops():
         assert native == replay_tiny(*case)
+    if case is PAST_THE_END:
+        assert native[0][:2] == [(3, [3, 1, 0]), (1, [3])]
 
 
 @needs_gcc
