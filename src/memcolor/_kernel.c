@@ -58,26 +58,22 @@ static int64_t extract(uint64_t v, const int64_t *seg, int32_t n)
 /* Replay accesses 0..n-1 of a trace through the caches and banks, writing
  * an outcome code per access.  Access k is at offset vaddr[k] within frame
  * frames[page[k]], by core core[k] of the trace, whose private sets start
- * at priv_base[core[k]], and by app app[k], owner id owner[app[k]].  Stops
- * before the first access whose physical address is at or past mem_bytes;
- * returns the number of accesses replayed. */
-int64_t replay(int64_t n, const int32_t *page, const uint64_t *vaddr,
-               const int32_t *core, const int32_t *app, const int64_t *frames,
-               const int64_t *priv_base, const int32_t *owner,
-               int32_t page_shift, int32_t line_shift, int32_t row_shift,
-               int64_t priv_mask, int64_t mem_bytes,
-               const int64_t *set_seg, int32_t set_segs,
-               const int64_t *bank_seg, int32_t bank_segs, int32_t priv_ways,
-               int32_t llc_ways, int64_t *priv, int32_t *priv_fill,
-               int64_t *llc, int32_t *llc_owner, int32_t *llc_fill,
-               int64_t *bank_row, int32_t *bank_app, uint8_t *out)
+ * at priv_base[core[k]], and by app app[k], owner id owner[app[k]].  Every
+ * frame is inside memory, as run_trace checks before it calls this. */
+void replay(int64_t n, const int32_t *page, const uint64_t *vaddr,
+            const int32_t *core, const int32_t *app, const int64_t *frames,
+            const int64_t *priv_base, const int32_t *owner,
+            int32_t page_shift, int32_t line_shift, int32_t row_shift,
+            int64_t priv_mask, const int64_t *set_seg, int32_t set_segs,
+            const int64_t *bank_seg, int32_t bank_segs, int32_t priv_ways,
+            int32_t llc_ways, int64_t *priv, int32_t *priv_fill,
+            int64_t *llc, int32_t *llc_owner, int32_t *llc_fill,
+            int64_t *bank_row, int32_t *bank_app, uint8_t *out)
 {
     const uint64_t offset_mask = ((uint64_t)1 << page_shift) - 1;
     for (int64_t k = 0; k < n; k++) {
         uint64_t addr = (uint64_t)frames[page[k]] << page_shift
                         | (vaddr[k] & offset_mask);
-        if (addr >= (uint64_t)mem_bytes)
-            return k;
         int64_t line = (int64_t)(addr >> line_shift);
         int64_t p = priv_base[core[k]] + (line & priv_mask);
         int32_t a = owner[app[k]], victim = 0;
@@ -106,7 +102,6 @@ int64_t replay(int64_t n, const int32_t *page, const uint64_t *vaddr,
         bank_app[b] = a;
         out[k] = (uint8_t)code;
     }
-    return n;
 }
 
 /* Swap-remove draws: frame k is free[draws[k]], whose slot then takes the

@@ -89,9 +89,9 @@ def kernel():
     i64, i32, u64, u8 = (np.ctypeslib.ndpointer(t, ndim=1, flags="C_CONTIGUOUS")
                          for t in (np.int64, np.int32, np.uint64, np.uint8))
     c64, c32 = ctypes.c_int64, ctypes.c_int32
-    lib.replay.argtypes = [c64, i32, u64, i32, i32, i64, i64, i32, c32, c32, c32, c64, c64,
+    lib.replay.argtypes = [c64, i32, u64, i32, i32, i64, i64, i32, c32, c32, c32, c64,
                            i64, c32, i64, c32, c32, c32, i64, i32, i64, i32, i32, i64, i32, u8]
-    lib.replay.restype = c64
+    lib.replay.restype = None
     lib.draw_frames.argtypes = [c64, i64, i64, c64, i64]
     lib.draw_frames.restype = None
     return lib

@@ -158,14 +158,8 @@ class PageAccessSampler:
         return hot
 
 
-def classify_online(evidence: OnlineEvidence, thresholds: Thresholds,
-                    cfg: SamplerConfig | None = None) -> Category:
-    """Threshold decision over (mean hot pages, WPD); ties take the >= branch."""
-    return _decide(evidence.mean_hot_pages(), evidence.wpd(cfg or SamplerConfig()),
-                   thresholds)
-
-
 def _decide(h: float, w: float, thresholds: Thresholds) -> Category:
+    """Category by mean hot pages h and WPD w; ties take the >= branch."""
     if h <= thresholds.hot_page_low:
         return Category.CCF
     if h >= thresholds.hot_page_high:

@@ -22,8 +22,8 @@ from memcolor.errors import MemcolorError
 from memcolor.hierarchy import (MemoryHierarchy, SimulationError, proxy_cycles,
                                 run_trace)
 from memcolor.policies import PolicyError, PolicyKind, PolicySpec, policy_spec
-from memcolor.workloads import (PARAM_NAMES, canonical_params, gen, mix,
-                                read_trace, write_trace)
+from memcolor.workloads import (PARAM_NAMES, TraceError, canonical_params, gen,
+                                mix, read_trace, write_trace)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,6 +50,8 @@ def _load_traces(cfg: ExperimentConfig) -> dict:
     for entry in cfg.workload:
         if entry.trace_path:
             trace = read_trace(entry.trace_path).on(entry.app, entry.core)
+            if not trace:
+                raise TraceError(f"{entry.trace_path}: no records for app {entry.app!r}")
         else:
             trace = gen(entry.params)
         if entry.app in traces:

@@ -52,16 +52,16 @@ def _mapping_from(doc: dict) -> AddressMapping:
     for key in ("page_offset_bits", "line_offset_bits", "row_shift", "mem_bytes"):
         if key in doc:
             kwargs[key] = _integer(f"mapping.{key}", doc[key])
-    for key in ("set_index_bits", "bank_index_bits"):
+    for key, kind in (("set_index_bits", tuple), ("bank_index_bits", tuple),
+                      ("b_bits", frozenset), ("c_bits", frozenset), ("o_bits", frozenset)):
         if key in doc:
-            kwargs[key] = tuple(_integer(f"mapping.{key}", b) for b in doc[key])
-    for key in ("b_bits", "c_bits", "o_bits"):
-        if key in doc:
-            kwargs[key] = frozenset(_integer(f"mapping.{key}", b) for b in doc[key])
+            kwargs[key] = kind(_integer(f"mapping.{key}", b)
+                               for b in _shaped(f"mapping.{key}", doc[key], list))
     return AddressMapping(**kwargs)
 
 
 def _cache_from(doc: dict, default: CacheConfig, name: str) -> CacheConfig:
+    _shaped(name, doc, dict)
     try:
         return CacheConfig(size_bytes=int(doc.get("size", default.size_bytes)),
                            ways=int(doc.get("ways", default.ways)),
@@ -79,8 +79,7 @@ def _bucket_weights(weights) -> tuple:
 
 
 def _workload_entry(doc: dict, index: int, default_seed: int) -> WorkloadEntry:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"workload[{index}] must be a mapping, got {doc!r}")
+    _shaped(f"workload[{index}]", doc, dict)
     app = str(doc.get("app", chr(ord("A") + index)))
     try:
         core = _integer("core", doc.get("core", index))
@@ -104,6 +103,14 @@ def _profile_entry(doc, index: int) -> tuple:
     except ValueError:
         raise ConfigError(f"profile[{index}] (app {str(doc['app'])!r}): category must be "
                           f"CCF, LLCT, LLCM or LLCH, got {doc.get('category')!r}") from None
+
+
+def _shaped(name: str, value, kind):
+    """`value`, if a `kind` (dict or list); else a ConfigError naming it."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name} must be a {'mapping' if kind is dict else 'list'}, "
+                          f"got {value!r}")
+    return value
 
 
 def _integer(name: str, value) -> int:
@@ -145,25 +152,26 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     cfg = ExperimentConfig()
     try:
         if "mapping" in doc:
-            cfg.mapping = _mapping_from(doc["mapping"])
-        hier = doc.get("hierarchy", {})
+            cfg.mapping = _mapping_from(_shaped("mapping", doc["mapping"], dict))
+        hier = _shaped("hierarchy", doc.get("hierarchy", {}), dict)
         if "private" in hier:
             cfg.private_cache = _cache_from(hier["private"], DEFAULT_PRIVATE,
                                             "hierarchy.private")
         if "llc" in hier:
             cfg.llc = _cache_from(hier["llc"], DEFAULT_LLC, "hierarchy.llc")
         if "latencies" in hier:
+            latencies = _shaped("hierarchy.latencies", hier["latencies"], dict)
             cfg.latencies = {**DEFAULT_LATENCIES,
                              **{k: _integer(f"hierarchy.latencies.{k}", v)
-                                for k, v in hier["latencies"].items()}}
+                                for k, v in latencies.items()}}
         if "sampler" in doc:
-            s = doc["sampler"]
+            s = _shaped("sampler", doc["sampler"], dict)
             cfg.sampler = SamplerConfig(
                 period=_integer("sampler.period", s.get("period", SamplerConfig.period)),
                 bucket_weights=_bucket_weights(s["bucket_weights"]) if "bucket_weights" in s
                 else None)
         if "thresholds" in doc:
-            t = doc["thresholds"]
+            t = _shaped("thresholds", doc["thresholds"], dict)
             defaults = Thresholds()
             read = {int: _integer, float: _number}      # by the default's type
             cfg.thresholds = Thresholds(**{
@@ -185,8 +193,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if not isinstance(workload, list):
             raise ConfigError(f"workload must be a list of mappings, got {workload!r}")
         cfg.workload = [_workload_entry(w, i, cfg.seed) for i, w in enumerate(workload)]
-        if "profile" in doc and doc["profile"]:
-            cfg.profile = [_profile_entry(p, i) for i, p in enumerate(doc["profile"])]
+        if doc.get("profile"):
+            cfg.profile = [_profile_entry(p, i)
+                           for i, p in enumerate(_shaped("profile", doc["profile"], list))]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -207,6 +216,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if entry.core in taken:
             raise ConfigError(f"{where} is already taken by {taken[entry.core]}")
         taken[entry.core] = f"workload[{i}] (app {entry.app!r})"
+    if cfg.profile and cfg.workload:
+        apps = {"workload": [entry.app for entry in cfg.workload],
+                "profile": [app for app, _ in cfg.profile]}
+        for (where, mine), other in zip(apps.items(), ("profile", "workload")):
+            for i, app in enumerate(mine):
+                if app not in apps[other]:
+                    raise ConfigError(f"{where}[{i}] (app {app!r}) is not in the {other}")
     limit = cfg.mapping.total_pages
     if cfg.total_pages is not None and not 1 <= cfg.total_pages <= limit:
         raise ConfigError(f"total_pages must be in [1, {limit}] (the mapping's "

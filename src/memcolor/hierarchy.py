@@ -177,7 +177,7 @@ class MemoryHierarchy:
         sets, banks = (np.array(e.segments, dtype=np.int64).reshape(-1)
                        for e in (m.set_extractor(), m.bank_extractor()))
         self._layout = (m.page_offset_bits, m.line_offset_bits, m.row_shift,
-                        private_cfg.sets - 1, m.mem_bytes, sets, len(sets) // 3,
+                        private_cfg.sets - 1, sets, len(sets) // 3,
                         banks, len(banks) // 3, private_cfg.ways, llc_cfg.ways)
 
         self._llc_ways = llc_cfg.ways
@@ -287,25 +287,22 @@ class MemoryHierarchy:
     def _replay(self, page_of, vaddr, core_of, app_of, frames, private_base, owner_of, codes):
         """Replay the first len(codes) accesses of a trace and write their
         codes: access k is at offset vaddr[k] in frame frames[page_of[k]],
-        by private_base[core_of[k]] and owner_of[app_of[k]] as in `_step`.
-        Returns the number replayed, which stops before an address out of
-        range.  One kernel call when gcc can build it, else `_step`s."""
+        which must be inside memory, by private_base[core_of[k]] and
+        owner_of[app_of[k]] as in `_step`.  One kernel call when gcc can
+        build it, else `_step`s."""
         n = len(codes)
         lib = _native.kernel()
         if lib is not None:
-            return lib.replay(n, page_of, vaddr, core_of, app_of, frames, private_base, owner_of,
-                              *self._layout, *self._state, codes)
+            lib.replay(n, page_of, vaddr, core_of, app_of, frames, private_base, owner_of,
+                       *self._layout, *self._state, codes)
+            return
         shift, offset_mask = self.mapping.page_offset_bits, self.mapping.page_bytes - 1
         for start in range(0, n, CHUNK):
             part = slice(start, min(start + CHUNK, n))
             addrs = (frames[page_of[part]] << shift) | (vaddr[part].astype(np.int64) & offset_mask)
-            for k, addr, base, app in zip(range(start, n), addrs.tolist(),
-                                          private_base[core_of[part]].tolist(),
-                                          owner_of[app_of[part]].tolist()):
-                if addr >= self._mem_bytes:
-                    return k
-                codes[k] = self._step(addr, base, app)
-        return n
+            codes[part] = [self._step(addr, base, app) for addr, base, app in zip(
+                addrs.tolist(), private_base[core_of[part]].tolist(),
+                owner_of[app_of[part]].tolist())]
 
 
 # Results of a set lookup, as in the kernel's `lru`
@@ -402,22 +399,27 @@ def run_trace(trace, allocator, hierarchy: MemoryHierarchy,
     on the hierarchy's own arrays when gcc can build it, and
     `MemoryHierarchy._step` per access otherwise.
 
+    An allocator with more frames than the hierarchy's memory is refused
+    before anything changes, so no replayed address is out of range.
+
     Returns (Metrics, snapshots); snapshots holds one metrics dict per epoch
     of `epoch` accesses when requested (`epoch` > 0).
     """
     if epoch is not None and epoch < 0:
         raise SimulationError(f"epoch must be >= 0, got {epoch}")
+    if allocator.total_pages > hierarchy.mapping.total_pages:
+        raise MappingError(f"the allocator's {allocator.total_pages} frames exceed the "
+                           f"hierarchy's memory of {hierarchy.mapping.total_pages} frames")
     trace = Trace.of(trace)
     metrics = hierarchy.metrics
     n = len(trace)
     if not n:
         return metrics, []
-    shift = hierarchy.mapping.page_offset_bits
     app_order = trace.apps
     app_of = trace.app
 
     # 1. translate every distinct (app, vpn) once, in first-touch order
-    pages = trace.pages(shift)
+    pages = trace.pages(hierarchy.mapping.page_offset_bits)
     pfns, error = allocator.translate_page_array(app_order, app_of[pages.first], pages.vpn)
     stop, failure = n, None
     if error is not None:
@@ -426,26 +428,17 @@ def run_trace(trace, allocator, hierarchy: MemoryHierarchy,
         failure.__cause__ = error
 
     # 2. replay the accesses before the stop in one call, on the cores'
-    # private sets and the apps' owner ids; it stops at an address out of range
+    # private sets and the apps' owner ids
     core_order, core_of = trace.cores()
-    known = len(hierarchy._cores)
     met = int(core_of[:stop].max()) + 1 if stop else 0  # the cores met lead core_order
     private_base = np.array([hierarchy.private_base(c) for c in core_order[:met]], dtype=np.int64)
     owner_of = np.array([hierarchy.owner(a) for a in app_order], dtype=np.int32)
     codes = np.empty(stop, dtype=np.uint8)
-    done = hierarchy._replay(pages.of, np.ascontiguousarray(trace.vaddr), core_of, app_of,
-                             pfns, private_base, owner_of, codes)
-    if done < stop:
-        addr = (int(pfns[pages.of[done]]) << shift) | (int(trace.vaddr[done]) & ((1 << shift) - 1))
-        failure = MappingError(f"record {done}: address {addr:#x} out of range")
-        # unregister the cores first met at or after record `done`
-        for core in core_order[int(core_of[:done].max()) + 1 if done else 0:met]:
-            if hierarchy._cores[core] >= known:
-                del hierarchy._cores[core]
-        stop = done
+    hierarchy._replay(pages.of, np.ascontiguousarray(trace.vaddr), core_of, app_of,
+                      pfns, private_base, owner_of, codes)
 
     # 3. counters per epoch from the outcome codes
-    key = app_of[:stop] * N_CODES + codes[:stop]
+    key = app_of[:stop] * N_CODES + codes
     step = epoch or max(stop, 1)
     snapshots = []
     for start in range(0, stop, step):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from memcolor.errors import MemcolorError
-from memcolor.mapping import AddressMapping, page_color
+from memcolor.mapping import AddressMapping
 
 
 class PolicyError(MemcolorError, ValueError):
@@ -129,10 +129,3 @@ def policy_spec(kind: PolicyKind, m: AddressMapping) -> PolicySpec:
             + sorted(m.c_bits)[:n_c]
             + sorted(m.o_bits, reverse=True)[:n_o])
     return custom_spec(bits, m, kind=kind)
-
-
-def page_color_under(spec: PolicySpec, pfn: int, m: AddressMapping) -> int:
-    """Color of a page frame under a partitioning policy."""
-    if not spec.partitioning:
-        raise PolicyError(f"policy {spec.kind} does not constrain page colors")
-    return page_color(pfn, spec.color_bits, m)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from memcolor.allocator import Allocator
 from memcolor.classifier import (Category, ClassifierError, OnlineEvidence,
                                  PageAccessSampler, SamplerConfig, Thresholds,
-                                 classify_offline, classify_online,
+                                 _decide, classify_offline,
                                  classify_trace_online, count_bucket, job2_wpd)
 from memcolor.mapping import AddressMapping
 from memcolor.policies import PolicyKind, policy_spec
@@ -104,21 +104,22 @@ def test_wpd_properties(counts):
 def test_classify_online_rules():
     th = Thresholds(hot_page_low=10, hot_page_high=100, wpd_low=1.5, wpd_high=6)
 
-    def ev(h, counts):
-        return OnlineEvidence(hot_pages=[h], access_counters=dict(enumerate(counts)))
+    def decide(h, counts):
+        ev = OnlineEvidence(hot_pages=[h], access_counters=dict(enumerate(counts)))
+        return _decide(ev.mean_hot_pages(), ev.wpd(CFG), th)
 
-    assert classify_online(ev(5, [1]), th) is Category.CCF
-    assert classify_online(ev(200, [1, 1]), th) is Category.LLCT
-    assert classify_online(ev(200, [100, 100]), th) is Category.LLCH
-    assert classify_online(ev(200, [4, 4]), th) is Category.LLCM
-    assert classify_online(ev(50, [1]), th) is Category.LLCM
+    assert decide(5, [1]) is Category.CCF
+    assert decide(200, [1, 1]) is Category.LLCT
+    assert decide(200, [100, 100]) is Category.LLCH
+    assert decide(200, [4, 4]) is Category.LLCM
+    assert decide(50, [1]) is Category.LLCM
     # boundary takes the >= branch
-    assert classify_online(ev(100, [1]), th) is Category.LLCT
+    assert decide(100, [1]) is Category.LLCT
 
 
 def test_classify_online_no_evidence():
-    with pytest.raises(ClassifierError):
-        classify_online(OnlineEvidence(), TH)
+    with pytest.raises(ClassifierError, match="no completed sampling interval"):
+        OnlineEvidence().mean_hot_pages()
 
 
 def test_sampler_job1_intervals():
@@ -191,7 +192,7 @@ def test_online_evidence_matches_sampler(params, cfg):
     assert all(type(h) is int for h in ev.hot_pages)
     assert list(ev.access_counters.items()) == list(ref.access_counters.items())
     assert wpd == ref.wpd(cfg)
-    assert cat is classify_online(ref, TH, cfg)
+    assert cat is _decide(ref.mean_hot_pages(), ref.wpd(cfg), TH)
 
 
 @given(accesses=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 4095)),

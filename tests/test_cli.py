@@ -370,10 +370,32 @@ def test_malformed_config_field_is_config_error(tmp_path, capsys, overrides, mes
     ({"thresholds": {"hot_page_low": "x"}}, "thresholds.hot_page_low must be a number, got 'x'"),
     ({"thresholds": {"footprint_pages": None}},
      "thresholds.footprint_pages must be an integer, got None"),
+    ({"hierarchy": 5}, "hierarchy must be a mapping, got 5"),
+    ({"hierarchy": {"latencies": [1]}}, "hierarchy.latencies must be a mapping, got [1]"),
+    ({"hierarchy": {"private": [1]}}, "hierarchy.private must be a mapping, got [1]"),
+    ({"sampler": 5}, "sampler must be a mapping, got 5"),
+    ({"thresholds": 5}, "thresholds must be a mapping, got 5"),
+    ({"mapping": 5}, "mapping must be a mapping, got 5"),
+    ({"mapping": {"set_index_bits": 5}}, "mapping.set_index_bits must be a list, got 5"),
+    ({"profile": 5}, "profile must be a list, got 5"),
 ])
 def test_config_error_names_entry_or_field(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, policy="interleave", **overrides)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("workload,profile,message", [
+    ([dict(SMALL_WORKLOAD[0], app="A")], ["B"], "workload[0] (app 'A') is not in the profile"),
+    (SMALL_WORKLOAD, ["T", "H", "C"], "profile[2] (app 'C') is not in the workload"),
+])
+@pytest.mark.parametrize("command", ["run", "sweep", "advise"])
+def test_profile_and_workload_apps_differ_is_config_error(tmp_path, capsys, command,
+                                                          workload, profile, message):
+    cfg = write_config(tmp_path, workload=workload,
+                       profile=[{"app": app, "category": "LLCH"} for app in profile])
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "o").exists()
 
@@ -400,6 +422,15 @@ def test_trace_address_outside_64_bits_is_runtime_error(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == \
         f"error: {path}:2: address -0x1000 outside [0, 2^64)\n"
+
+
+@pytest.mark.parametrize("text", ["", "# no records\n\n"])
+def test_empty_trace_file_names_file_and_app(tmp_path, capsys, text):
+    path = tmp_path / "h.trace"
+    path.write_text(text)
+    cfg = write_config(tmp_path, workload=[{"app": "H", "trace": str(path)}])
+    assert main(["classify", "--config", cfg]) == 3
+    assert capsys.readouterr().err == f"error: {path}: no records for app 'H'\n"
 
 
 def test_trace_file_not_utf8_is_runtime_error(tmp_path, capsys):

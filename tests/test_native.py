@@ -1,9 +1,12 @@
 """Build checks of the native replay kernel, `src/memcolor/_kernel.c`."""
 
+import ctypes
 import os
+import re
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
 from memcolor import _native
@@ -18,6 +21,27 @@ def test_kernel_compiles_without_warnings():
                            "-fsyntax-only", _native.SOURCE],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+@needs_gcc
+def test_ctypes_signatures_match_the_source():
+    # ctypes passes what argtypes say: a count or type that disagrees with
+    # the C definition goes unnoticed and corrupts the call
+    scalars = {"int64_t": ctypes.c_int64, "int32_t": ctypes.c_int32}
+    with open(_native.SOURCE) as fh:
+        exported = re.findall(r"^(\w+) (\w+)\(([^)]*)\)", fh.read(), re.M)
+    assert exported
+    lib = _native.kernel()
+    for result, name, params in exported:
+        fn = getattr(lib, name)
+        params = [p.split()[-2:] for p in params.split(",")]
+        assert len(fn.argtypes) == len(params), name
+        assert (fn.restype is None) == (result == "void"), name
+        for (ctype, param), argtype in zip(params, fn.argtypes):
+            if param.startswith("*"):
+                assert argtype._dtype_ == np.dtype(ctype.removesuffix("_t")), (name, param)
+            else:
+                assert argtype is scalars[ctype], (name, param)
 
 
 def test_built_library_is_ignored_by_git():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from memcolor.mapping import AddressMapping
+from memcolor.mapping import AddressMapping, page_color
 from memcolor.policies import (PARTITIONING_KINDS, PolicyError, PolicyKind,
-                               custom_spec, page_color_under, policy_spec)
+                               custom_spec, policy_spec)
 
 M = AddressMapping()
 
@@ -41,8 +41,6 @@ def test_non_partitioning_kinds():
         spec = policy_spec(kind, M)
         assert not spec.partitioning
         assert spec.page_colors == 1
-        with pytest.raises(PolicyError):
-            page_color_under(spec, 0, M)
 
 
 def test_spec_rejects_starved_mapping():
@@ -53,16 +51,16 @@ def test_spec_rejects_starved_mapping():
         policy_spec(PolicyKind.A_VP, skinny)
 
 
-def test_page_color_under_avp():
+def test_page_color_avp():
     spec = policy_spec(PolicyKind.A_VP, M)
-    assert page_color_under(spec, 0, M) == 0
-    assert page_color_under(spec, 4, M) == 1          # address bit 14
+    assert page_color(0, spec.color_bits, M) == 0
+    assert page_color(4, spec.color_bits, M) == 1     # address bit 14
 
 
 def test_bvp_b_component():
     spec = policy_spec(PolicyKind.B_VP, M)
     pfn_bit22 = 1 << (22 - 12)
-    color = page_color_under(spec, pfn_bit22, M)
+    color = page_color(pfn_bit22, spec.color_bits, M)
     llc, bank = spec.project(color)
     assert llc == 0
     assert bank == 0b100                               # bit 22 is the pure bank bit
@@ -71,7 +69,7 @@ def test_bvp_b_component():
 def test_bank_only_o_component():
     spec = policy_spec(PolicyKind.BANK_ONLY, M)
     pfn_bit15 = 1 << (15 - 12)
-    color = page_color_under(spec, pfn_bit15, M)
+    color = page_color(pfn_bit15, spec.color_bits, M)
     llc, bank = spec.project(color)
     assert llc == 1
     assert bank & 1                                    # the o component of the bank group

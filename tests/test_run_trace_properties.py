@@ -18,9 +18,8 @@ from memcolor import _native
 from memcolor.allocator import Allocator
 from memcolor.hierarchy import (COUNTER_KEYS, CacheConfig, MemoryHierarchy,
                                 SimulationError, run_trace)
-from memcolor.mapping import AddressMapping, validate_mapping
-from memcolor.policies import (PARTITIONING_KINDS, PolicyKind, page_color_under,
-                               policy_spec)
+from memcolor.mapping import AddressMapping, page_color, validate_mapping
+from memcolor.policies import PARTITIONING_KINDS, PolicyKind, policy_spec
 from memcolor.workloads import Trace
 
 # 16 LLC sets, 16 banks of 8 rows, 1024 frames: lines crowd into few sets
@@ -187,7 +186,7 @@ def test_alloc_csv_rows_are_the_first_touches(engine, kind, calls):
             pfn, (color, llc_group, bank_group) = int(pfn), map(int, groups)
             assert tables[app][int(vpn)][0] == pfn
             if spec.partitioning:
-                assert color == page_color_under(spec, pfn, SMALL)
+                assert color == page_color(pfn, spec.color_bits, SMALL)
                 assert color in alloc.quota_of(app)
                 assert (llc_group, bank_group) == spec.project(color)
             else:
