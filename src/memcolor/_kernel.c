@@ -114,3 +114,159 @@ void draw_frames(int64_t n, const int64_t *draws, int64_t *free_frames,
         free_frames[draws[k]] = free_frames[--left];
     }
 }
+
+/* Trace files.  parse_trace reads what workloads._parse_lines reads, for
+ * ASCII input: records `<app> <core> <hex vaddr> r|w`, fields split on the
+ * whitespace str.split() splits on, '#' comments, '\n', '\r\n' and '\r'
+ * line ends, cores as plain decimal digits, addresses as hex digits with or
+ * without a 0x/0X prefix.  Anything else makes it return -1, "not handled",
+ * so that the Python parser reads the file and reports what is wrong. */
+
+/* What str.split() splits on within a line; '\n' and '\r' end lines. */
+static int is_blank(uint8_t c)
+{
+    return c == ' ' || c == '\t' || c == '\v' || c == '\f' || (c >= 0x1c && c <= 0x1f);
+}
+
+static const uint8_t *skip_blanks(const uint8_t *p, const uint8_t *end)
+{
+    while (p < end && is_blank(*p))
+        p++;
+    return p;
+}
+
+/* The value of a hex digit, or -1. */
+static int hex_digit(uint8_t c)
+{
+    if (c >= '0' && c <= '9')
+        return c - '0';
+    c |= 0x20;
+    return c >= 'a' && c <= 'f' ? c - 'a' + 10 : -1;
+}
+
+/* Whether a blank follows the field that ends at p. */
+static int blank_follows(const uint8_t *p, const uint8_t *end)
+{
+    return p < end && is_blank(*p);
+}
+
+/* Whether name i, data[names[2i]:names[2i+1]], is the `len` bytes at s.
+ * The trace functions call no libc function that replay does not: a new
+ * import grows the PLT and moves replay's loop to another alignment, and
+ * with memcmp and memcpy imported a sweep's replay measured 2.5% slower. */
+static int is_name(const uint8_t *data, const int64_t *names, int64_t i,
+                   const uint8_t *s, int64_t len)
+{
+    if (names[2 * i + 1] - names[2 * i] != len)
+        return 0;
+    for (int64_t k = 0; k < len; k++)
+        if (data[names[2 * i] + k] != s[k])
+            return 0;
+    return 1;
+}
+
+/* Parse the `size` bytes at `data` into the columns, which have room for
+ * every record.  App names are numbered in order of first appearance, the
+ * previous record's name tried first; name i is data[names[2i]:names[2i+1]],
+ * and *napps is their count, at most max_names.  Returns the number of
+ * records, or -1. */
+int64_t parse_trace(int64_t size, const uint8_t *data, int32_t *app,
+                    int64_t *core, uint64_t *vaddr, uint8_t *write,
+                    int64_t max_names, int64_t *names, int64_t *napps)
+{
+    const uint8_t *p = data, *end = data + size;
+    int64_t n = 0, known = 0;
+    int32_t last = -1;
+    while (p < end) {
+        p = skip_blanks(p, end);
+        if (p < end && *p != '\n' && *p != '\r' && *p != '#') {
+            const uint8_t *name = p, *digits;
+            while (p < end && *p < 0x80 && !is_blank(*p) && *p != '\n' && *p != '\r'
+                   && *p != '#')
+                p++;
+            int64_t len = p - name;
+            if (!blank_follows(p, end))
+                return -1;
+            /* the core, below 2^63 */
+            uint64_t c = 0;
+            for (p = digits = skip_blanks(p, end); p < end && *p >= '0' && *p <= '9'; p++) {
+                if (c > ((uint64_t)INT64_MAX - (*p - '0')) / 10)
+                    return -1;
+                c = c * 10 + (*p - '0');
+            }
+            if (p == digits || !blank_follows(p, end))
+                return -1;
+            /* the address, below 2^64 */
+            uint64_t v = 0;
+            p = skip_blanks(p, end);
+            if (end - p > 2 && p[0] == '0' && (p[1] | 0x20) == 'x')
+                p += 2;
+            for (digits = p; p < end && hex_digit(*p) >= 0; p++) {
+                if (v >> 60)
+                    return -1;
+                v = v << 4 | (uint64_t)hex_digit(*p);
+            }
+            if (p == digits || !blank_follows(p, end))
+                return -1;
+            p = skip_blanks(p, end);
+            if (p == end || (*p != 'r' && *p != 'w'))
+                return -1;
+            core[n] = (int64_t)c;
+            vaddr[n] = v;
+            write[n] = *p++ == 'w';
+            p = skip_blanks(p, end);
+            if (last < 0 || !is_name(data, names, last, name, len)) {
+                for (last = 0; last < known && !is_name(data, names, last, name, len); last++)
+                    ;
+                if (last == known) {
+                    if (known == max_names)
+                        return -1;
+                    names[2 * known] = name - data;
+                    names[2 * known + 1] = name - data + len;
+                    known++;
+                }
+            }
+            app[n++] = last;
+        }
+        if (p < end && *p == '#')
+            for (; p < end && *p != '\n' && *p != '\r'; p++)
+                if (*p >= 0x80)
+                    return -1;
+        if (p < end) {
+            if (*p != '\n' && *p != '\r')
+                return -1;
+            p++;
+        }
+    }
+    *napps = known;
+    return n;
+}
+
+/* Write records 0..n-1 in the canonical form into `out`, which has room for
+ * them: record k is line kind kind[k]'s text, prefixes[ends[kind[k] - 1]:
+ * ends[kind[k]]] (from 0 for kind 0), then its address as 0x and lowercase
+ * hex digits without leading zeros, then " w\n" or " r\n" by write[k].
+ * Returns the number of bytes written. */
+int64_t format_trace(int64_t n, const int32_t *kind, const uint64_t *vaddr,
+                     const uint8_t *write, const uint8_t *prefixes,
+                     const int64_t *ends, uint8_t *out)
+{
+    uint8_t *p = out;
+    for (int64_t k = 0; k < n; k++) {
+        int64_t from = kind[k] ? ends[kind[k] - 1] : 0, len = ends[kind[k]] - from;
+        memmove(p, prefixes + from, (size_t)len);
+        p += len;
+        *p++ = '0';
+        *p++ = 'x';
+        uint64_t v = vaddr[k];
+        int digits = 1;
+        while (digits < 16 && v >> 4 * digits)
+            digits++;
+        while (digits--)
+            *p++ = "0123456789abcdef"[v >> 4 * digits & 15];
+        *p++ = ' ';
+        *p++ = write[k] ? 'w' : 'r';
+        *p++ = '\n';
+    }
+    return p - out;
+}

@@ -1,4 +1,4 @@
-"""Build and load the native replay kernel, `_kernel.c`, on first use.
+"""Build and load the native kernel, `_kernel.c`, on first use.
 
 gcc compiles the source into a shared library cached in the package's
 `__pycache__`, named by a hash of the source, the compile command, the
@@ -6,7 +6,8 @@ interpreter's cache tag and the machine; where that directory is not
 writable, the library is built in a temporary directory for this process.
 `kernel()` returns the loaded library, or None with one RuntimeWarning
 when gcc is missing or the build or load fails; callers then run their
-Python loops, which are the references the kernel is tested against.
+Python code (the replay loops, the trace-file parser and writer), which is
+the reference the kernel is tested against.
 The modules only a build or load needs are imported on first use, so that
 importing memcolor stays cheap.
 """
@@ -82,8 +83,8 @@ def kernel():
                 lib = ctypes.CDLL(path)
     except (OSError, subprocess.CalledProcessError) as exc:
         detail = getattr(exc, "stderr", None) or exc
-        warnings.warn(f"native replay kernel unavailable, running the Python "
-                      f"loops: {str(detail).strip()}", RuntimeWarning, stacklevel=2)
+        warnings.warn(f"native kernel unavailable, running the Python "
+                      f"code: {str(detail).strip()}", RuntimeWarning, stacklevel=2)
         return None
 
     i64, i32, u64, u8 = (np.ctypeslib.ndpointer(t, ndim=1, flags="C_CONTIGUOUS")
@@ -94,5 +95,9 @@ def kernel():
     lib.replay.restype = None
     lib.draw_frames.argtypes = [c64, i64, i64, c64, i64]
     lib.draw_frames.restype = None
+    lib.parse_trace.argtypes = [c64, u8, i32, i64, u64, u8, c64, i64, i64]
+    lib.parse_trace.restype = c64
+    lib.format_trace.argtypes = [c64, i32, u64, u8, u8, i64, u8]
+    lib.format_trace.restype = c64
     return lib
 

@@ -103,19 +103,13 @@ class Thresholds:
                 raise ClassifierError("degradation cutoffs must be in (0,1)")
 
 
-def count_bucket(count: int) -> int:
-    """Geometric bucket index of an access count: [1,2)->1, [2,4)->2, ..."""
-    if count < 1:
-        raise ClassifierError(f"count {count} outside bucket domain [1, inf)")
-    return count.bit_length()
-
-
 def job2_wpd(access_counters, cfg: SamplerConfig) -> float:
     """Weighted page distribution: mean bucket weight over touched pages,
-    from a {vpn: count} dict or an array of counts.  A count's bucket
-    (`count_bucket`) is its bit length, the exponent `np.frexp` returns; the
-    weights add up in page order, as in a loop over the pages, not in
-    numpy's pairwise order."""
+    from a {vpn: count} dict or an array of counts.  A count's geometric
+    bucket, [1,2)->1, [2,4)->2, ..., is its bit length, the exponent
+    `np.frexp` returns; pages with a count of 0 are not touched and have
+    none.  The weights add up in page order, as in a loop over the pages,
+    not in numpy's pairwise order."""
     if isinstance(access_counters, dict):
         access_counters = list(access_counters.values())
     counts = np.asarray(access_counters, dtype=np.int64)

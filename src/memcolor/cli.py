@@ -49,9 +49,10 @@ def _load_traces(cfg: ExperimentConfig) -> dict:
     traces = {}
     for entry in cfg.workload:
         if entry.trace_path:
-            trace = read_trace(entry.trace_path).on(entry.app, entry.core)
+            trace = read_trace(entry.trace_path)
             if not trace:
                 raise TraceError(f"{entry.trace_path}: no records for app {entry.app!r}")
+            trace = trace.on(entry.app, entry.core)
         else:
             trace = gen(entry.params)
         if entry.app in traces:

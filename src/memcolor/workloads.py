@@ -10,10 +10,13 @@ Fields are split on any whitespace, and a line may end in '\n', '\r\n' or
 read them.  Addresses are virtual, in [0, 2^64): physical placement is the
 allocator's job.  In memory a trace is a `Trace`, four read-only columns.
 
-`read_trace` parses a canonical file, the form `write_trace` writes (ASCII,
-fields split by spaces, a core of at most 18 decimal digits, `0x` and at
-most 16 hex digits, one record a line), with vectorized checks and decoding
-over the file's bytes; any other file goes through a per-line parser.
+`read_trace` parses a file's bytes in one pass of the native kernel's
+`parse_trace`, which takes any ASCII file in the forms above that has at
+most `NATIVE_NAMES` app names and no sign or '_' in a number.  Any other
+file, and every file when the kernel is not built, goes through the
+per-line parser `_parse_lines`, which reports the first bad line.
+`write_trace` writes through the kernel's `format_trace`, or a Python loop
+without it; both write the same bytes.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from memcolor import _native
 from memcolor.errors import MemcolorError
 
 
@@ -137,7 +141,10 @@ class Trace(Sequence):
                    core, vaddr, np.fromiter(map("w".__eq__, ops), bool, n))
 
     def on(self, app, core: int) -> Trace:
-        """The same accesses, all by `app` on `core`."""
+        """The same accesses, all by `app` on `core`.  An empty trace has no
+        record to carry `app`, so it is a TraceError naming `app`."""
+        if not len(self):
+            raise TraceError(f"no records for app {app!r}")
         if self.apps == (app,) and (self.core == core).all():
             return self
         n = len(self)
@@ -374,104 +381,84 @@ def mix(traces, k: int = 1, core_count: int | None = None,
 
 
 def write_trace(trace, path):
-    """Write a trace file.  An app name `read_trace` could not read back, one
-    that is empty or holds whitespace or '#', is a TraceError."""
+    """Write a trace file, through the kernel's `format_trace` when it is
+    built.  An app name `read_trace` could not read back, one that is empty
+    or holds whitespace or '#', is a TraceError."""
     trace = Trace.of(trace)
     for name in map(str, trace.apps):
         if name.split() != [name] or "#" in name:
             raise TraceError(f"app name {name!r} cannot be written to a trace file: "
                              f"it must be one token without whitespace or '#'")
     cores, core_of = trace.cores()
-    # one line format per distinct (app, core, op), the address left open
+    # one line kind per distinct (app, core, op): its text before the address
     key = (trace.app.astype(np.int64) * len(cores) + core_of) * 2 + trace.write
     first, kind_of = _numbering(key)
-    formats = []
+    kinds = []
     for kind in key[first].tolist():
-        (app, core), write = divmod(kind >> 1, len(cores)), kind & 1
-        prefix = f"{trace.apps[app]} {cores[core]} ".replace("%", "%%")
-        formats.append(f"{prefix}%#x {OPS[write]}\n")
-    with open(path, "w") as fh:
+        app, core = divmod(kind >> 1, len(cores))
+        kinds.append((f"{trace.apps[app]} {cores[core]} ", OPS[kind & 1]))
+    lib = _native.kernel()
+    if lib is None:
+        formats = [f"{prefix.replace('%', '%%')}%#x {op}\n" for prefix, op in kinds]
+        with open(path, "w", encoding="utf-8") as fh:
+            for start in range(0, len(trace), CHUNK):
+                end = start + CHUNK
+                fh.writelines(map(str.__mod__, map(formats.__getitem__,
+                                                   kind_of[start:end].tolist()),
+                                  trace.vaddr[start:end].tolist()))
+        return
+    texts = [prefix.encode() for prefix, _ in kinds]
+    lengths = list(map(len, texts))
+    prefixes = np.frombuffer(b"".join(texts), dtype=np.uint8)
+    ends = np.cumsum(lengths, dtype=np.int64)
+    vaddr = np.ascontiguousarray(trace.vaddr)
+    write = np.ascontiguousarray(trace.write).view(np.uint8)
+    # a record is its prefix, '0x', at most 16 digits, ' ', its op and '\n'
+    out = np.empty(min(len(trace), CHUNK) * (max(lengths, default=0) + 21), dtype=np.uint8)
+    with open(path, "wb") as fh:
         for start in range(0, len(trace), CHUNK):
             end = start + CHUNK
-            fh.writelines(map(str.__mod__, map(formats.__getitem__, kind_of[start:end].tolist()),
-                              trace.vaddr[start:end].tolist()))
+            size = lib.format_trace(len(kind_of[start:end]), kind_of[start:end],
+                                    vaddr[start:end], write[start:end], prefixes, ends, out)
+            fh.write(out.data[:size])
 
 
 def read_trace(path) -> Trace:
-    """Parse a UTF-8 trace file.  A malformed line is a TraceError naming
-    `path:line`."""
+    """Parse a UTF-8 trace file, through the kernel's `parse_trace` when it
+    is built and handles the file, else through `_parse_lines`.  A malformed
+    line is a TraceError naming `path:line`."""
     with open(path, "rb") as fh:
         data = fh.read()
-    trace = _parse_canonical(np.frombuffer(data, dtype=np.uint8))
+    lib = _native.kernel()
+    trace = None if lib is None else _parse_native(lib, data)
     return _parse_lines(path, data) if trace is None else trace
 
 
-# Each byte's value as a hex digit, 16 for a byte that is none.
-_DIGIT = np.full(256, 16, dtype=np.uint8)
-_DIGIT[np.frombuffer(b"0123456789abcdefABCDEF", dtype=np.uint8)] = [*range(16), *range(10, 16)]
-# The longest core (decimal) and address (hex) digit runs that fit the columns.
-_CORE_DIGITS = 18
-_ADDRESS_DIGITS = 16
+# The most app names `parse_trace` numbers; a file with more goes through
+# `_parse_lines`, since the kernel looks names up one by one.
+NATIVE_NAMES = 256
 
 
-def _parse_canonical(data: np.ndarray) -> Trace | None:
-    """The trace in `data`, a file's bytes, if every non-blank line is
-    `<app> <core> 0x<hex> r|w` split by spaces, with an ASCII app name, a
-    core of at most 18 decimal digits and at most 16 hex digits; else None."""
-    # token bytes are printable ASCII other than '#'; the rest must be ' ' or '\n'
-    token = (data > 0x20) & (data < 0x7f) & (data != ord("#"))
-    newline = data == ord("\n")
-    if not (token | newline | (data == ord(" "))).all():
+def _parse_native(lib, data: bytes) -> Trace | None:
+    """The trace in a file's bytes as `parse_trace` reads it, or None when
+    it does not handle them."""
+    buffer = np.frombuffer(data, dtype=np.uint8)
+    # a record a line at most: a canonical file's columns are exact, so its
+    # Trace holds no unused tail
+    rows = np.count_nonzero(buffer == ord("\n")) + np.count_nonzero(buffer == ord("\r")) + 1
+    app = np.empty(rows, dtype=np.int32)
+    core = np.empty(rows, dtype=np.int64)
+    vaddr = np.empty(rows, dtype=np.uint64)
+    write = np.empty(rows, dtype=np.uint8)
+    names = np.empty(2 * NATIVE_NAMES, dtype=np.int64)
+    napps = np.empty(1, dtype=np.int64)
+    n = lib.parse_trace(len(data), buffer, app, core, vaddr, write, NATIVE_NAMES, names,
+                        napps)
+    if n < 0:
         return None
-    bounds = np.flatnonzero(np.diff(token, prepend=False, append=False))
-    if len(bounds) % 8:
-        return None
-    n = len(bounds) // 8
-    if n == 0:
-        return Trace((), [], [], [], [])
-    # 4 tokens a line: the first token after each newline starts a record,
-    # and every record after the first follows a newline
-    after = np.searchsorted(bounds[0::2], np.flatnonzero(newline))
-    after = after[after < 4 * n]
-    if (after & 3).any() or not np.bincount(after >> 2, minlength=n)[1:].all():
-        return None
-    # start[f] and end[f]: field f's token bounds, one entry per record
-    start, end = np.ascontiguousarray(bounds.reshape(n, 4, 2).T)
-    length = end - start
-    op = data[start[3]]
-    write = op == ord("w")
-    if (length[3] != 1).any() or not (write | (op == ord("r"))).all():
-        return None
-    prefixed = (data[start[2]] == ord("0")) & (data[start[2] + 1] == ord("x"))
-    if (length[1].max() > _CORE_DIGITS or length[2].min() < 3
-            or length[2].max() > _ADDRESS_DIGITS + 2 or not prefixed.all()):
-        return None
-    core = _digits(data, start[1], end[1], 10)
-    vaddr = _digits(data, start[2] + 2, end[2], 16)
-    if core is None or vaddr is None:
-        return None
-    # app names as fixed-width byte strings, numbered, each decoded once
-    width = int(length[0].max())
-    names = np.zeros((n, width), dtype=np.uint8)
-    for k in range(width):
-        names[:, k] = np.where(length[0] > k, data.take(start[0] + k, mode="clip"), 0)
-    names = names.view(f"S{width}")[:, 0]
-    first, app = _numbering(names)
-    return Trace([name.decode() for name in names[first].tolist()], app,
-                 core.astype(np.int64), vaddr, write)
-
-
-def _digits(data, start, end, base):
-    """The values of the digit runs data[start:end] in `base`, or None if a
-    byte is not a digit.  The runs are right-aligned to the longest."""
-    value = np.zeros(len(start), dtype=np.uint64)
-    for k in range(int((end - start).max()), 0, -1):
-        at = end - k
-        digit = np.where(at >= start, _DIGIT.take(data.take(at, mode="clip")), 0)
-        if digit.max() >= base:
-            return None
-        value = value * np.uint64(base) + digit
-    return value
+    spans = names[:2 * int(napps[0])].tolist()
+    apps = [data[s:e].decode() for s, e in zip(spans[::2], spans[1::2])]
+    return Trace(apps, app[:n], core[:n], vaddr[:n], write[:n].view(bool))
 
 
 def _parse_lines(path, data: bytes) -> Trace:

@@ -7,7 +7,7 @@ from memcolor.allocator import Allocator
 from memcolor.classifier import (Category, ClassifierError, OnlineEvidence,
                                  PageAccessSampler, SamplerConfig, Thresholds,
                                  _decide, classify_offline,
-                                 classify_trace_online, count_bucket, job2_wpd)
+                                 classify_trace_online, job2_wpd)
 from memcolor.mapping import AddressMapping
 from memcolor.policies import PolicyKind, policy_spec
 from memcolor.workloads import (ArchetypeParams, Trace, TraceRecord,
@@ -30,6 +30,14 @@ def oracle_wpd(counts):
                 weights.append(w)
                 break
     return sum(weights) / len(weights)
+
+
+def count_bucket(count: int) -> int:
+    """Geometric bucket index of an access count: [1,2)->1, [2,4)->2, ...;
+    the plain reference `job2_wpd`'s bucketing is checked against."""
+    if count < 1:
+        raise ClassifierError(f"count {count} outside bucket domain [1, inf)")
+    return count.bit_length()
 
 
 def test_count_bucket_edges():

@@ -433,6 +433,27 @@ def test_empty_trace_file_names_file_and_app(tmp_path, capsys, text):
     assert capsys.readouterr().err == f"error: {path}: no records for app 'H'\n"
 
 
+def test_classify_without_the_kernel_warns_once(tmp_path, capsys):
+    # classify reads its trace file through the kernel; when the build fails
+    # it reads with the Python parser, prints the same result and warns once
+    path = tmp_path / "h.trace"
+    write_trace(gen(canonical_params("llch", app="H")), path)
+    cfg = write_config(tmp_path, workload=[{"app": "H", "trace": str(path)}])
+    assert main(["classify", "--config", cfg]) == 0
+    expected = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(memcolor.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    script = ("import sys; from memcolor import _native, cli; "
+              "_native.CC = '/nonexistent/gcc'; sys.exit(cli.main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", script, "classify", "--config", cfg],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
+    assert proc.stderr.count("RuntimeWarning") == 1
+    assert "native kernel unavailable" in proc.stderr and "/nonexistent/gcc" in proc.stderr
+
+
 def test_trace_file_not_utf8_is_runtime_error(tmp_path, capsys):
     # universal newlines: '\r\n' and a lone '\r' each end a line
     path = tmp_path / "h.trace"

@@ -1,12 +1,26 @@
+import shutil
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from memcolor import workloads
+from memcolor import _native, workloads
 from memcolor.workloads import (ARCHETYPE_KINDS, PAGE_BYTES, ArchetypeParams,
                                 Trace, TraceError, TraceRecord, canonical_params,
                                 gen, mix, read_trace, write_trace)
+
+needs_gcc = pytest.mark.skipif(shutil.which(_native.CC) is None,
+                               reason=f"{_native.CC} not installed")
+
+
+@pytest.fixture
+def failed_build(monkeypatch, fresh_kernel):
+    """The kernel's build fails, so callers run their Python code."""
+    monkeypatch.setattr(_native, "CC", "/nonexistent/gcc")
+    with pytest.warns(RuntimeWarning):
+        assert _native.kernel() is None
 
 
 def test_ccf_loop_revisits():
@@ -274,7 +288,7 @@ def test_write_read_match_record_reference(tmp_path_factory, records, data):
     assert path.read_bytes() == reference_write(records)
 
 
-# --- the vectorized reader against the per-line parser and the reference ----
+# --- the native reader against the per-line parser and the reference --------
 
 def with_underscore(digits, draw):
     if len(digits) < 2:
@@ -368,25 +382,35 @@ def trace_texts(draw):
     return text[:-1] if draw(st.booleans()) else text      # no final newline
 
 
-# Files one step from canonical, whose step the vectorized reader must see.
-@given(text=trace_texts())
-@example(text="A 0 0x40 x\n")
-@example(text="A 0 0x40 r\nA 0 0x40 r A 0 0x80 w\n")
-@example(text="A 0 0x40 r A\n0 0x80 w\n")
-@example(text="A 0 0x40\nr\n")
-@example(text="A 0 0X40 r\nA 0 00d40 r\nA 0 0x4_0 r\n")
-@example(text="A 0 0d40 r\n")
-@example(text="A 0 1x40 r\n")
-@example(text="A 0 0x r\n")
-@example(text="A 0 0x10000000000000000 r\n")
-@example(text="A 0 0x40 r\n#A 0 0x1 r\nA#B 0 0x40 r\n")
-@example(text="A 0 0x0000000000000000ff r\nA 0000000000000000000009 0x0 r\n")
-@example(text="A 9999999999999999999 0x40 r\n")
-@example(text="A 0 0x40 r#\n")
-@example(text="A 0 0x40 r\r\nB 1 0x80 w\n")
-@settings(max_examples=300, deadline=None)
-def test_read_trace_matches_line_parser_and_reference(tmp_path_factory, text):
-    path = tmp_path_factory.mktemp("t") / "t.trace"
+# Files one step from canonical, whose step the native reader must see.
+ONE_STEP_FROM_CANONICAL = [
+    "A 0 0x40 x\n",
+    "A 0 0x40 r\nA 0 0x40 r A 0 0x80 w\n",
+    "A 0 0x40 r A\n0 0x80 w\n",
+    "A 0 0x40\nr\n",
+    "A 0 0X40 r\nA 0 00d40 r\nA 0 0x4_0 r\n",
+    "A 0 0d40 r\n",
+    "A 0 1x40 r\n",
+    "A 0 0x r\n",
+    "A 0 0x10000000000000000 r\n",
+    "A 0 0x40 r\n#A 0 0x1 r\nA#B 0 0x40 r\n",
+    "A 0 0x0000000000000000ff r\nA 0000000000000000000009 0x0 r\n",
+    "A 9999999999999999999 0x40 r\n",
+    "A 0 0x40 r#\n",
+    "A 0 0x40 r\r\nB 1 0x80 w\n",
+]
+
+
+def trace_text_cases(test):
+    """Run `test` on the files above and on `trace_texts()`."""
+    for text in reversed(ONE_STEP_FROM_CANONICAL):
+        test = example(text=text)(test)
+    return given(text=trace_texts())(test)
+
+
+def check_read_trace(path, text):
+    """`read_trace` of `text` gives the per-line parser's trace or error and
+    the reference's records."""
     path.write_bytes(text.encode())
     outcomes = []
     for parse in (read_trace, lambda p: workloads._parse_lines(p, p.read_bytes())):
@@ -406,6 +430,20 @@ def test_read_trace_matches_line_parser_and_reference(tmp_path_factory, text):
         assert_plain(fast)
 
 
+@trace_text_cases
+@settings(max_examples=300, deadline=None)
+def test_read_trace_matches_line_parser_and_reference(tmp_path_factory, text):
+    check_read_trace(tmp_path_factory.mktemp("t") / "t.trace", text)
+
+
+@trace_text_cases
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_read_trace_without_the_kernel_matches_reference(tmp_path_factory, failed_build,
+                                                         text):
+    check_read_trace(tmp_path_factory.mktemp("t") / "t.trace", text)
+
+
 @pytest.mark.parametrize("records", [
     gen(canonical_params("ccf", seed=1)), gen(canonical_params("llct", seed=2)),
     gen(canonical_params("llcm", seed=3)), gen(canonical_params("llch", seed=4)),
@@ -414,17 +452,116 @@ def test_read_trace_matches_line_parser_and_reference(tmp_path_factory, text):
          [TraceRecord("long-app-name", 0, (1 << 64) - 1, "w"),
           TraceRecord("A", 0, 0, "r")]], k=3, cores=[7, 0, 99]),
     [], [TraceRecord("A", 10 ** 18 - 1, (1 << 64) - 1, "w")]])
+@needs_gcc
 def test_canonical_files_take_the_vectorized_path(tmp_path, monkeypatch, records):
+    """The native reader reads what the native writer writes, across its
+    chunks, without the per-line parser."""
     def refuse(path, data):
         raise AssertionError(f"{path} went to the per-line parser")
     monkeypatch.setattr(workloads, "_parse_lines", refuse)
     path = tmp_path / "t.trace"
     write_trace(records, path)
+    assert path.read_bytes() == reference_write(records)
     trace = read_trace(path)
     assert trace == records and trace.apps == Trace.of(records).apps
     # the same file without its final newline
     path.write_bytes(path.read_bytes()[:-1])
     assert read_trace(path) == records
+
+
+# (text, records) of files that are not canonical but plain ASCII
+PLAIN_FILES = {
+    "comment": ("# header\nA 0 0x40 r\n", [("A", 0, 0x40, "r")]),
+    "whitespace": ("A\t0 \x1c0x40\x1dr\x1e\x1f\v\f\n\n  \t\n", [("A", 0, 0x40, "r")]),
+    "line-ends": ("A 0 0x40 r\r\nB 1 0x80 w\rC 2 0xc0 r",
+                  [("A", 0, 0x40, "r"), ("B", 1, 0x80, "w"), ("C", 2, 0xc0, "r")]),
+    "comments": ("A 0 0X4f r #x 1 0x0 r\n#A 0 0x40 w\nA 0 0x40 r#\n",
+                 [("A", 0, 0x4f, "r"), ("A", 0, 0x40, "r")]),
+    "digits": ("A 0009 ffFF r\nA 0 00000000000000000000000001 w\n",
+               [("A", 9, 0xffff, "r"), ("A", 0, 1, "w")]),
+    "limits": ("\x00x 9223372036854775807 0xffffffffffffffff w\n",
+               [("\x00x", (1 << 63) - 1, (1 << 64) - 1, "w")]),
+    "names": ("".join(f"A{i % 9} 0 0x40 r\nA{i} 1 0x80 w\n"
+                      for i in range(workloads.NATIVE_NAMES)),
+              [r for i in range(workloads.NATIVE_NAMES)
+               for r in [(f"A{i % 9}", 0, 0x40, "r"), (f"A{i}", 1, 0x80, "w")]]),
+}
+# files the native reader leaves to the per-line parser: not ASCII, a sign
+# or '_', an out-of-range number, a malformed line, too many app names
+NOT_HANDLED = {
+    "name": "\u00e9t\u00e9 0 0x40 r\n", "comment": "A 0 0x40 r # \u00e9t\u00e9\n",
+    "nbsp": "A 0 0x40 r\u00a0\n", "plus": "A +1 0x40 r\n", "minus": "A -1 0x40 r\n",
+    "negative": "A 0 -0x40 r\n", "core_": "A 1_0 0x40 r\n", "vaddr_": "A 0 0x_40 r\n",
+    "core-range": "A 9223372036854775808 0x40 r\n",
+    "vaddr-range": "A 0 0x10000000000000000 r\n", "prefix-only": "A 0 0x r\n",
+    "op": "A 0 0x40 R\n", "three-fields": "A 0 0x40\n", "five-fields": "A 0 0x40 r r\n",
+    "names": "".join(f"A{i} 0 0x40 r\n" for i in range(workloads.NATIVE_NAMES + 1)),
+}
+
+
+@needs_gcc
+@pytest.mark.parametrize("text,records", PLAIN_FILES.values(), ids=PLAIN_FILES)
+def test_plain_ascii_files_take_the_native_path(tmp_path, monkeypatch, text, records):
+    def refuse(path, data):
+        raise AssertionError(f"{path} went to the per-line parser")
+    monkeypatch.setattr(workloads, "_parse_lines", refuse)
+    path = tmp_path / "t.trace"
+    path.write_bytes(text.encode())
+    trace = read_trace(path)
+    assert trace == [TraceRecord(*r) for r in records]
+    assert trace.apps == tuple(dict.fromkeys(r[0] for r in records))
+
+
+@needs_gcc
+@pytest.mark.parametrize("text", NOT_HANDLED.values(), ids=NOT_HANDLED)
+def test_other_files_take_the_line_parser(tmp_path, monkeypatch, text):
+    calls = []
+    parse_lines = workloads._parse_lines
+    monkeypatch.setattr(workloads, "_parse_lines",
+                        lambda path, data: calls.append(path) or parse_lines(path, data))
+    path = tmp_path / "t.trace"
+    path.write_bytes(text.encode())
+    try:
+        outcome = read_trace(path)
+    except TraceError as exc:
+        outcome = str(exc)
+    assert calls == [path]
+    try:
+        assert outcome == reference_read(path)
+    except ValueError as exc:
+        assert outcome.startswith(f"{path}:{exc.args[0]}: ")
+
+
+# App names with '%' and letters outside ASCII, on cores of up to 19 digits
+# and either sign, at addresses from 0 to 2^64 - 1.
+names_st = st.lists(st.sampled_from(["A", "50%", "%s%%", "x%x", "\u00e9t\u00e9", "\u65e5"]),
+                    min_size=1, max_size=3, unique=True)
+cores_st = st.lists(st.one_of(st.integers(-(1 << 63), (1 << 63) - 1),
+                              st.sampled_from([0, -1, -(1 << 63), (1 << 63) - 1, 10 ** 18])),
+                    min_size=1, max_size=3, unique=True)
+vaddr_st = st.one_of(st.sampled_from([0, 1, 0xf, 0x10, (1 << 64) - 1]),
+                     st.integers(0, (1 << 64) - 1))
+
+
+@given(names=names_st, cores=cores_st, data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_native_writer_matches_python_writer(tmp_path_factory, names, cores, data):
+    records = [TraceRecord(*r) for r in data.draw(st.lists(st.tuples(
+        st.sampled_from(names), st.sampled_from(cores), vaddr_st, st.sampled_from("rw")),
+        max_size=40))]
+    path = tmp_path_factory.mktemp("t") / "t.trace"
+    write_trace(records, path)
+    native = path.read_bytes()
+    with mock.patch.object(_native, "kernel", lambda: None):
+        write_trace(records, path)
+    assert native == path.read_bytes() == reference_write(records)
+    assert read_trace(path) == records
+
+
+def test_trace_on_empty_trace_names_the_app():
+    with pytest.raises(TraceError) as err:
+        Trace.of([]).on("A", 0)
+    assert str(err.value) == "no records for app 'A'"
 
 
 def test_trace_columns():
