@@ -1,6 +1,6 @@
 /* Native forms of memcolor's two per-element replay loops, loaded with
  * ctypes by memcolor._native.  MemoryHierarchy._step and the swap-remove loop
- * of Allocator._new_frames are the Python references they are tested
+ * allocator._draw_frames are the Python references they are tested
  * against.
  *
  * Cache sets are flat arrays of `ways` slots, way 0 the least recent, with

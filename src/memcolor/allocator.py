@@ -1,15 +1,13 @@
 """Color-constrained page-frame allocator with first-touch translation.
 
-Frames live in per-color free pools (one pool when the policy does not
-partition).  Pools hand out the lowest free frame number first; the random
-policy draws uniformly from all free frames with a seeded RNG.  There is no
-fallback across color quotas unless explicitly enabled: exhausting an app's
-colors is an error even when other colors have free frames, so isolation
-can never erode silently.
-
-Neither pools nor the page table hold a Python object per frame or page:
-a pool is arithmetic over one period of frame colors, and the page table
-is one set of arrays for all apps in first-touch order.
+Every app allocates round-robin over the free pools of its color quota; a
+policy that does not partition has one color, so one pool and the quota [0].
+A `_Pool` hands out the lowest free frame first, by arithmetic over one
+period of frame colors; the random policy's pool is a seeded swap-remove
+list.  The page table is one set of arrays for all apps in first-touch order.
+There is no fallback across color quotas unless explicitly enabled:
+exhausting an app's colors is an error even when other colors have free
+frames, so isolation can never erode silently.
 """
 
 from __future__ import annotations
@@ -76,10 +74,27 @@ class _Pool:
         self.cursor += count
         return turn * self.period + self.offsets[at]
 
-    def pop(self) -> int:
-        turn, at = divmod(self.cursor, len(self.offsets))
-        self.cursor += 1
-        return turn * self.period + int(self.offsets[at])
+
+class _RandomPool:
+    """The random policy's free frames `frames[:free]`, drawn uniformly with
+    the allocator's RNG; a drawn frame's slot takes the last free one."""
+
+    __slots__ = ("frames", "free", "rng")
+
+    def __init__(self, total_pages: int, rng: np.random.Generator):
+        self.frames = np.arange(total_pages, dtype=np.int64)
+        self.free = total_pages
+        self.rng = rng
+
+    def take(self, count: int) -> np.ndarray:
+        # one draw per frame, the same stream as `count` scalar draws
+        draws = self.rng.integers(np.arange(self.free, self.free - count, -1))
+        out = np.empty(count, dtype=np.int64)
+        lib = _native.kernel()
+        draw = _draw_frames if lib is None else lib.draw_frames
+        draw(count, draws, self.frames, self.free, out)
+        self.free -= count
+        return out
 
 
 class _QuotaState:
@@ -117,7 +132,6 @@ class Allocator:
         self._bit = np.empty(0, dtype=bool)
         self._n = 0
         self._rows = None
-        self._random_free = None
 
         if spec.partitioning:
             shift = m.page_offset_bits
@@ -129,11 +143,10 @@ class Allocator:
             colors = self._colors_of(np.arange(period, dtype=np.int64))
             self._pools = [_Pool(period, np.flatnonzero(colors == c), total_pages)
                            for c in range(spec.page_colors)]
+        elif spec.kind is PolicyKind.RANDOM:
+            self._pools = [_RandomPool(total_pages, self._rng)]
         else:
             self._pools = [_Pool(1, np.zeros(1, dtype=np.int64), total_pages)]
-            if spec.kind is PolicyKind.RANDOM:
-                self._random_free = np.arange(total_pages, dtype=np.int64)
-                self._random_n = total_pages
 
     # --- bookkeeping -----------------------------------------------------
 
@@ -161,8 +174,6 @@ class Allocator:
         return self._n
 
     def free_by_color(self) -> list[int]:
-        if self._random_free is not None:
-            return [self._random_n]
         return [p.free for p in self._pools]
 
     def quota_of(self, app_id) -> list[int]:
@@ -193,8 +204,10 @@ class Allocator:
     # --- quota management ------------------------------------------------
 
     def register(self, app_id):
-        """Register an app with no color constraint (non-partitioning use)."""
+        """Register an app; under a one-color policy it gets the quota [0]."""
         self._apps.setdefault(app_id, len(self._apps))
+        if self.spec.page_colors == 1:
+            self._quotas.setdefault(app_id, _QuotaState([0]))
 
     def assign_quota(self, app_id, colors):
         colors = set(colors)
@@ -212,36 +225,21 @@ class Allocator:
 
     # --- allocation ------------------------------------------------------
 
-    def _alloc_colored(self, app_id) -> int:
+    def _alloc(self, app_id) -> int:
         q = self._quotas.get(app_id)
         if q is None:
             raise AllocationError(f"app {app_id!r} has no color quota assigned")
         n = len(q.colors)
         for step in range(n):
-            color = q.colors[(q.rr + step) % n]
-            pool = self._pools[color]
+            pool = self._pools[q.colors[(q.rr + step) % n]]
             if pool.free:
                 q.rr = (q.rr + step + 1) % n
-                return pool.pop()
+                return int(pool.take(1)[0])
         if self.allow_fallback:
-            for color, pool in enumerate(self._pools):
+            for pool in self._pools:
                 if pool.free:
-                    return pool.pop()
+                    return int(pool.take(1)[0])
         raise OutOfColorMemory(app_id, q.colors)
-
-    def _alloc_free(self, app_id) -> int:
-        if self._random_free is not None:
-            if self._random_n == 0:
-                raise OutOfColorMemory(app_id, [0])
-            idx = int(self._rng.integers(self._random_n))
-            pfn = int(self._random_free[idx])
-            self._random_n -= 1
-            self._random_free[idx] = self._random_free[self._random_n]
-            return pfn
-        pool = self._pools[0]
-        if not pool.free:
-            raise OutOfColorMemory(app_id, [0])
-        return pool.pop()
 
     def touch(self, app_id, vpn: int):
         """First-touch translate: return the frame backing (app, vpn),
@@ -255,7 +253,7 @@ class Allocator:
         if row is not None:
             self._bit[row] = True
             return self._pfn.item(row)
-        pfn = self._alloc_colored(app_id) if self.spec.partitioning else self._alloc_free(app_id)
+        pfn = self._alloc(app_id)
         n = self._n
         if n == len(self._vpn):
             self._reserve(n + 1)
@@ -280,8 +278,7 @@ class Allocator:
         order, and None, or the exception that stopped translation at page
         `len(frames)`.
         """
-        if not all(a in self._apps and (a in self._quotas or not self.spec.partitioning)
-                   for a in apps):
+        if not all(a in self._quotas for a in apps):    # a quota implies registration
             return self._translate_each(apps, app, vpn)
         ids = np.array([self._apps[a] for a in apps], dtype=np.int32)[app]
         row = None
@@ -316,24 +313,9 @@ class Allocator:
     def _new_frames(self, apps, app):
         """Frames for one new page of apps[app[k]] per k, in order, or None
         (with nothing consumed) when a pool would run out on the way."""
-        n = len(app)
-        if self.spec.partitioning:
-            return self._new_colored_frames(apps, app)
-        if self._random_free is not None:
-            if n > self._random_n:
-                return None
-            # one draw per page, the same stream as n scalar draws
-            draws = self._rng.integers(np.arange(self._random_n, self._random_n - n, -1))
-            frames = np.empty(n, dtype=np.int64)
-            lib = _native.kernel()
-            draw = _draw_frames if lib is None else lib.draw_frames
-            draw(n, draws, self._random_free, self._random_n, frames)
-            self._random_n -= n
-            return frames
-        pool = self._pools[0]
-        return pool.take(n) if n <= pool.free else None
-
-    def _new_colored_frames(self, apps, app):
+        if len(self._pools) == 1:     # one color: round-robin is pool order
+            pool = self._pools[0]
+            return pool.take(len(app)) if len(app) <= pool.free else None
         # The k-th new page of an app takes the quota color k steps past its
         # round-robin position, and the frame at its rank among the requests
         # for that color; this holds while no pool runs empty.

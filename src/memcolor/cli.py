@@ -108,12 +108,8 @@ def _run_policy(cfg: ExperimentConfig, merged, apps, spec: PolicySpec, quotas=No
     color split.  Returns (Metrics, epoch snapshots, Allocator)."""
     alloc = Allocator(cfg.resolved_total_pages(), spec, cfg.mapping,
                       seed=cfg.seed, allow_fallback=cfg.allow_fallback)
-    if spec.partitioning:
-        for app, colors in (quotas or _even_split_quotas(spec, apps)).items():
-            alloc.assign_quota(app, colors)
-    else:
-        for app in apps:
-            alloc.register(app)
+    for app, colors in (quotas or _even_split_quotas(spec, apps)).items():
+        alloc.assign_quota(app, colors)
     hier = MemoryHierarchy(cfg.mapping, cfg.private_cache, cfg.llc)
     metrics, snapshots = run_trace(merged, alloc, hier, epoch=cfg.epoch)
     return metrics, snapshots, alloc

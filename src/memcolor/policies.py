@@ -46,17 +46,17 @@ class PolicyKind(str, Enum):
                               f"{[k.value for k in cls]}") from None
 
 
-# (n_b, n_c, n_o, partitioning)
+# (n_b, n_c, n_o); a policy with no color bits does not partition
 POLICY_TABLE = {
-    PolicyKind.INTERLEAVE: (0, 0, 0, False),
-    PolicyKind.BANK_ONLY: (2, 0, 1, True),
-    PolicyKind.A_VP: (0, 0, 2, True),
-    PolicyKind.B_VP: (1, 0, 2, True),
-    PolicyKind.C_VP: (0, 1, 2, True),
-    PolicyKind.RANDOM: (0, 0, 0, False),
+    PolicyKind.INTERLEAVE: (0, 0, 0),
+    PolicyKind.BANK_ONLY: (2, 0, 1),
+    PolicyKind.A_VP: (0, 0, 2),
+    PolicyKind.B_VP: (1, 0, 2),
+    PolicyKind.C_VP: (0, 1, 2),
+    PolicyKind.RANDOM: (0, 0, 0),
 }
 
-PARTITIONING_KINDS = tuple(k for k, row in POLICY_TABLE.items() if row[3])
+PARTITIONING_KINDS = tuple(k for k, row in POLICY_TABLE.items() if any(row))
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,10 @@ class PolicySpec:
     color_bits: tuple            # ascending colorable positions
     llc_positions: tuple         # color_bits that affect the LLC set (c or o)
     bank_positions: tuple        # color_bits that affect the bank (b or o)
-    partitioning: bool
+
+    @property
+    def partitioning(self) -> bool:
+        return bool(self.color_bits)
 
     @property
     def page_colors(self) -> int:
@@ -108,8 +111,7 @@ def custom_spec(color_bits, m: AddressMapping, kind: PolicyKind | None = None) -
             raise PolicyError(f"bit {p} is not a colorable (b/c/o) bit of the mapping")
     llc = tuple(p for p in bits if p in m.c_bits or p in m.o_bits)
     bank = tuple(p for p in bits if p in m.b_bits or p in m.o_bits)
-    return PolicySpec(kind=kind, color_bits=bits, llc_positions=llc,
-                      bank_positions=bank, partitioning=bool(bits))
+    return PolicySpec(kind=kind, color_bits=bits, llc_positions=llc, bank_positions=bank)
 
 
 def policy_spec(kind: PolicyKind, m: AddressMapping) -> PolicySpec:
@@ -117,10 +119,7 @@ def policy_spec(kind: PolicyKind, m: AddressMapping) -> PolicySpec:
     row = POLICY_TABLE.get(kind)
     if row is None:
         raise PolicyError(f"no table entry for policy {kind}")
-    n_b, n_c, n_o, partitioning = row
-    if not partitioning:
-        return PolicySpec(kind=kind, color_bits=(), llc_positions=(),
-                          bank_positions=(), partitioning=False)
+    n_b, n_c, n_o = row
     if len(m.b_bits) < n_b or len(m.c_bits) < n_c or len(m.o_bits) < n_o:
         raise PolicyError(
             f"mapping lacks bits for {kind.value}: needs {n_b} b-bits, "

@@ -382,13 +382,18 @@ def mix(traces, k: int = 1, core_count: int | None = None,
 
 def write_trace(trace, path):
     """Write a trace file, through the kernel's `format_trace` when it is
-    built.  An app name `read_trace` could not read back, one that is empty
-    or holds whitespace or '#', is a TraceError."""
+    built.  An app name `read_trace` could not read back, one that is empty,
+    holds whitespace or '#', or is not UTF-8, is a TraceError."""
     trace = Trace.of(trace)
     for name in map(str, trace.apps):
         if name.split() != [name] or "#" in name:
             raise TraceError(f"app name {name!r} cannot be written to a trace file: "
                              f"it must be one token without whitespace or '#'")
+        try:
+            name.encode()
+        except UnicodeEncodeError:
+            raise TraceError(f"app name {name!r} cannot be written to a trace file: "
+                             f"it does not encode as UTF-8") from None
     cores, core_of = trace.cores()
     # one line kind per distinct (app, core, op): its text before the address
     key = (trace.app.astype(np.int64) * len(cores) + core_of) * 2 + trace.write

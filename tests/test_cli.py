@@ -14,8 +14,11 @@ from hypothesis import strategies as st
 
 import memcolor
 from memcolor import cli
+from memcolor.allocator import Allocator
 from memcolor.cli import main
 from memcolor.config import load_config
+from memcolor.hierarchy import MemoryHierarchy, run_trace
+from memcolor.policies import PolicyKind, policy_spec
 from memcolor.workloads import (ARCHETYPE_KINDS, TraceRecord, canonical_params, gen,
                                 read_trace, write_trace)
 
@@ -84,6 +87,40 @@ def test_gen_app_name_the_reader_rejects_is_runtime_error(tmp_path, capsys, app)
         f"error: app name {app!r} cannot be written to a trace file: "
         f"it must be one token without whitespace or '#'\n")
     assert not out.exists()
+
+
+def test_gen_app_name_not_utf8_is_runtime_error(tmp_path, capsys):
+    # how Python decodes the argument bytes b'A\xff'
+    out = tmp_path / "t.trace"
+    assert main(["gen", "--kind", "ccf", "--app", "A\udcff", "-o", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: app name 'A\\udcff' cannot be written to a trace file: "
+        "it does not encode as UTF-8\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("policy", [PolicyKind.INTERLEAVE, PolicyKind.RANDOM])
+def test_run_policy_without_partitioning_matches_registered_apps(tmp_path, policy):
+    # perfbench and the scripts only register the apps of these policies
+    cfg = load_config(write_config(tmp_path, epoch=7000))
+    traces = cli._load_traces(cfg)
+    merged = cli._mix(cfg, traces)
+    spec = policy_spec(policy, cfg.mapping)
+    metrics, snapshots, alloc = cli._run_policy(cfg, merged, list(traces), spec)
+    registered = Allocator(cfg.resolved_total_pages(), spec, cfg.mapping,
+                           seed=cfg.seed, allow_fallback=cfg.allow_fallback)
+    for app in traces:
+        registered.register(app)
+    ref_metrics, ref_snapshots = run_trace(
+        merged, registered, MemoryHierarchy(cfg.mapping, cfg.private_cache, cfg.llc),
+        epoch=cfg.epoch)
+    assert [alloc.quota_of(app) for app in traces] == [[0], [0]]
+    assert metrics.to_json(cfg.latencies) == ref_metrics.to_json(cfg.latencies)
+    assert json.dumps(snapshots) == json.dumps(ref_snapshots)
+    assert len(snapshots) == 60000 // 7000
+    alloc.write_alloc_csv(tmp_path / "run.csv")
+    registered.write_alloc_csv(tmp_path / "registered.csv")
+    assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "registered.csv").read_bytes()
 
 
 def test_run_explicit_policy(tmp_path, capsys):

@@ -523,7 +523,8 @@ def test_kernel_draw_frames_matches_python_loop(total, batches, seed):
                     ["A"], np.zeros(n, dtype=np.int64), np.arange(vpn, vpn + n, dtype=np.uint64))
                 vpn += len(frames)
                 drawn.append((frames.tolist(), str(error)))
-        sides.append((drawn, alloc._random_free.tolist(), alloc._random_n,
+        pool = alloc._pools[0]
+        sides.append((drawn, pool.frames.tolist(), pool.free,
                       int(alloc._rng.integers(1 << 30))))
     assert sides[0] == sides[1]
 

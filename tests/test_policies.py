@@ -41,6 +41,8 @@ def test_non_partitioning_kinds():
         spec = policy_spec(kind, M)
         assert not spec.partitioning
         assert spec.page_colors == 1
+        assert spec == custom_spec((), M, kind)
+        assert kind not in PARTITIONING_KINDS
 
 
 def test_spec_rejects_starved_mapping():
