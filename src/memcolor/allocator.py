@@ -74,6 +74,12 @@ class _Pool:
         self.cursor += count
         return turn * self.period + self.offsets[at]
 
+    def pop(self) -> int:
+        """`take(1)`'s frame, as an int."""
+        turn, at = divmod(self.cursor, len(self.offsets))
+        self.cursor += 1
+        return turn * self.period + self.offsets.item(at)
+
 
 class _RandomPool:
     """The random policy's free frames `frames[:free]`, drawn uniformly with
@@ -95,6 +101,13 @@ class _RandomPool:
         draw(count, draws, self.frames, self.free, out)
         self.free -= count
         return out
+
+    def pop(self) -> int:
+        """`take(1)`'s frame, as an int, by one scalar draw: the same stream."""
+        idx, self.free = int(self.rng.integers(self.free)), self.free - 1
+        frame = self.frames.item(idx)
+        self.frames[idx] = self.frames[self.free]
+        return frame
 
 
 class _QuotaState:
@@ -234,11 +247,11 @@ class Allocator:
             pool = self._pools[q.colors[(q.rr + step) % n]]
             if pool.free:
                 q.rr = (q.rr + step + 1) % n
-                return int(pool.take(1)[0])
+                return pool.pop()
         if self.allow_fallback:
             for pool in self._pools:
                 if pool.free:
-                    return int(pool.take(1)[0])
+                    return pool.pop()
         raise OutOfColorMemory(app_id, q.colors)
 
     def touch(self, app_id, vpn: int):
@@ -316,24 +329,26 @@ class Allocator:
         if len(self._pools) == 1:     # one color: round-robin is pool order
             pool = self._pools[0]
             return pool.take(len(app)) if len(app) <= pool.free else None
-        # The k-th new page of an app takes the quota color k steps past its
-        # round-robin position, and the frame at its rank among the requests
-        # for that color; this holds while no pool runs empty.
-        colors = np.empty(len(app), dtype=np.int64)
+        # An app with q quota colors takes its new pages t, t + q, ... from
+        # the color t steps past its round-robin position, and a pool serves
+        # its pages in page order; this holds while no pool runs empty.
+        wanted = [[] for _ in self._pools]
         taken = []
         for i, a in enumerate(apps):
             q = self._quotas[a]
             sel = np.flatnonzero(app == i)
-            steps = (q.rr + np.arange(len(sel))) % len(q.colors)
-            colors[sel] = np.array(q.colors, dtype=np.int64)[steps]
+            n = len(q.colors)
+            for t in range(min(n, len(sel))):
+                wanted[q.colors[(q.rr + t) % n]].append(sel[t::n])
             taken.append((q, len(sel)))
-        counts = np.bincount(colors, minlength=len(self._pools)).tolist()
-        if any(c > pool.free for c, pool in zip(counts, self._pools)):
+        # the apps' pages are disjoint, so a pool's pages need only a sort
+        takes = [(pool, parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts)))
+                 for pool, parts in zip(self._pools, wanted) if parts]
+        if any(len(pages) > pool.free for pool, pages in takes):
             return None
         frames = np.empty(len(app), dtype=np.int64)
-        for color, count in enumerate(counts):
-            if count:
-                frames[colors == color] = self._pools[color].take(count)
+        for pool, pages in takes:
+            frames[pages] = pool.take(len(pages))
         for q, count in taken:
             q.rr = (q.rr + count) % len(q.colors)
         return frames

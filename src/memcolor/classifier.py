@@ -12,7 +12,8 @@ bucket weight = log2 count-range index) — then thresholds on (mean hot
 pages, WPD) pick the category.  Both jobs see only the app's own page
 accesses, so `classify_trace_online` computes their evidence straight from
 the trace; `PageAccessSampler` is the per-access reference the tests hold
-it to.
+it to.  The evidence keeps the counters as arrays, the pages' vpns and
+counts in first-touch order; its {vpn: count} dict is built only when read.
 """
 
 from __future__ import annotations
@@ -64,13 +65,26 @@ class SamplerConfig:
         return table[np.minimum(buckets, len(table)) - 1]
 
 
-@dataclass
+@dataclass(eq=False)
 class OnlineEvidence:
+    """One app's hot pages per interval (JOB1), and its touched pages' vpns
+    and access counts (JOB2), arrays in first-touch order."""
     hot_pages: list = field(default_factory=list)
-    access_counters: dict = field(default_factory=dict)
+    vpns: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.uint64))
+    counts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+
+    @property
+    def access_counters(self) -> dict:
+        """{vpn: count} in first-touch order; a new dict on every read."""
+        return dict(zip(self.vpns.tolist(), self.counts.tolist()))
+
+    def __eq__(self, other):
+        return (isinstance(other, OnlineEvidence) and self.hot_pages == other.hot_pages
+                and np.array_equal(self.vpns, other.vpns)
+                and np.array_equal(self.counts, other.counts))
 
     def wpd(self, cfg: SamplerConfig) -> float:
-        return job2_wpd(self.access_counters, cfg)
+        return job2_wpd(self.counts, cfg)
 
     def mean_hot_pages(self) -> float:
         if not self.hot_pages:
@@ -103,16 +117,14 @@ class Thresholds:
                 raise ClassifierError("degradation cutoffs must be in (0,1)")
 
 
-def job2_wpd(access_counters, cfg: SamplerConfig) -> float:
+def job2_wpd(counts, cfg: SamplerConfig) -> float:
     """Weighted page distribution: mean bucket weight over touched pages,
-    from a {vpn: count} dict or an array of counts.  A count's geometric
-    bucket, [1,2)->1, [2,4)->2, ..., is its bit length, the exponent
-    `np.frexp` returns; pages with a count of 0 are not touched and have
-    none.  The weights add up in page order, as in a loop over the pages,
-    not in numpy's pairwise order."""
-    if isinstance(access_counters, dict):
-        access_counters = list(access_counters.values())
-    counts = np.asarray(access_counters, dtype=np.int64)
+    from their access counts.  A count's geometric bucket, [1,2)->1,
+    [2,4)->2, ..., is its bit length, the exponent `np.frexp` returns;
+    pages with a count of 0 are not touched and have none.  The weights add
+    up in page order, as in a loop over the pages, not in numpy's pairwise
+    order."""
+    counts = np.asarray(counts, dtype=np.int64)
     if (counts < 0).any():
         raise ClassifierError(f"count {counts[counts < 0][0]} outside bucket domain [1, inf)")
     buckets = np.frexp(counts[counts > 0])[1]
@@ -130,15 +142,22 @@ class PageAccessSampler:
     def __init__(self, allocator: Allocator, cfg: SamplerConfig | None = None):
         self.allocator = allocator
         self.cfg = cfg or SamplerConfig()
-        self.evidence: dict[object, OnlineEvidence] = {}
+        self._seen: dict[object, tuple] = {}     # app -> (hot pages, {vpn: count})
         self._since_scan: dict[object, int] = {}
 
+    @property
+    def evidence(self) -> dict[object, OnlineEvidence]:
+        """Each app's evidence so far; new objects on every read."""
+        return {app_id: OnlineEvidence(list(hot), np.fromiter(counters, np.uint64, len(counters)),
+                                       np.fromiter(counters.values(), np.int64, len(counters)))
+                for app_id, (hot, counters) in self._seen.items()}
+
     def on_access(self, app_id, vpn: int):
-        ev = self.evidence.get(app_id)
-        if ev is None:
-            ev = self.evidence[app_id] = OnlineEvidence()
+        seen = self._seen.get(app_id)
+        if seen is None:
+            seen = self._seen[app_id] = ([], {})
             self._since_scan[app_id] = 0
-        counters = ev.access_counters
+        counters = seen[1]
         counters[vpn] = counters.get(vpn, 0) + 1
         n = self._since_scan[app_id] + 1
         if n >= self.cfg.period:
@@ -148,7 +167,7 @@ class PageAccessSampler:
 
     def job1_step(self, app_id) -> int:
         hot = self.allocator.access_bit_scan_and_clear(app_id)
-        self.evidence.setdefault(app_id, OnlineEvidence()).hot_pages.append(hot)
+        self._seen.setdefault(app_id, ([], {}))[0].append(hot)
         return hot
 
 
@@ -251,14 +270,11 @@ def classify_trace_online(trace, m: AddressMapping,
             f"app {app!r}: trace has {len(trace)} accesses, fewer than one "
             f"sampling period ({period}), so no sampling interval completes")
     pages = trace.pages(m.page_offset_bits)
-    n_pages = len(pages.first)
     # distinct pages per complete interval: its sorted pages, counted where
     # they change
     intervals = len(trace) // period
     per_interval = np.sort(pages.of[:intervals * period].reshape(intervals, period), axis=1)
     hot = 1 + np.count_nonzero(per_interval[:, 1:] != per_interval[:, :-1], axis=1)
-    counts = np.bincount(pages.of, minlength=n_pages)
-    ev = OnlineEvidence(hot_pages=hot.tolist(),
-                        access_counters=dict(zip(pages.vpn.tolist(), counts.tolist())))
-    wpd = job2_wpd(counts, cfg)
+    ev = OnlineEvidence(hot.tolist(), pages.vpn, np.bincount(pages.of, minlength=len(pages.first)))
+    wpd = ev.wpd(cfg)
     return _decide(ev.mean_hot_pages(), wpd, thresholds), ev, wpd

@@ -108,8 +108,14 @@ class Trace(Sequence):
                    np.asarray(write, dtype=bool))
         if any(c.shape != app.shape for c in columns) or app.ndim != 1:
             raise TraceError("trace columns must be 1-d and of equal length")
-        first, self.app = _numbering(app)
-        self.apps = tuple(map(apps.__getitem__, app[first].tolist()))
+        top = np.maximum.accumulate(app)
+        if (len(app) and app[0] == 0 and top[-1] == len(apps) - 1 and app.min() >= 0
+                and (app[1:] <= top[:-1] + 1).all()):
+            # numbered in order of first appearance already, every name used
+            self.app, self.apps = app, apps
+        else:
+            first, self.app = _numbering(app)
+            self.apps = tuple(map(apps.__getitem__, app[first].tolist()))
         self.core, self.vaddr, self.write = columns
         for column in (self.app, *columns):
             column.setflags(write=False)

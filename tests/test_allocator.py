@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memcolor.allocator import AllocationError, Allocator, OutOfColorMemory
 from memcolor.mapping import AddressMapping, page_color
-from memcolor.policies import PolicyKind, policy_spec
+from memcolor.policies import PolicyKind, custom_spec, policy_spec
 
 M = AddressMapping()
 AVP = policy_spec(PolicyKind.A_VP, M)
@@ -245,3 +247,70 @@ def test_translate_pages_matches_touch(pages, allow_fallback, tmp_path):
     assert csv_text(batched, "batched.csv") == csv_text(reference, "reference.csv")
     assert batched.free_by_color() == reference.free_by_color()
     assert [q.rr for q in batched._quotas.values()] == [q.rr for q in reference._quotas.values()]
+
+
+def test_random_touch_draws_the_batch_stream():
+    # touch's scalar draws take the frames of the batch's one array draw,
+    # down to the last free frame
+    spec = policy_spec(PolicyKind.RANDOM, M)
+    batched, reference = Allocator(1000, spec, M, seed=3), Allocator(1000, spec, M, seed=3)
+    batched.register("A")
+    reference.register("A")
+    frames, error = batched.translate_page_array(
+        ["A"], np.zeros(1000, dtype=np.int32), np.arange(1000, dtype=np.uint64))
+    assert error is None and frames.tolist() == [reference.touch("A", v) for v in range(1000)]
+    assert sorted(frames.tolist()) == list(range(1000))
+
+
+def allocator_state(a):
+    pools = [p.frames[:p.free].tolist() if hasattr(p, "rng") else p.cursor for p in a._pools]
+    return (a.page_tables, a.free_by_color(), pools,
+            {app: q.rr for app, q in a._quotas.items()})
+
+
+@given(data=st.data(), apps=st.integers(1, 6), random=st.booleans(),
+       bits=st.lists(st.sampled_from(sorted(M.color_classes)), max_size=4, unique=True),
+       total=st.integers(1, 120) | st.integers(120, 2500), disjoint=st.booleans(),
+       fallback=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_translate_page_array_matches_touch(data, apps, random, bits, total, disjoint,
+                                            fallback):
+    # 1-16 colors (or random), overlapping or disjoint quotas, and two
+    # batches, the second holding pages the first mapped
+    spec = policy_spec(PolicyKind.RANDOM, M) if random else custom_spec(bits, M)
+    colors = spec.page_colors
+    names = [f"app{i}" for i in range(apps if colors == 1 or not disjoint
+                                      else min(apps, colors))]
+    if colors > 1 and disjoint:
+        owner = data.draw(st.permutations(range(colors)))
+        quotas = [owner[i::len(names)] for i in range(len(names))]
+    else:
+        quotas = [data.draw(st.sets(st.integers(0, colors - 1), min_size=1)) for _ in names]
+
+    def fresh():
+        a = Allocator(total, spec, M, seed=7, allow_fallback=fallback)
+        for name, quota in zip(names, quotas):
+            a.register(name) if colors == 1 else a.assign_quota(name, quota)
+        return a
+
+    pages = st.lists(st.tuples(st.integers(0, len(names) - 1), st.integers(0, 60)),
+                     min_size=1, max_size=80, unique=True)
+    first = data.draw(pages)
+    mapped = data.draw(st.lists(st.sampled_from(first)))
+    second = data.draw(st.permutations(list(dict.fromkeys(mapped + data.draw(pages)))))
+    batched, reference = fresh(), fresh()
+    for batch in (first, second):
+        app = np.array([a for a, _ in batch], dtype=np.int64)
+        vpn = np.array([v for _, v in batch], dtype=np.uint64)
+        frames, error = batched.translate_page_array(names, app, vpn)
+        expected, exc = [], None
+        for a, v in batch:
+            try:
+                expected.append(reference.touch(names[a], v))
+            except AllocationError as e:
+                exc = e
+                break
+        assert frames.tolist() == expected
+        assert type(error) is type(exc) and str(error) == str(exc)
+        assert allocator_state(batched) == allocator_state(reference)
+    assert batched._rng.integers(1 << 62) == reference._rng.integers(1 << 62)

@@ -50,27 +50,27 @@ def test_count_bucket_edges():
 
 
 def test_wpd_all_single_access():
-    assert job2_wpd({1: 1, 2: 1, 3: 1}, CFG) == 1.0
+    assert job2_wpd([1, 1, 1], CFG) == 1.0
 
 
 def test_wpd_convex_combination():
     # half the pages in bucket 1, half in bucket 3
-    assert job2_wpd({0: 1, 1: 1, 2: 4, 3: 5}, CFG) == 2.0
+    assert job2_wpd([1, 1, 4, 5], CFG) == 2.0
 
 
 def test_wpd_matches_oracle():
-    counters = {i: c for i, c in enumerate([1, 1, 5, 9])}
-    assert job2_wpd(counters, CFG) == oracle_wpd(counters.values())
+    counts = [1, 1, 5, 9]
+    assert job2_wpd(counts, CFG) == oracle_wpd(counts)
 
 
 def test_wpd_all_zero_errors():
     with pytest.raises(ClassifierError):
-        job2_wpd({1: 0}, CFG)
+        job2_wpd([0], CFG)
 
 
 def test_wpd_negative_count_errors():
     with pytest.raises(ClassifierError, match=r"count -2 outside bucket domain"):
-        job2_wpd({1: 3, 2: -2, 3: -5}, CFG)
+        job2_wpd([3, -2, -5], CFG)
 
 
 def loop_wpd(counts, cfg):
@@ -91,29 +91,25 @@ def loop_wpd(counts, cfg):
 def test_wpd_equals_per_page_loop(counts, weights):
     cfg = SamplerConfig(bucket_weights=weights)
     expected = loop_wpd(counts, cfg)
-    assert job2_wpd(dict(enumerate(counts)), cfg) == expected
     assert job2_wpd(np.array(counts), cfg) == expected
 
 
 @given(st.lists(st.integers(min_value=1, max_value=10 ** 6), min_size=1, max_size=50))
 @settings(max_examples=200)
 def test_wpd_properties(counts):
-    counters = dict(enumerate(counts))
-    w = job2_wpd(counters, CFG)
+    w = job2_wpd(counts, CFG)
     assert w == pytest.approx(oracle_wpd(counts))
     # permutation invariance
-    rev = dict(enumerate(reversed(counts)))
-    assert job2_wpd(rev, CFG) == pytest.approx(w)
+    assert job2_wpd(counts[::-1], CFG) == pytest.approx(w)
     # duplicating every page leaves wpd unchanged
-    doubled = dict(enumerate(counts + counts))
-    assert job2_wpd(doubled, CFG) == pytest.approx(w)
+    assert job2_wpd(counts + counts, CFG) == pytest.approx(w)
 
 
 def test_classify_online_rules():
     th = Thresholds(hot_page_low=10, hot_page_high=100, wpd_low=1.5, wpd_high=6)
 
     def decide(h, counts):
-        ev = OnlineEvidence(hot_pages=[h], access_counters=dict(enumerate(counts)))
+        ev = OnlineEvidence(hot_pages=[h], counts=np.array(counts))
         return _decide(ev.mean_hot_pages(), ev.wpd(CFG), th)
 
     assert decide(5, [1]) is Category.CCF
@@ -220,10 +216,16 @@ def test_online_evidence_of_trace_matches_sampler(accesses, period, start):
     ref = reference_evidence(records, cfg)
     cat, ev, wpd = classify_trace_online(trace, M, cfg=cfg)
     assert ev.hot_pages == ref.hot_pages
-    assert list(ev.access_counters.items()) == list(ref.access_counters.items())
-    assert all(type(v) is int for v in ev.access_counters)
+    counters = ev.access_counters
+    assert list(counters.items()) == list(ref.access_counters.items())
+    assert all(type(k) is int and type(v) is int for k, v in counters.items())
     assert wpd == ref.wpd(cfg)
+    assert ev == ref and ev != OnlineEvidence(ev.hot_pages, ev.vpns, ev.counts + 1)
     assert (cat, ev, wpd) == classify_trace_online(records, M, cfg=cfg)
+    # the dict is the caller's own: changing it changes no later read
+    counters[next(iter(counters))] += 1
+    counters[-1] = 1
+    assert ev.access_counters == ref.access_counters and ev.wpd(cfg) == wpd
 
 
 def test_offline_of_trace_matches_record_list():

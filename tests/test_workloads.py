@@ -688,6 +688,37 @@ def test_numbering_matches_dict_reference(bases, lows, apps, shift, n, seed, dat
     check_numbering(records, shift, start, stop)
 
 
+def check_app_numbering(trace, names, column):
+    """`trace`'s apps and app column are those `_numbering` gives `column`,
+    a column indexing `names`."""
+    key = np.array(column, dtype=np.int32)
+    first, number = workloads._numbering(key)
+    assert trace.apps == tuple(names[i] for i in key[first].tolist())
+    assert trace.app.dtype == np.int32 and trace.app.tolist() == number.tolist()
+    assert not trace.app.flags.writeable
+    return len(first), number.tolist()
+
+
+@given(column=st.lists(st.integers(-1, 5), max_size=40), numbered=st.booleans(),
+       unused=st.integers(0, 2),
+       part=st.builds(slice, st.integers(0, 40), st.integers(0, 40), st.integers(1, 3)))
+@example(column=[0, -1], numbered=False, unused=0, part=slice(1, 2, 1))
+@example(column=[0, 1, 0, -1, 2], numbered=False, unused=0, part=slice(0, 5, 2))
+@settings(max_examples=200, deadline=None)
+def test_trace_app_column_as_numbering_gives(column, numbered, unused, part):
+    # a column already numbered in first-appearance order that uses every
+    # name is kept as it is; any other is renumbered
+    if numbered:
+        column = reference_numbering(column)[1]
+    names = tuple("ABCDEFGH"[:max([0, *column]) + 1 + unused])
+    n = len(column)
+    app = np.array(column, dtype=np.int32)
+    trace = Trace(names, app, np.zeros(n), np.zeros(n), np.zeros(n))
+    used, number = check_app_numbering(trace, names, column)
+    assert (trace.app is app) == (n > 0 and column == number and used == len(names))
+    check_app_numbering(trace[part], trace.apps, trace.app[part])
+
+
 def test_numbering_overflow_key():
     # two apps at shift 0 with vpns v, 2^63 + v and 2^64 - 4 + v: the vpns
     # are numbered first, since vpn * 2 + app would wrap or overflow
