@@ -283,9 +283,9 @@ class Allocator:
         Leaves the allocator exactly as `touch` at each page's first access
         would: page-table rows in order, access bits, pool cursors, quota
         round-robin positions and the RNG.  Pages already mapped are looked
-        up.  A batch the pools cannot serve whole (an exhausted pool,
-        fallback, a missing quota or registration) goes page by page
-        through `touch`.
+        up.  From the first new page whose pool is empty on (so fallback or
+        an error), and for a batch with an app without a quota or
+        registration, pages go one by one through `touch`.
 
         Returns (frames, error): the frames of the pages translated, in
         order, and None, or the exception that stopped translation at page
@@ -300,19 +300,26 @@ class Allocator:
             row = np.fromiter((rows.get(k, -1) for k in map(_page_key, ids.tolist(), vpn.tolist())),
                               np.int64, len(vpn))
         new = slice(None) if row is None else row < 0
-        new_frames = self._new_frames(apps, app[new])
-        if new_frames is None:
-            return self._translate_each(apps, app, vpn)
+        wanted = app[new]
+        new_frames = self._new_frames(apps, wanted)
+        cut = len(vpn)      # the batch up to its first new page the pools do not serve
+        if len(new_frames) < len(wanted):
+            cut = len(new_frames) if row is None else int(np.flatnonzero(new)[len(new_frames)])
 
         frames = new_frames
         if row is not None:
+            row = row[:cut]
+            new = row < 0
             mapped = row[~new]
             self._bit[mapped] = True
-            frames = np.empty(len(vpn), dtype=np.int64)
+            frames = np.empty(cut, dtype=np.int64)
             frames[new] = new_frames
             frames[~new] = self._pfn[mapped]
-        self._append(ids[new], vpn[new], new_frames)
-        return frames, None
+        self._append(ids[:cut][new], vpn[:cut][new], new_frames)
+        if cut == len(vpn):
+            return frames, None
+        rest, error = self._translate_each(apps, app[cut:], vpn[cut:])
+        return np.concatenate([frames, rest]), error
 
     def _translate_each(self, apps, app, vpn):
         frames = []
@@ -324,11 +331,12 @@ class Allocator:
         return np.array(frames, dtype=np.int64), None
 
     def _new_frames(self, apps, app):
-        """Frames for one new page of apps[app[k]] per k, in order, or None
-        (with nothing consumed) when a pool would run out on the way."""
+        """Frames for one new page of apps[app[k]] per k, in order, up to the
+        first page whose pool is empty: the longest prefix served without
+        fallback."""
         if len(self._pools) == 1:     # one color: round-robin is pool order
             pool = self._pools[0]
-            return pool.take(len(app)) if len(app) <= pool.free else None
+            return pool.take(min(len(app), pool.free))
         # An app with q quota colors takes its new pages t, t + q, ... from
         # the color t steps past its round-robin position, and a pool serves
         # its pages in page order; this holds while no pool runs empty.
@@ -340,17 +348,18 @@ class Allocator:
             n = len(q.colors)
             for t in range(min(n, len(sel))):
                 wanted[q.colors[(q.rr + t) % n]].append(sel[t::n])
-            taken.append((q, len(sel)))
+            taken.append((q, sel))
         # the apps' pages are disjoint, so a pool's pages need only a sort
         takes = [(pool, parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts)))
                  for pool, parts in zip(self._pools, wanted) if parts]
-        if any(len(pages) > pool.free for pool, pages in takes):
-            return None
-        frames = np.empty(len(app), dtype=np.int64)
+        cut = min([int(pages[pool.free]) for pool, pages in takes if len(pages) > pool.free],
+                  default=len(app))
+        frames = np.empty(cut, dtype=np.int64)
         for pool, pages in takes:
+            pages = pages[:np.searchsorted(pages, cut)]
             frames[pages] = pool.take(len(pages))
-        for q, count in taken:
-            q.rr = (q.rr + count) % len(q.colors)
+        for q, sel in taken:
+            q.rr = (q.rr + int(np.searchsorted(sel, cut))) % len(q.colors)
         return frames
 
     def access_bit_scan_and_clear(self, app_id) -> int:

@@ -103,15 +103,17 @@ def _profile(cfg: ExperimentConfig, traces):
                             core_count=cfg.core_count), evidence)
 
 
-def _run_policy(cfg: ExperimentConfig, merged, apps, spec: PolicySpec, quotas=None):
+def _run_policy(cfg: ExperimentConfig, merged, apps, spec: PolicySpec, quotas=None,
+                epoch=None):
     """Replay a mixed trace under one policy; quotas default to an even
-    color split.  Returns (Metrics, epoch snapshots, Allocator)."""
+    color split.  Returns (Metrics, snapshots per `epoch` accesses if
+    given, Allocator)."""
     alloc = Allocator(cfg.resolved_total_pages(), spec, cfg.mapping,
                       seed=cfg.seed, allow_fallback=cfg.allow_fallback)
     for app, colors in (quotas or _even_split_quotas(spec, apps)).items():
         alloc.assign_quota(app, colors)
     hier = MemoryHierarchy(cfg.mapping, cfg.private_cache, cfg.llc)
-    metrics, snapshots = run_trace(merged, alloc, hier, epoch=cfg.epoch)
+    metrics, snapshots = run_trace(merged, alloc, hier, epoch=epoch)
     return metrics, snapshots, alloc
 
 
@@ -172,7 +174,7 @@ def cmd_run(args) -> int:
 
         merged = _mix(cfg, traces)
         metrics, snapshots, alloc = _run_policy(
-            cfg, merged, list(traces), policy_spec(policy, cfg.mapping), quotas)
+            cfg, merged, list(traces), policy_spec(policy, cfg.mapping), quotas, cfg.epoch)
         path = os.path.join(out, "metrics.json")
         _write(path, metrics.to_json(cfg.latencies))
         written.append(path)

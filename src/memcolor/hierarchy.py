@@ -85,21 +85,31 @@ class AccessOutcome(NamedTuple):
 
 
 class Metrics:
-    """Per-app and global outcome counters."""
+    """Outcome counters: one int64 row of COUNTER_KEYS per owner id, the id
+    the hierarchy's LLC slots and banks store.  Id 0 is no app and its row
+    stays zero; each app gets the next id at its first access, so `per_app`
+    lists the apps counted in id order."""
 
     def __init__(self):
-        self.total = dict.fromkeys(COUNTER_KEYS, 0)
-        self.per_app: dict[object, dict] = {}
+        self.owners: dict = {}      # app -> its owner id
+        self.counts = np.zeros((1, len(COUNTER_KEYS)), dtype=np.int64)
 
-    def app(self, app_id) -> dict:
-        d = self.per_app.get(app_id)
-        if d is None:
-            d = self.per_app[app_id] = dict.fromkeys(COUNTER_KEYS, 0)
-        return d
+    def owner(self, app_id) -> int:
+        """The owner id of `app_id`, given a zero row on first use."""
+        owner = self.owners.get(app_id)
+        if owner is None:
+            owner = self.owners[app_id] = len(self.counts)
+            self.counts = np.concatenate([self.counts, np.zeros_like(self.counts[:1])])
+        return owner
 
-    def bump(self, app_id, key):
-        self.total[key] += 1
-        self.app(app_id)[key] += 1
+    @property
+    def total(self) -> dict:
+        return dict(zip(COUNTER_KEYS, self.counts.sum(axis=0).tolist()))
+
+    @property
+    def per_app(self) -> dict:
+        return {app: dict(zip(COUNTER_KEYS, row))
+                for app, row in zip(self.owners, self.counts[1:].tolist()) if any(row)}
 
     @property
     def accesses(self) -> int:
@@ -107,18 +117,16 @@ class Metrics:
         return t["private_hits"] + t["llc_hits"] + t["llc_misses"]
 
     def llc_miss_rate(self) -> float:
-        post_private = self.total["llc_hits"] + self.total["llc_misses"]
-        return self.total["llc_misses"] / post_private if post_private else 0.0
+        t = self.total
+        return t["llc_misses"] / ((t["llc_hits"] + t["llc_misses"]) or 1)
 
     def row_hit_rate(self) -> float:
-        dram = self.total["llc_misses"]
-        return self.total["row_hits"] / dram if dram else 0.0
+        t = self.total
+        return t["row_hits"] / (t["llc_misses"] or 1)
 
     def snapshot(self) -> dict:
-        return {
-            "total": dict(self.total),
-            "per_app": {str(a): dict(c) for a, c in sorted(self.per_app.items(), key=lambda kv: str(kv[0]))},
-        }
+        per_app = sorted(self.per_app.items(), key=lambda kv: str(kv[0]))
+        return {"total": self.total, "per_app": {str(a): c for a, c in per_app}}
 
     def to_json(self, latencies=None) -> str:
         doc = self.snapshot()
@@ -155,8 +163,8 @@ class MemoryHierarchy:
     count: the LLC's sets in set order, with an owner id per slot, and the
     private sets of each core in registration order.  A bank holds its open
     row (-1 before the first access) and the owner id of its last access.
-    Owner ids index `_owners`: None (the owner of a bank never opened), then
-    each app in order of first access.
+    An owner id is the app's row of counters in `metrics` (`metrics.owner`);
+    0 owns the slots and banks never used.
     """
 
     def __init__(self, m: AddressMapping,
@@ -192,8 +200,6 @@ class MemoryHierarchy:
         self._private_fill = np.zeros(private_cfg.sets, dtype=np.int32)
         self._bank_row = np.full(m.banks, -1, dtype=np.int64)
         self._bank_app = np.zeros(m.banks, dtype=np.int32)
-        self._owners: list = [None]
-        self._owner_ids: dict = {None: 0}
         self._views()
 
     def _views(self):
@@ -216,14 +222,6 @@ class MemoryHierarchy:
                 self._views()
         return index * self._private_sets
 
-    def owner(self, app_id) -> int:
-        """The owner id of `app_id`, assigned on first use."""
-        owner = self._owner_ids.get(app_id)
-        if owner is None:
-            owner = self._owner_ids[app_id] = len(self._owners)
-            self._owners.append(app_id)
-        return owner
-
     def state(self) -> dict:
         """The cache and bank state as plain values, orders included: the
         private sets of each core, as (core, sets) in registration order,
@@ -233,7 +231,7 @@ class MemoryHierarchy:
         def sets(slots, fill, ways):
             return [s[:n] for s, n in zip(slots.reshape(-1, ways).tolist(), fill.tolist())]
 
-        owners = self._owners
+        owners = [None, *self.metrics.owners]
         private = sets(self._private, self._private_fill, self._private_ways)
         n = self._private_sets
         llc_owner = sets(self._llc_owner, self._llc_fill, self._llc_ways)
@@ -250,9 +248,9 @@ class MemoryHierarchy:
         `run_trace`."""
         if addr < 0 or addr >= self._mem_bytes:
             raise MappingError(f"address {addr:#x} out of range")
-        code = self._step(addr, self.private_base(core), self.owner(app_id))
-        for key in CODE_KEYS[code]:
-            self.metrics.bump(app_id, key)
+        owner = self.metrics.owner(app_id)
+        code = self._step(addr, self.private_base(core), owner)
+        self.metrics.counts[owner] += CODE_COUNTS[code]
         return OUTCOMES[code]
 
     def _step(self, addr, base, app) -> int:
@@ -347,40 +345,33 @@ OUT_PRIVATE_HIT, OUT_LLC_HIT, OUT_ROW_HIT, OUT_ROW_MISS, OUT_ROW_CONFLICT, \
 OUT_CROSS_EVICTION = 8
 N_CODES = 16
 
+# per terminal code: the counters one access adds to, and its DRAM outcome
+TERMINALS = {
+    OUT_PRIVATE_HIT: (("private_hits",), None),
+    OUT_LLC_HIT: (("llc_hits",), None),
+    OUT_ROW_HIT: (("llc_misses", "row_hits"), "row_hit"),
+    OUT_ROW_MISS: (("llc_misses", "row_misses"), "row_miss"),
+    OUT_ROW_CONFLICT: (("llc_misses", "row_conflicts"), "row_conflict"),
+    OUT_CROSS_CONFLICT: (("llc_misses", "row_conflicts", "cross_app_conflicts"), "row_conflict"),
+}
 
-def _code_counts() -> np.ndarray:
-    """(code, counter) matrix: what one access with each code adds to each
-    of COUNTER_KEYS."""
-    keys = {
-        OUT_PRIVATE_HIT: ("private_hits",),
-        OUT_LLC_HIT: ("llc_hits",),
-        OUT_ROW_HIT: ("llc_misses", "row_hits"),
-        OUT_ROW_MISS: ("llc_misses", "row_misses"),
-        OUT_ROW_CONFLICT: ("llc_misses", "row_conflicts"),
-        OUT_CROSS_CONFLICT: ("llc_misses", "row_conflicts", "cross_app_conflicts"),
-    }
+
+def _code_tables():
+    """Per code, TERMINALS with or without OUT_CROSS_EVICTION: what one access
+    adds to each of COUNTER_KEYS, and the outcome `access` returns."""
     counts = np.zeros((N_CODES, len(COUNTER_KEYS)), dtype=np.int64)
-    for code, names in keys.items():
-        for name in names:
-            counts[[code, code | OUT_CROSS_EVICTION], COUNTER_KEYS.index(name)] = 1
-        counts[code | OUT_CROSS_EVICTION, COUNTER_KEYS.index("cross_app_llc_evictions")] = 1
-    return counts
+    outcomes = {}
+    for terminal, (keys, dram) in TERMINALS.items():
+        outcome = AccessOutcome("private_hits" in keys, "llc_hits" in keys, dram,
+                                "cross_app_conflicts" in keys)
+        for code, extra in ((terminal, ()),
+                            (terminal | OUT_CROSS_EVICTION, ("cross_app_llc_evictions",))):
+            counts[code, [COUNTER_KEYS.index(k) for k in keys + extra]] = 1
+            outcomes[code] = outcome
+    return counts, outcomes
 
 
-CODE_COUNTS = _code_counts()
-
-
-def _outcome(code: int) -> AccessOutcome:
-    terminal = code & ~OUT_CROSS_EVICTION
-    dram = {OUT_ROW_HIT: "row_hit", OUT_ROW_MISS: "row_miss", OUT_ROW_CONFLICT: "row_conflict",
-            OUT_CROSS_CONFLICT: "row_conflict"}.get(terminal)
-    return AccessOutcome(terminal == OUT_PRIVATE_HIT, terminal == OUT_LLC_HIT, dram,
-                         terminal == OUT_CROSS_CONFLICT)
-
-
-# per code: the counters it adds to, and the outcome `access` returns
-CODE_KEYS = [tuple(k for k, v in zip(COUNTER_KEYS, row) if v) for row in CODE_COUNTS.tolist()]
-OUTCOMES = [_outcome(code) for code in range(N_CODES)]
+CODE_COUNTS, OUTCOMES = _code_tables()
 
 
 def run_trace(trace, allocator, hierarchy: MemoryHierarchy,
@@ -428,38 +419,27 @@ def run_trace(trace, allocator, hierarchy: MemoryHierarchy,
         failure.__cause__ = error
 
     # 2. replay the accesses before the stop in one call, on the cores'
-    # private sets and the apps' owner ids
+    # private sets and the apps' owner ids; the cores and apps met before
+    # the stop lead core_order and app_order, and only they are registered
     core_order, core_of = trace.cores()
-    met = int(core_of[:stop].max()) + 1 if stop else 0  # the cores met lead core_order
-    private_base = np.array([hierarchy.private_base(c) for c in core_order[:met]], dtype=np.int64)
-    owner_of = np.array([hierarchy.owner(a) for a in app_order], dtype=np.int32)
+    cores, apps = (int(of[:stop].max()) + 1 if stop else 0 for of in (core_of, app_of))
+    private_base = np.array([hierarchy.private_base(c) for c in core_order[:cores]], dtype=np.int64)
+    owner_of = np.array([metrics.owner(a) for a in app_order[:apps]], dtype=np.int32)
     codes = np.empty(stop, dtype=np.uint8)
     hierarchy._replay(pages.of, np.ascontiguousarray(trace.vaddr), core_of, app_of,
                       pfns, private_base, owner_of, codes)
 
-    # 3. counters per epoch from the outcome codes
+    # 3. counters per epoch from the outcome codes, into the apps' rows
     key = app_of[:stop] * N_CODES + codes
     step = epoch or max(stop, 1)
     snapshots = []
     for start in range(0, stop, step):
         part = key[start:start + step]
-        counts = np.bincount(part, minlength=len(app_order) * N_CODES)
-        _add_counts(metrics, app_order,
-                    counts.reshape(len(app_order), N_CODES) @ CODE_COUNTS)
+        counts = np.bincount(part, minlength=apps * N_CODES).reshape(apps, N_CODES)
+        metrics.counts[owner_of] += counts @ CODE_COUNTS
         if epoch and len(part) == step:
             snapshots.append(metrics.snapshot())
     if failure is not None:
         raise failure
     return metrics, snapshots
 
-
-def _add_counts(metrics: Metrics, app_order, counts: np.ndarray):
-    """Add per-app counter rows (apps in first-access order) to `metrics`;
-    an app enters `per_app` with its first counted access."""
-    total = metrics.total
-    for app, row in zip(app_order, counts.tolist()):
-        if any(row):
-            mine = metrics.app(app)
-            for key, value in zip(COUNTER_KEYS, row):
-                mine[key] += value
-                total[key] += value

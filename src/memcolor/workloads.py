@@ -401,24 +401,22 @@ def write_trace(trace, path):
             raise TraceError(f"app name {name!r} cannot be written to a trace file: "
                              f"it does not encode as UTF-8") from None
     cores, core_of = trace.cores()
-    # one line kind per distinct (app, core, op): its text before the address
-    key = (trace.app.astype(np.int64) * len(cores) + core_of) * 2 + trace.write
+    # one line kind per distinct (app, core): its text before the address
+    key = trace.app.astype(np.int64) * len(cores) + core_of
     first, kind_of = _numbering(key)
-    kinds = []
-    for kind in key[first].tolist():
-        app, core = divmod(kind >> 1, len(cores))
-        kinds.append((f"{trace.apps[app]} {cores[core]} ", OPS[kind & 1]))
+    kinds = [f"{trace.apps[app]} {cores[core]} "
+             for app, core in (divmod(k, len(cores)) for k in key[first].tolist())]
     lib = _native.kernel()
     if lib is None:
-        formats = [f"{prefix.replace('%', '%%')}%#x {op}\n" for prefix, op in kinds]
         with open(path, "w", encoding="utf-8") as fh:
             for start in range(0, len(trace), CHUNK):
                 end = start + CHUNK
-                fh.writelines(map(str.__mod__, map(formats.__getitem__,
-                                                   kind_of[start:end].tolist()),
-                                  trace.vaddr[start:end].tolist()))
+                fh.writelines(map("%s%#x %s\n".__mod__, zip(
+                    map(kinds.__getitem__, kind_of[start:end].tolist()),
+                    trace.vaddr[start:end].tolist(),
+                    map(OPS.__getitem__, trace.write[start:end].tolist()))))
         return
-    texts = [prefix.encode() for prefix, _ in kinds]
+    texts = [kind.encode() for kind in kinds]
     lengths = list(map(len, texts))
     prefixes = np.frombuffer(b"".join(texts), dtype=np.uint8)
     ends = np.cumsum(lengths, dtype=np.int64)

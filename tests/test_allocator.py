@@ -314,3 +314,25 @@ def test_translate_page_array_matches_touch(data, apps, random, bits, total, dis
         assert type(error) is type(exc) and str(error) == str(exc)
         assert allocator_state(batched) == allocator_state(reference)
     assert batched._rng.integers(1 << 62) == reference._rng.integers(1 << 62)
+
+
+def test_translate_page_array_touches_only_the_pages_past_an_empty_pool():
+    # a-vp on 65,536 frames has 16,384 of color 0: the pool serves all but
+    # the last of 16,385 pages, which falls back page by page
+    spec = policy_spec(PolicyKind.A_VP, M)
+
+    def fresh():
+        a = Allocator(65536, spec, M, allow_fallback=True)
+        a.assign_quota("A", {0})
+        return a
+
+    batched, reference = fresh(), fresh()
+    touched, touch = [], batched.touch
+    batched.touch = lambda app, vpn: touched.append(vpn) or touch(app, vpn)
+    n = 16385
+    frames, error = batched.translate_page_array(
+        ["A"], np.zeros(n, dtype=np.int64), np.arange(n, dtype=np.uint64))
+    assert error is None
+    assert frames.tolist() == [reference.touch("A", v) for v in range(n)]
+    assert allocator_state(batched) == allocator_state(reference)
+    assert touched == [n - 1]

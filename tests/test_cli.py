@@ -1,11 +1,13 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import pytest
 import yaml
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import memcolor
-from memcolor import cli
+from memcolor import _native, cli
 from memcolor.allocator import Allocator
 from memcolor.cli import main
 from memcolor.config import load_config
@@ -106,7 +108,8 @@ def test_run_policy_without_partitioning_matches_registered_apps(tmp_path, polic
     traces = cli._load_traces(cfg)
     merged = cli._mix(cfg, traces)
     spec = policy_spec(policy, cfg.mapping)
-    metrics, snapshots, alloc = cli._run_policy(cfg, merged, list(traces), spec)
+    metrics, snapshots, alloc = cli._run_policy(cfg, merged, list(traces), spec,
+                                                epoch=cfg.epoch)
     registered = Allocator(cfg.resolved_total_pages(), spec, cfg.mapping,
                            seed=cfg.seed, allow_fallback=cfg.allow_fallback)
     for app in traces:
@@ -234,6 +237,57 @@ def test_sweep_deterministic(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(o2)]) == 0
     assert (o1 / "sweep.json").read_bytes() == (o2 / "sweep.json").read_bytes()
     assert (o1 / "sweep.csv").read_bytes() == (o2 / "sweep.csv").read_bytes()
+
+
+def test_sweep_takes_no_epoch_snapshots(tmp_path, monkeypatch, capsys):
+    epochs = []
+
+    def replay(*args, epoch=None):
+        epochs.append(epoch)
+        return run_trace(*args, epoch=epoch)
+
+    monkeypatch.setattr(cli, "run_trace", replay)
+    sweeps = []
+    for overrides in ({}, {"epoch": 7000}):
+        out = tmp_path / f"sweep{len(sweeps)}"
+        assert main(["sweep", "--config", write_config(tmp_path, **overrides),
+                     "--out", str(out)]) == 0
+        sweeps.append([(out / name).read_bytes() for name in ("sweep.json", "sweep.csv")])
+    assert sweeps[0] == sweeps[1]
+    assert epochs == [None] * 12
+
+
+GOLDEN_WORKLOAD = [
+    {"app": "H", "kind": "llch", "pages": 96, "accesses": 12000, "seed": 1},
+    {"app": "T", "kind": "llct", "pages": 5000, "accesses": 10000, "seed": 2},
+    {"app": "C", "kind": "ccf", "pages": 8, "accesses": 10000, "seed": 3},
+]
+
+# sha256 of each output of `run --policy auto` and `sweep` on GOLDEN_WORKLOAD
+GOLDEN = {
+    "stdout": "6f760ec8e950c111a293106a8503a48318759d50f32bf55069cd50d1c9f0f35e",
+    "decision.json": "9ead415a92f9d3f41808294bf527ab66ba4dfb90c4bf3f7d0408c1b5aafdcbd0",
+    "metrics.json": "011d642c383dc6cf8d87ca8d109863ea74d1b4b45e7db589ad6899648591f141",
+    "alloc.csv": "9e67052052d6d707806a65a528e9a86efa245d8a0fd073cda31f696fc6955689",
+    "epochs.json": "9de99f8e77a14edc2b03efb3565bf3d3292d579e53b70b7e2d4b35670b4eb550",
+    "sweep.json": "3e9f94c89d18363d2578cfaa7fa83d6d43d69e45cfe8e81bcae32a5ef266b0c5",
+    "sweep.csv": "bf15acb7f9e611e0a2b19dad1161c0c2dfde58e7480769b72e62aee1a4e6b3e2",
+}
+
+
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "python"])
+def test_artifacts_match_golden_hashes(tmp_path, capsys, kernel):
+    cfg = write_config(tmp_path, workload=GOLDEN_WORKLOAD, epoch=1700)
+    out = tmp_path / "out"
+    loops = contextlib.nullcontext() if kernel else mock.patch.object(_native, "kernel", lambda: None)
+    with loops:
+        assert main(["run", "--config", cfg, "--policy", "auto", "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in GOLDEN if name != "stdout"}
+    digests["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
+    assert digests == GOLDEN
 
 
 def test_missing_config_file_is_runtime_error(tmp_path):

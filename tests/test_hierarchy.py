@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from memcolor import _native
 from memcolor.allocator import Allocator
 from memcolor.classifier import cache_quota_spec
-from memcolor.hierarchy import (DEFAULT_LATENCIES, CacheConfig, MemoryHierarchy,
-                                Metrics, SimulationError, proxy_cycles,
-                                run_trace)
+from memcolor.hierarchy import (COUNTER_KEYS, DEFAULT_LATENCIES, CacheConfig,
+                                MemoryHierarchy, Metrics, SimulationError,
+                                proxy_cycles, run_trace)
 from memcolor.mapping import AddressMapping, MappingError, decompose
 from memcolor.policies import PolicyKind, policy_spec
 from memcolor.workloads import Trace, TraceRecord
@@ -151,11 +151,10 @@ def test_llc_lru_matches_reference_through_private_bypass():
 def test_proxy_cycles_linear():
     m = Metrics()
     assert proxy_cycles(m) == 0
-    for _ in range(10):
-        m.bump("A", "private_hits")
+    a = m.owner("A")
+    m.counts[a, COUNTER_KEYS.index("private_hits")] += 10
     assert proxy_cycles(m) == 40
-    for k in m.total:
-        m.total[k] *= 2
+    m.counts *= 2
     assert proxy_cycles(m) == 80
 
 
@@ -357,6 +356,26 @@ def test_batched_replay_pool_exhaustion_matches_reference(name, spec, allow_fall
     assert outcomes[0][0] == "error" and "pools empty" in outcomes[0][1]
 
 
+def test_per_app_lists_apps_in_first_counted_order_after_a_stop():
+    # A runs its one color dry before C's first record; B then comes before C
+    def make():
+        alloc = Allocator(64, policy_spec(PolicyKind.A_VP, DM), DM)
+        for app, color in zip("ABC", range(3)):
+            alloc.assign_quota(app, [color])
+        return alloc, MemoryHierarchy(DM, TINY_PRIVATE, TINY_LLC)
+
+    def records(app, core, pages):
+        return [TraceRecord(app, core, vpn * 4096, "r") for vpn in pages]
+
+    stopped = records("A", 0, range(20)) + records("C", 2, range(4))
+    later = records("B", 1, range(4)) + records("C", 2, range(4))
+    batched, reference = replay_both(make, [stopped, later])
+    assert batched == reference
+    outcomes, state = batched
+    assert outcomes[0] == ("error", "record 16: app 'A': all allowed color pools empty: [0]")
+    assert [app for app, _ in state["per_app"]] == ["A", "B", "C"]
+
+
 def test_batched_replay_unregistered_app_matches_reference():
     spec = policy_spec(PolicyKind.A_VP, DM)
 
@@ -486,7 +505,7 @@ def replay_tiny(geometry, calls):
     out = []
     for cores, apps, frames, accesses in calls:
         private_base = np.array([h.private_base(c) for c in cores], dtype=np.int64)
-        owner_of = np.array([h.owner(a) for a in apps], dtype=np.int32)
+        owner_of = np.array([h.metrics.owner(a) for a in apps], dtype=np.int32)
         core, app, page, vaddr = (np.array(column, dtype=dtype) for column, dtype in zip(
             zip(*accesses) if accesses else ((),) * 4, (np.int32, np.int32, np.int32, np.uint64)))
         codes = np.zeros(len(accesses), dtype=np.uint8)
