@@ -1,7 +1,8 @@
-/* Native forms of memcolor's two per-element replay loops, loaded with
- * ctypes by memcolor._native.  MemoryHierarchy._step and the swap-remove loop
- * allocator._draw_frames are the Python references they are tested
- * against.
+/* Native forms of memcolor's per-element loops, loaded with ctypes by
+ * memcolor._native: the two replay loops, whose Python references are
+ * MemoryHierarchy._step and the swap-remove loop allocator._draw_frames;
+ * the trace-file parser and writer; and first-appearance numbering.  Each
+ * is tested against its Python reference.
  *
  * Cache sets are flat arrays of `ways` slots, way 0 the least recent, with
  * a fill count per set.  Apps are small ints; a bank never opened has row
@@ -269,4 +270,37 @@ int64_t format_trace(int64_t n, const int32_t *kind, const uint64_t *vaddr,
         *p++ = '\n';
     }
     return p - out;
+}
+
+/* First-appearance numbering, the numbers workloads._sort_numbering gives:
+ * key i takes the number of the first key equal to it, and a key not seen
+ * before takes the next number, its position going to first[number].
+ * `table` has 2^(64 - shift) slots, at least 2n, all -1 (empty) on entry.
+ * A key's number sits in the slot of its Fibonacci hash,
+ * k * 2^64/phi >> shift, or, when that slot holds another key's, in the
+ * next slot on (wrapping round) that does not.  Returns the count of distinct keys, or -1 once the probes
+ * past the hashed slots outnumber NUMBER_PROBES * n: keys crafted to
+ * collide then cost the caller a sort, not n^2 probes. */
+enum { NUMBER_PROBES = 8 };
+
+int64_t number_first(int64_t n, const uint64_t *key, int32_t shift, int32_t *table,
+                     int64_t *first, int32_t *number)
+{
+    const uint64_t mask = UINT64_MAX >> shift;
+    int64_t distinct = 0, budget = NUMBER_PROBES * n;
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t k = key[i], s = k * 0x9E3779B97F4A7C15u >> shift;
+        int32_t j;
+        while ((j = table[s]) >= 0 && key[first[j]] != k) {
+            s = (s + 1) & mask;
+            if (--budget < 0)
+                return -1;
+        }
+        if (j < 0) {
+            j = table[s] = (int32_t)distinct;
+            first[distinct++] = i;
+        }
+        number[i] = j;
+    }
+    return distinct;
 }

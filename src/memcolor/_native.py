@@ -6,8 +6,9 @@ interpreter's cache tag and the machine; where that directory is not
 writable, the library is built in a temporary directory for this process.
 `kernel()` returns the loaded library, or None with one RuntimeWarning
 when gcc is missing or the build or load fails; callers then run their
-Python code (the replay loops, the trace-file parser and writer), which is
-the reference the kernel is tested against.
+Python code (the replay loops, the trace-file parser and writer, and the
+sort that numbers values in order of first appearance), which is the
+reference the kernel is tested against.
 The modules only a build or load needs are imported on first use, so that
 importing memcolor stays cheap.
 """
@@ -99,5 +100,7 @@ def kernel():
     lib.parse_trace.restype = c64
     lib.format_trace.argtypes = [c64, i32, u64, u8, u8, i64, u8]
     lib.format_trace.restype = c64
+    lib.number_first.argtypes = [c64, u64, c32, i32, i64, i32]
+    lib.number_first.restype = c64
     return lib
 

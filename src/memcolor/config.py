@@ -62,10 +62,10 @@ def _mapping_from(doc: dict) -> AddressMapping:
 
 def _cache_from(doc: dict, default: CacheConfig, name: str) -> CacheConfig:
     _shaped(name, doc, dict)
+    size, ways, line = (_integer(f"{name}.{key}", doc.get(key, value)) for key, value in (
+        ("size", default.size_bytes), ("ways", default.ways), ("line", default.line_bytes)))
     try:
-        return CacheConfig(size_bytes=int(doc.get("size", default.size_bytes)),
-                           ways=int(doc.get("ways", default.ways)),
-                           line_bytes=int(doc.get("line", default.line_bytes)))
+        return CacheConfig(size_bytes=size, ways=ways, line_bytes=line)
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
@@ -114,7 +114,10 @@ def _shaped(name: str, value, kind):
 
 
 def _integer(name: str, value) -> int:
+    """`value` as an int; a float only when it is integral."""
     try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
         return int(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
@@ -125,6 +128,14 @@ def _number(name: str, value) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
+def _boolean(name: str, value) -> bool:
+    """`value`, if a YAML boolean; not read with bool(), under which "false"
+    is true."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 def _at_least(name: str, value, low: int) -> int:
@@ -182,9 +193,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         cfg.seed = _at_least("seed", doc.get("seed", 0), 0)
         cfg.policy = str(doc.get("policy", "auto"))
         cfg.core_count = _integer("core_count", doc.get("core_count", 4))
-        cfg.multithreaded = bool(doc.get("multithreaded", False))
+        cfg.multithreaded = _boolean("multithreaded", doc.get("multithreaded", False))
         cfg.mix_chunk = _at_least("mix_chunk", doc.get("mix_chunk", 1), 1)
-        cfg.allow_fallback = bool(doc.get("allow_fallback", False))
+        cfg.allow_fallback = _boolean("allow_fallback", doc.get("allow_fallback", False))
         # 0 (or none) means no epochs
         cfg.epoch = _at_least("epoch", doc.get("epoch") or 0, 0) or None
         if doc.get("total_pages") is not None:

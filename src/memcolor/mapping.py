@@ -136,6 +136,11 @@ def validate_mapping(m: AddressMapping) -> list[str]:
     per violated invariant naming the offending bit position.
     """
     violations = []
+    # shifts of an address: in C a shift by 64 or more is undefined, so the
+    # kernel's replay would disagree with the Python one, where it gives 0
+    for name in ("page_offset_bits", "line_offset_bits", "row_shift"):
+        if not 0 <= getattr(m, name) < 64:
+            violations.append(f"{name} must be in [0, 64), got {getattr(m, name)}")
     set_bits = set(m.set_index_bits)
     bank_bits = set(m.bank_index_bits)
 

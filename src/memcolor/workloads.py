@@ -21,6 +21,7 @@ without it; both write the same bytes.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -61,9 +62,29 @@ class Pages(NamedTuple):
 
 
 def _numbering(key: np.ndarray):
-    """Number the values of `key` in order of first appearance: (each
-    distinct value's first position, in that order (int64); each element's
-    number (int32))."""
+    """Number the values of `key`, an integer array, in order of first
+    appearance: (each distinct value's first position, in that order
+    (int64); each element's number (int32)).  One pass of the kernel's
+    `number_first` when it is built, else `_sort_numbering`."""
+    lib = _native.kernel()
+    if lib is not None:
+        # one uint64 per key, distinct for distinct keys
+        wide = np.ascontiguousarray(key)
+        wide = wide.view(np.uint64) if wide.dtype.itemsize == 8 else wide.astype(np.uint64)
+        n = len(wide)
+        bits = max(1, (2 * n - 1).bit_length())      # at least 2n slots
+        first = np.empty(n, dtype=np.int64)
+        number = np.empty(n, dtype=np.int32)
+        distinct = lib.number_first(n, wide, 64 - bits, np.full(1 << bits, -1, dtype=np.int32),
+                                    first, number)
+        if distinct >= 0:
+            return first[:distinct].copy(), number
+    return _sort_numbering(key)
+
+
+def _sort_numbering(key: np.ndarray):
+    """`_numbering` by sorting, the reference for `number_first` and its
+    fallback."""
     # group equal values by sorting; the sort is not stable, so a value's
     # first position is the smallest in its group
     perm = np.argsort(key)
@@ -247,6 +268,8 @@ class ArchetypeParams:
             raise TraceError("working_set_pages must be >= 1")
         if self.reuse not in ("none", "loop", "zipf"):
             raise TraceError(f"unknown reuse mode {self.reuse!r}")
+        if not math.isfinite(self.zipf_s):
+            raise TraceError(f"zipf_s must be a finite number, got {self.zipf_s!r}")
         if self.stride < 1 or self.stride > PAGE_BYTES or PAGE_BYTES % self.stride:
             raise TraceError(f"stride must divide the page size, got {self.stride}")
         # the accesses must touch every page of the working set: once each
@@ -286,6 +309,8 @@ def canonical_params(kind: str, seed: int = 0, app: str = "A", core: int = 0,
         field, read = PARAM_NAMES[name]
         if value is not None:
             try:
+                if read is int and isinstance(value, float) and not value.is_integer():
+                    raise ValueError(value)
                 fields[field] = read(value)
             except (TypeError, ValueError):
                 raise TraceError(f"{name} must be {read.__name__}, got {value!r}") from None
@@ -372,18 +397,33 @@ def mix(traces, k: int = 1, core_count: int | None = None,
     index = {a: i for i, a in enumerate(dict.fromkeys(chain.from_iterable(
         t.apps for t in traces)))}
     lengths = [len(t) for t in traces]
-    app = np.concatenate([np.array([index[a] for a in t.apps], dtype=np.int32)[t.app]
-                          for t in traces])
-    core = np.repeat(np.array(cores, dtype=np.int64), lengths)
-    vaddr = np.concatenate([t.vaddr for t in traces])
-    write = np.concatenate([t.write for t in traces])
-    if len(traces) > 1:
-        turn = np.concatenate([np.arange(n) // k for n in lengths])
-        source = np.repeat(np.arange(len(traces)), lengths)
-        # by turn, then trace; stable, so each trace keeps its record order
-        order = np.lexsort((source, turn))
-        app, core, vaddr, write = app[order], core[order], vaddr[order], write[order]
-    return Trace(tuple(index), app, core, vaddr, write)
+    columns = [np.empty(sum(lengths), dtype=dtype)
+               for dtype in (np.int32, np.int64, np.uint64, bool)]
+    sources = [(np.array([index[a] for a in t.apps], dtype=np.int32)[t.app],
+                np.broadcast_to(np.int64(c), len(t)), t.vaddr, t.write)
+               for t, c in zip(traces, cores)]
+    # Turn u holds records [u * k, (u + 1) * k) of each trace, trace after
+    # trace.  Before the turn in which the first of the m traces left ends,
+    # each has k records a turn: the r-th of them fills offsets r * k to
+    # r * k + k of every m * k records.  The turn it ends in is laid out
+    # share by share, and the traces that end in it leave.
+    at, turn, left = 0, 0, [i for i, n in enumerate(lengths) if n]
+    while left:
+        last = min(-(-lengths[i] // k) for i in left) - 1
+        pitch = len(left) * k
+        for r, i in enumerate(left):
+            for out, source in zip(columns, sources[i]):
+                out[at:at + (last - turn) * pitch].reshape(-1, pitch)[:, r * k:r * k + k] = \
+                    source[turn * k:last * k].reshape(-1, k)
+        at += (last - turn) * pitch
+        for i in left:
+            width = min(lengths[i] - last * k, k)
+            for out, source in zip(columns, sources[i]):
+                out[at:at + width] = source[last * k:last * k + width]
+            at += width
+        turn = last + 1
+        left = [i for i in left if lengths[i] > turn * k]
+    return Trace(tuple(index), *columns)
 
 
 def write_trace(trace, path):

@@ -81,6 +81,14 @@ def test_gen_zero_or_negative_flag_is_runtime_error(tmp_path, capsys, flag, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_gen_zipf_s_not_finite_is_runtime_error(tmp_path, capsys, value):
+    out = tmp_path / "t.trace"
+    assert main(["gen", "--kind", "llcm", "--zipf-s", value, "-o", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: zipf_s must be a finite number, got {value}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("app", ["a b", "x#y", ""])
 def test_gen_app_name_the_reader_rejects_is_runtime_error(tmp_path, capsys, app):
     out = tmp_path / "t.trace"
@@ -475,6 +483,74 @@ def test_config_error_names_entry_or_field(tmp_path, capsys, overrides, message)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field", ["row_shift", "page_offset_bits", "line_offset_bits"])
+@pytest.mark.parametrize("value", [64, 70])
+def test_address_shift_of_64_or_more_is_config_error(tmp_path, capsys, field, value):
+    # the kernel's shift by 64 or more is undefined in C, where the Python
+    # replay's gives 0: at row_shift 64 the two swapped row hits and conflicts
+    cfg = write_config(tmp_path, policy="interleave", mapping={field: value})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: invalid mapping: {field} must be in [0, 64), got {value}")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"multithreaded": "false"}, "multithreaded must be true or false, got 'false'"),
+    ({"multithreaded": 0}, "multithreaded must be true or false, got 0"),
+    ({"allow_fallback": "no"}, "allow_fallback must be true or false, got 'no'"),
+    ({"allow_fallback": None}, "allow_fallback must be true or false, got None"),
+])
+def test_boolean_field_not_a_yaml_boolean_is_config_error(tmp_path, capsys, overrides,
+                                                          message):
+    cfg = write_config(tmp_path, policy="interleave", **overrides)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_yaml_booleans_are_read_as_written(tmp_path):
+    path = tmp_path / "config.yaml"
+    for text, expected in (("multithreaded: no\nallow_fallback: yes\n", (False, True)),
+                           ("multithreaded: true\nallow_fallback: False\n", (True, False))):
+        path.write_text(text)
+        cfg = load_config(path)
+        assert (cfg.multithreaded, cfg.allow_fallback) == expected
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"hierarchy": {"latencies": {"private_hit": 1.5}}},
+     "hierarchy.latencies.private_hit must be an integer, got 1.5"),
+    ({"seed": 2.7}, "seed must be an integer, got 2.7"),
+    ({"seed": float("inf")}, "seed must be an integer, got inf"),
+    ({"mapping": {"row_shift": 23.5}}, "mapping.row_shift must be an integer, got 23.5"),
+    ({"hierarchy": {"private": {"size": 32768.5}}},
+     "hierarchy.private.size must be an integer, got 32768.5"),
+    ({"workload": [dict(SMALL_WORKLOAD[0], pages=256.5)]},
+     "workload[0] (app 'H'): pages must be int, got 256.5"),
+    ({"workload": [dict(SMALL_WORKLOAD[0], accesses=float("inf"))]},
+     "workload[0] (app 'H'): accesses must be int, got inf"),
+    ({"workload": [{"app": "M", "kind": "llcm", "zipf_s": float("nan")}]},
+     "workload[0] (app 'M'): zipf_s must be a finite number, got nan"),
+    ({"workload": [{"app": "M", "kind": "llcm", "zipf_s": float("inf")}]},
+     "workload[0] (app 'M'): zipf_s must be a finite number, got inf"),
+])
+def test_number_not_integral_or_finite_is_config_error(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path, policy="interleave", **overrides)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_integral_floats_read_as_integers(tmp_path):
+    path = write_config(tmp_path, seed=3.0, hierarchy={"latencies": {"private_hit": 4.0}},
+                        workload=[dict(SMALL_WORKLOAD[0], pages=256.0)])
+    cfg = load_config(path)
+    assert (cfg.seed, cfg.latencies["private_hit"]) == (3, 4)
+    assert cfg == load_config(write_config(
+        tmp_path, hierarchy={"latencies": {"private_hit": 4}}, workload=SMALL_WORKLOAD[:1]))
 
 
 @pytest.mark.parametrize("workload,profile,message", [

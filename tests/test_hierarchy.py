@@ -462,7 +462,9 @@ def python_loops():
 @st.composite
 def replay_cases(draw):
     """A tiny mapping of 16 frames, whose set and bank bits each form 1-3
-    runs, so the extractors merge several segments; tiny caches; and 1-3
+    runs, so the extractors merge several segments, and whose row shift is
+    inside its 16 address bits or one of the largest a mapping may have,
+    60-63; tiny caches; and 1-3
     replay calls on one hierarchy.  A call has its own cores, apps (None
     among the choices), frames in memory for 1-4 pages and accesses (core,
     app, page, virtual address)."""
@@ -474,7 +476,8 @@ def replay_cases(draw):
             p += length + draw(st.integers(1, 3))
         return tuple(bits)
 
-    geometry = dict(set_bits=runs(6), bank_bits=runs(8), row_shift=draw(st.integers(12, 17)),
+    row_shift = draw(st.one_of(st.integers(12, 17), st.integers(60, 63)))
+    geometry = dict(set_bits=runs(6), bank_bits=runs(8), row_shift=row_shift,
                     psets=draw(st.sampled_from([1, 2, 4])), pways=draw(st.integers(1, 2)),
                     lways=draw(st.integers(1, 2)))
     calls = []

@@ -731,6 +731,76 @@ def test_numbering_overflow_key():
     assert len(Trace.of(records).pages(0).first) == 24
 
 
+# --- the kernel's numbering against the sort ---------------------------------
+
+MULTIPLIER_INVERSE = pow(0x9E3779B97F4A7C15, -1, 1 << 64)
+
+
+def same_slot(count, last=False):
+    """`count` keys whose Fibonacci hashes, key * 0x9E3779B97F4A7C15 mod 2^64,
+    are the `count` smallest (largest) 64-bit values: in any table of up to
+    2^40 slots they all land in the first (last) slot."""
+    return [MULTIPLIER_INVERSE * (-1 - j if last else j) % (1 << 64) for j in range(count)]
+
+
+numbering_keys = st.one_of(
+    st.lists(st.sampled_from([0, 1, 7, 1 << 63, (1 << 64) - 1, *same_slot(5),
+                              *same_slot(5, last=True)]), max_size=80).map(
+        lambda v: np.array(v, dtype=np.uint64)),
+    st.lists(st.integers(-(1 << 63), (1 << 63) - 1), max_size=40).map(
+        lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.sampled_from([-(1 << 31), -2, -1, 0, 1, (1 << 31) - 1]), max_size=60).map(
+        lambda v: np.array(v, dtype=np.int32)))
+
+
+def check_numbering_against_sort(key):
+    first, number = workloads._numbering(key)
+    expected = workloads._sort_numbering(key)
+    assert (first.dtype, number.dtype) == (np.int64, np.int32)
+    assert first.tolist() == expected[0].tolist() and number.tolist() == expected[1].tolist()
+    assert (first.tolist(), number.tolist()) == reference_numbering(key.tolist())
+
+
+def numbering_examples(test):
+    """No key, one key, all equal, all distinct, and 0 and 2^64 - 1."""
+    for values in ([], [5], [9] * 50, range(50), [0, (1 << 64) - 1, 0, (1 << 64) - 1]):
+        test = example(key=np.array(values, dtype=np.uint64))(test)
+    return test
+
+
+@needs_gcc
+@numbering_examples
+@given(key=numbering_keys)
+@settings(max_examples=300, deadline=None)
+def test_native_numbering_matches_sort(key):
+    assert _native.kernel() is not None
+    check_numbering_against_sort(key)
+
+
+@numbering_examples
+@given(key=numbering_keys)
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_numbering_without_the_kernel_matches_reference(failed_build, key):
+    check_numbering_against_sort(key)
+
+
+@needs_gcc
+@pytest.mark.parametrize("last", [False, True])
+def test_keys_in_one_slot_past_the_probe_budget_are_sorted(last):
+    # 8 keys in one slot, each seen 3 times, cost 84 probes past their slot,
+    # within the budget of 8 per key; 100 keys in one slot cost 4,950
+    assert _native.kernel() is not None
+    few = np.array(same_slot(8, last) * 3, dtype=np.uint64)
+    many = np.array(same_slot(100, last) * 2, dtype=np.uint64)
+    with mock.patch.object(workloads, "_sort_numbering",
+                           wraps=workloads._sort_numbering) as sort:
+        check_numbering_against_sort(few)
+        assert sort.call_count == 1             # the reference's own call
+        check_numbering_against_sort(many)
+        assert sort.call_count == 3
+
+
 def test_write_trace_rejects_unreadable_app_names(tmp_path):
     p = tmp_path / "t.trace"
     for app in ["a b", "x#y", "", "tab\there", "line\nbreak"]:
