@@ -11,7 +11,9 @@ import csv
 import io
 import json
 import os
+import shutil
 import sys
+import tempfile
 
 from memcolor.advisor import (AdvisorError, WorkloadProfile, advise,
                               decide_policy, plan_quotas)
@@ -137,10 +139,35 @@ def sweep_policies(cfg: ExperimentConfig, traces: dict,
     return cells
 
 
-def _write(path, text):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(text)
+def _commit(out, files):
+    """Write one command's set of files into the directory `out` as one set.
+
+    `files` maps each name of the set to its text, to a function that writes
+    a path, or to None for a name this invocation does not produce.  All are
+    written into a staging directory in `out` before any is renamed into
+    place and the None names are removed, so a failed write leaves an
+    earlier set as it was.  A rename that fails partway (a directory in the
+    way of a name, say) can still leave a mixed set, and a killed process
+    leaves its hidden `.memcolor-*` staging directory behind.
+    """
+    os.makedirs(out, exist_ok=True)
+    staging = tempfile.mkdtemp(prefix=".memcolor-", dir=out)
+    try:
+        for name, content in files.items():
+            path = os.path.join(staging, name)
+            if callable(content):
+                content(path)
+            elif content is not None:
+                with open(path, "w") as fh:
+                    fh.write(content)
+        for name, content in files.items():
+            target = os.path.join(out, name)
+            if content is not None:
+                os.replace(os.path.join(staging, name), target)
+            elif os.path.lexists(target):
+                os.remove(target)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 # --- subcommands -----------------------------------------------------------
@@ -153,52 +180,29 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+def cmd_run(args, cfg: ExperimentConfig) -> int:
     traces = _load_traces(cfg)
-    out = args.out or "."
-    written = []
-    try:
-        if cfg.policy == "auto":
-            profile, evidence = _profile(cfg, traces)
-            decision = advise(profile, cfg.mapping)
-            policy = decision.policy
-            quotas = decision.quotas if any(decision.quotas.values()) else None
-            path = os.path.join(out, "decision.json")
-            _write(path, decision.to_json(evidence))
-            written.append(path)
-        else:
-            policy = PolicyKind.from_name(cfg.policy)
-            quotas = None
-
-        merged = _mix(cfg, traces)
-        metrics, snapshots, alloc = _run_policy(
-            cfg, merged, list(traces), policy_spec(policy, cfg.mapping), quotas, cfg.epoch)
-        path = os.path.join(out, "metrics.json")
-        _write(path, metrics.to_json(cfg.latencies))
-        written.append(path)
-        path = os.path.join(out, "alloc.csv")
-        alloc.write_alloc_csv(path)
-        written.append(path)
-        if snapshots:
-            path = os.path.join(out, "epochs.json")
-            _write(path, json.dumps(snapshots, sort_keys=True, indent=2))
-            written.append(path)
-    except Exception:
-        for path in written:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-        raise
+    if cfg.policy == "auto":
+        profile, evidence = _profile(cfg, traces)
+        decision = advise(profile, cfg.mapping)
+        policy, decision_json = decision.policy, decision.to_json(evidence)
+        quotas = decision.quotas if any(decision.quotas.values()) else None
+    else:
+        policy, decision_json, quotas = PolicyKind.from_name(cfg.policy), None, None
+    metrics, snapshots, alloc = _run_policy(
+        cfg, _mix(cfg, traces), list(traces), policy_spec(policy, cfg.mapping), quotas,
+        cfg.epoch)
+    _commit(args.out or ".", {
+        "decision.json": decision_json,
+        "metrics.json": metrics.to_json(cfg.latencies),
+        "alloc.csv": alloc.write_alloc_csv,
+        "epochs.json": json.dumps(snapshots, sort_keys=True, indent=2) if snapshots else None,
+    })
     print(f"policy={policy.value} proxy_cycles={proxy_cycles(metrics, cfg.latencies)}")
     return EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+def cmd_classify(args, cfg: ExperimentConfig) -> int:
     traces = _load_traces(cfg)
     if args.method == "online":
         out = _classify_online(cfg, traces)
@@ -213,14 +217,12 @@ def cmd_classify(args) -> int:
                         "footprint_pages": res.footprint_pages}
     text = json.dumps(out, sort_keys=True, indent=2)
     if args.out:
-        _write(os.path.join(args.out, "classify.json"), text)
+        _commit(args.out, {"classify.json": text})
     print(text)
     return EXIT_OK
 
 
-def cmd_advise(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+def cmd_advise(args, cfg: ExperimentConfig) -> int:
     traces = _load_traces(cfg) if cfg.workload else {}
     if not traces and not cfg.profile:
         raise ConfigError("advise needs either a workload list or a profile")
@@ -228,14 +230,12 @@ def cmd_advise(args) -> int:
     decision = advise(profile, cfg.mapping)
     text = decision.to_json(evidence)
     if args.out:
-        _write(os.path.join(args.out, "decision.json"), text)
+        _commit(args.out, {"decision.json": text})
     print(text)
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+def cmd_sweep(args, cfg: ExperimentConfig) -> int:
     traces = _load_traces(cfg)
     profile, evidence = _profile(cfg, traces)
     pdt_policy = decide_policy(profile)
@@ -264,23 +264,15 @@ def cmd_sweep(args) -> int:
         "agreement": best == pdt_policy.value,
         "evidence": evidence,
     }
-    out = args.out or "."
     table = io.StringIO()
     writer = csv.writer(table, lineterminator="\n")
     writer.writerow(["policy", "proxy_cycles", "cross_app_conflicts",
                      "cross_app_llc_evictions", "llc_miss_rate", "status"])
     writer.writerows(rows)
-    _write(os.path.join(out, "sweep.csv"), table.getvalue())
-    _write(os.path.join(out, "sweep.json"), json.dumps(report, sort_keys=True, indent=2))
-    print(json.dumps(report, sort_keys=True, indent=2))
+    text = json.dumps(report, sort_keys=True, indent=2)
+    _commit(args.out or ".", {"sweep.csv": table.getvalue(), "sweep.json": text})
+    print(text)
     return EXIT_OK
-
-
-def _apply_overrides(cfg: ExperimentConfig, args):
-    if getattr(args, "policy", None):
-        cfg.policy = args.policy
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
 
 
 def non_negative_int(text: str) -> int:
@@ -305,15 +297,14 @@ def build_parser() -> _Parser:
     p_gen.add_argument("--seed", type=non_negative_int, default=0)
     p_gen.add_argument("--app", default="A")
     p_gen.add_argument("-o", "--output", required=True)
-    p_gen.set_defaults(func=cmd_gen)
 
-    for name, func, extra in (("run", cmd_run, True), ("classify", cmd_classify, False),
-                              ("advise", cmd_advise, False), ("sweep", cmd_sweep, False)):
+    for name, func in (("run", cmd_run), ("classify", cmd_classify), ("advise", cmd_advise),
+                       ("sweep", cmd_sweep)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=non_negative_int, default=None)
         p.add_argument("--out", default=None)
-        if extra:
+        if name == "run":
             p.add_argument("--policy", default=None,
                            help="override the config's policy (name or 'auto')")
         if name == "classify":
@@ -329,7 +320,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        if args.command == "gen":
+            return cmd_gen(args)
+        cfg = load_config(args.config)
+        cfg.policy = getattr(args, "policy", None) or cfg.policy
+        cfg.seed = cfg.seed if args.seed is None else args.seed
+        return args.func(args, cfg)
     except Exception as exc:
         for errors, code, prefix in EXIT_CODES:
             if isinstance(exc, errors):

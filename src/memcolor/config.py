@@ -3,7 +3,7 @@ every default in the simulator."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import yaml
 
@@ -47,13 +47,22 @@ class ExperimentConfig:
         return self.total_pages or self.mapping.total_pages
 
 
+# The keys each section of a config may hold: what config_from_dict reads.
+TOP_KEYS = ("mapping", "hierarchy", "sampler", "thresholds", "seed", "policy", "core_count",
+            "multithreaded", "mix_chunk", "allow_fallback", "epoch", "total_pages",
+            "workload", "profile")
+MAPPING_INTS = ("page_offset_bits", "line_offset_bits", "row_shift", "mem_bytes")
+MAPPING_BITS = {"set_index_bits": tuple, "bank_index_bits": tuple, "b_bits": frozenset,
+                "c_bits": frozenset, "o_bits": frozenset}
+WORKLOAD_KEYS = ("app", "core", "trace", "kind", "seed", *PARAM_NAMES)
+
+
 def _mapping_from(doc: dict) -> AddressMapping:
     kwargs = {}
-    for key in ("page_offset_bits", "line_offset_bits", "row_shift", "mem_bytes"):
+    for key in MAPPING_INTS:
         if key in doc:
             kwargs[key] = _integer(f"mapping.{key}", doc[key])
-    for key, kind in (("set_index_bits", tuple), ("bank_index_bits", tuple),
-                      ("b_bits", frozenset), ("c_bits", frozenset), ("o_bits", frozenset)):
+    for key, kind in MAPPING_BITS.items():
         if key in doc:
             kwargs[key] = kind(_integer(f"mapping.{key}", b)
                                for b in _shaped(f"mapping.{key}", doc[key], list))
@@ -61,7 +70,7 @@ def _mapping_from(doc: dict) -> AddressMapping:
 
 
 def _cache_from(doc: dict, default: CacheConfig, name: str) -> CacheConfig:
-    _shaped(name, doc, dict)
+    _section(name, doc, ("size", "ways", "line"))
     size, ways, line = (_integer(f"{name}.{key}", doc.get(key, value)) for key, value in (
         ("size", default.size_bytes), ("ways", default.ways), ("line", default.line_bytes)))
     try:
@@ -71,8 +80,8 @@ def _cache_from(doc: dict, default: CacheConfig, name: str) -> CacheConfig:
 
 
 def _bucket_weights(weights) -> tuple:
-    if not (isinstance(weights, list) and weights
-            and all(isinstance(w, (int, float)) for w in weights)):
+    if not (isinstance(weights, list) and weights and all(
+            isinstance(w, (int, float)) and not isinstance(w, bool) for w in weights)):
         raise ConfigError(f"sampler.bucket_weights must be a non-empty list of "
                           f"numbers, got {weights!r}")
     return tuple(weights)
@@ -81,6 +90,7 @@ def _bucket_weights(weights) -> tuple:
 def _workload_entry(doc: dict, index: int, default_seed: int) -> WorkloadEntry:
     _shaped(f"workload[{index}]", doc, dict)
     app = str(doc.get("app", chr(ord("A") + index)))
+    _section(f"workload[{index}] (app {app!r})", doc, WORKLOAD_KEYS)
     try:
         core = _integer("core", doc.get("core", index))
         if "trace" in doc:
@@ -98,6 +108,7 @@ def _workload_entry(doc: dict, index: int, default_seed: int) -> WorkloadEntry:
 def _profile_entry(doc, index: int) -> tuple:
     if not isinstance(doc, dict) or "app" not in doc:
         raise ConfigError(f"profile[{index}] must be a mapping with an 'app', got {doc!r}")
+    _section(f"profile[{index}] (app {str(doc['app'])!r})", doc, ("app", "category"))
     try:
         return str(doc["app"]), Category(str(doc.get("category")).upper())
     except ValueError:
@@ -113,10 +124,20 @@ def _shaped(name: str, value, kind):
     return value
 
 
+def _section(name: str, doc, keys) -> dict:
+    """`doc`, if a mapping that holds no key but `keys`; else a ConfigError
+    naming the section and the first other key."""
+    for key in _shaped(name, doc, dict):
+        if key not in keys:
+            raise ConfigError(f"{name}: unknown key {key!r}")
+    return doc
+
+
 def _integer(name: str, value) -> int:
-    """`value` as an int; a float only when it is integral."""
+    """`value` as an int; a float only when it is integral, a boolean never
+    (YAML's `true` is not 1)."""
     try:
-        if isinstance(value, float) and not value.is_integer():
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
             raise ValueError(value)
         return int(value)
     except (TypeError, ValueError):
@@ -125,6 +146,8 @@ def _integer(name: str, value) -> int:
 
 def _number(name: str, value) -> float:
     try:
+        if isinstance(value, bool):
+            raise ValueError(value)
         return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
@@ -162,34 +185,37 @@ def load_config(path) -> ExperimentConfig:
 def config_from_dict(doc: dict) -> ExperimentConfig:
     cfg = ExperimentConfig()
     try:
+        _section("top level", doc, TOP_KEYS)
         if "mapping" in doc:
-            cfg.mapping = _mapping_from(_shaped("mapping", doc["mapping"], dict))
-        hier = _shaped("hierarchy", doc.get("hierarchy", {}), dict)
+            cfg.mapping = _mapping_from(_section("mapping", doc["mapping"],
+                                                 (*MAPPING_INTS, *MAPPING_BITS)))
+        hier = _section("hierarchy", doc.get("hierarchy", {}), ("private", "llc", "latencies"))
         if "private" in hier:
             cfg.private_cache = _cache_from(hier["private"], DEFAULT_PRIVATE,
                                             "hierarchy.private")
         if "llc" in hier:
             cfg.llc = _cache_from(hier["llc"], DEFAULT_LLC, "hierarchy.llc")
         if "latencies" in hier:
-            latencies = _shaped("hierarchy.latencies", hier["latencies"], dict)
+            latencies = _section("hierarchy.latencies", hier["latencies"],
+                                 DEFAULT_LATENCIES)
             cfg.latencies = {**DEFAULT_LATENCIES,
                              **{k: _integer(f"hierarchy.latencies.{k}", v)
                                 for k, v in latencies.items()}}
         if "sampler" in doc:
-            s = _shaped("sampler", doc["sampler"], dict)
+            s = _section("sampler", doc["sampler"], ("period", "bucket_weights"))
             cfg.sampler = SamplerConfig(
                 period=_integer("sampler.period", s.get("period", SamplerConfig.period)),
                 bucket_weights=_bucket_weights(s["bucket_weights"]) if "bucket_weights" in s
                 else None)
         if "thresholds" in doc:
-            t = _shaped("thresholds", doc["thresholds"], dict)
+            names = [f.name for f in fields(Thresholds)]
+            t = _section("thresholds", doc["thresholds"], names)
             defaults = Thresholds()
             read = {int: _integer, float: _number}      # by the default's type
             cfg.thresholds = Thresholds(**{
                 f: read[type(getattr(defaults, f))](f"thresholds.{f}",
                                                     t.get(f, getattr(defaults, f)))
-                for f in ("hot_page_low", "hot_page_high", "wpd_low", "wpd_high",
-                          "d_ccf_llct", "d_llch", "footprint_pages")})
+                for f in names})
         cfg.seed = _at_least("seed", doc.get("seed", 0), 0)
         cfg.policy = str(doc.get("policy", "auto"))
         cfg.core_count = _integer("core_count", doc.get("core_count", 4))
@@ -197,7 +223,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         cfg.mix_chunk = _at_least("mix_chunk", doc.get("mix_chunk", 1), 1)
         cfg.allow_fallback = _boolean("allow_fallback", doc.get("allow_fallback", False))
         # 0 (or none) means no epochs
-        cfg.epoch = _at_least("epoch", doc.get("epoch") or 0, 0) or None
+        if doc.get("epoch") is not None:
+            cfg.epoch = _at_least("epoch", doc["epoch"], 0) or None
         if doc.get("total_pages") is not None:
             cfg.total_pages = _integer("total_pages", doc["total_pages"])
         workload = doc.get("workload", [])

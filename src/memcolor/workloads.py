@@ -309,6 +309,8 @@ def canonical_params(kind: str, seed: int = 0, app: str = "A", core: int = 0,
         field, read = PARAM_NAMES[name]
         if value is not None:
             try:
+                if isinstance(value, bool) and read is not str:    # YAML's true is not 1
+                    raise ValueError(value)
                 if read is int and isinstance(value, float) and not value.is_integer():
                     raise ValueError(value)
                 fields[field] = read(value)
@@ -352,30 +354,35 @@ def gen(params: ArchetypeParams) -> Trace:
     none/loop: cyclic sequential sweep over the working set at `stride`,
     page order shuffled by seed (a 'none' trace sized to one pass never
     revisits a page).  zipf: one covering pass, then skewed page draws with
-    a uniform line within the page.
+    a uniform line within the page.  A trace too large for memory is a
+    TraceError naming its app and access count.
     """
-    rng = np.random.default_rng(params.seed)
-    pages = params.working_set_pages
-    n = params.access_count
-    per_page = PAGE_BYTES // params.stride
-    page_order = rng.permutation(pages).astype(np.int64)
+    try:
+        rng = np.random.default_rng(params.seed)
+        pages = params.working_set_pages
+        n = params.access_count
+        per_page = PAGE_BYTES // params.stride
+        page_order = rng.permutation(pages).astype(np.int64)
 
-    if params.reuse in ("none", "loop"):
-        idx = np.arange(n, dtype=np.int64) % (pages * per_page)
-        vaddr = page_order[idx // per_page] * PAGE_BYTES + (idx % per_page) * params.stride
-    else:
-        cover = page_order * PAGE_BYTES
-        # bounded zipf over pages by inverse CDF
-        weights = np.arange(1, pages + 1, dtype=np.float64) ** -params.zipf_s
-        cdf = np.cumsum(weights)
-        cdf /= cdf[-1]
-        draws = np.searchsorted(cdf, rng.random(n - pages), side="right")
-        offsets = rng.integers(0, per_page, size=n - pages) * params.stride
-        vaddr = np.concatenate([cover, page_order[draws] * PAGE_BYTES + offsets])
+        if params.reuse in ("none", "loop"):
+            idx = np.arange(n, dtype=np.int64) % (pages * per_page)
+            vaddr = page_order[idx // per_page] * PAGE_BYTES + (idx % per_page) * params.stride
+        else:
+            cover = page_order * PAGE_BYTES
+            # bounded zipf over pages by inverse CDF
+            weights = np.arange(1, pages + 1, dtype=np.float64) ** -params.zipf_s
+            cdf = np.cumsum(weights)
+            cdf /= cdf[-1]
+            draws = np.searchsorted(cdf, rng.random(n - pages), side="right")
+            offsets = rng.integers(0, per_page, size=n - pages) * params.stride
+            vaddr = np.concatenate([cover, page_order[draws] * PAGE_BYTES + offsets])
 
-    return Trace((params.app,), np.zeros(n, dtype=np.int32),
-                 np.full(n, params.core, dtype=np.int64), vaddr.astype(np.uint64),
-                 np.zeros(n, dtype=bool))
+        return Trace((params.app,), np.zeros(n, dtype=np.int32),
+                     np.full(n, params.core, dtype=np.int64), vaddr.astype(np.uint64),
+                     np.zeros(n, dtype=bool))
+    except MemoryError:
+        raise TraceError(f"app {params.app!r}: {params.access_count} accesses do not "
+                         f"fit in memory") from None
 
 
 def mix(traces, k: int = 1, core_count: int | None = None,

@@ -1,12 +1,16 @@
+import builtins
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -298,6 +302,71 @@ def test_artifacts_match_golden_hashes(tmp_path, capsys, kernel):
     assert digests == GOLDEN
 
 
+# The listings below also show that no `.memcolor-*` staging directory is
+# left behind, on success or failure.
+def test_failed_sweep_leaves_no_new_file(tmp_path, monkeypatch, capsys):
+    real_open = open
+
+    def full_disk_for_sweep_json(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.path.basename(file) == "sweep.json" \
+                and "w" in mode:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), file)
+        return real_open(file, mode, *args, **kwargs)
+
+    out = tmp_path / "out"
+    monkeypatch.setattr(builtins, "open", full_disk_for_sweep_json)
+    assert main(["sweep", "--config", write_config(tmp_path), "--out", str(out)]) == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def test_failed_run_leaves_an_earlier_run_as_it_was(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--policy", "auto", "--out", str(out)]) == 0
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    assert sorted(before) == ["alloc.csv", "decision.json", "metrics.json"]
+
+    def full_disk(self, path):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+    monkeypatch.setattr(Allocator, "write_alloc_csv", full_disk)
+    assert main(["run", "--config", cfg, "--policy", "auto", "--seed", "4",
+                 "--out", str(out)]) == 3
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+
+def test_run_removes_the_files_an_earlier_run_wrote_and_it_does_not(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, epoch=7000), "--policy", "auto",
+                 "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["alloc.csv", "decision.json", "epochs.json",
+                                       "metrics.json"]
+    capsys.readouterr()
+    assert main(["run", "--config", write_config(tmp_path, epoch=0), "--policy", "random",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("policy=random ")
+    assert sorted(os.listdir(out)) == ["alloc.csv", "metrics.json"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_artifacts_have_the_mode_a_plain_open_gives(tmp_path, capsys, umask):
+    cfg = write_config(tmp_path, epoch=7000)
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain", "w"):
+            pass
+        for argv in (["run", "--policy", "auto"], ["sweep"], ["classify"], ["advise"]):
+            assert main(argv + ["--config", cfg, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    plain = stat.S_IMODE(os.stat(tmp_path / "plain").st_mode)
+    assert {name: stat.S_IMODE(os.stat(out / name).st_mode) for name in os.listdir(out)} == \
+        dict.fromkeys(["alloc.csv", "classify.json", "decision.json", "epochs.json",
+                       "metrics.json", "sweep.csv", "sweep.json"], plain)
+
+
 def test_missing_config_file_is_runtime_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.yaml"),
                  "--out", str(tmp_path)]) == 3
@@ -477,6 +546,19 @@ def test_malformed_config_field_is_config_error(tmp_path, capsys, overrides, mes
     ({"mapping": 5}, "mapping must be a mapping, got 5"),
     ({"mapping": {"set_index_bits": 5}}, "mapping.set_index_bits must be a list, got 5"),
     ({"profile": 5}, "profile must be a list, got 5"),
+    ({"epochs": 100}, "top level: unknown key 'epochs'"),
+    ({"latencies": {"row_hit": 100}}, "top level: unknown key 'latencies'"),
+    ({"hierarchy": {"llc": {"way": 16}}}, "hierarchy.llc: unknown key 'way'"),
+    ({"hierarchy": {"latencies": {"dram": 100}}}, "hierarchy.latencies: unknown key 'dram'"),
+    ({"workload": [dict(SMALL_WORKLOAD[0], acceses=40000)]},
+     "workload[0] (app 'H'): unknown key 'acceses'"),
+    ({"thresholds": {"hot_pages_low": 60}}, "thresholds: unknown key 'hot_pages_low'"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"core_count": True}, "core_count must be an integer, got True"),
+    ({"mix_chunk": True}, "mix_chunk must be an integer, got True"),
+    ({"epoch": False}, "epoch must be an integer, got False"),
+    ({"workload": [dict(SMALL_WORKLOAD[0], pages=True)]},
+     "workload[0] (app 'H'): pages must be int, got True"),
 ])
 def test_config_error_names_entry_or_field(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, policy="interleave", **overrides)
@@ -544,6 +626,16 @@ def test_number_not_integral_or_finite_is_config_error(tmp_path, capsys, overrid
     assert not (tmp_path / "o").exists()
 
 
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("Minimal example:\n\n```yaml\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "config.yaml"
+    path.write_text(example)
+    cfg = load_config(path)
+    assert ([entry.app for entry in cfg.workload], cfg.policy, cfg.seed) == \
+        (["H", "T", "M"], "auto", 3)
+
+
 def test_integral_floats_read_as_integers(tmp_path):
     path = write_config(tmp_path, seed=3.0, hierarchy={"latencies": {"private_hit": 4.0}},
                         workload=[dict(SMALL_WORKLOAD[0], pages=256.0)])
@@ -565,6 +657,24 @@ def test_profile_and_workload_apps_differ_is_config_error(tmp_path, capsys, comm
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "run"])
+def test_workload_too_large_for_memory_is_runtime_error(tmp_path, capsys, command):
+    # 10**12 accesses ask numpy for terabytes, which fails at once; a size
+    # near the host's memory could be granted and then be killed
+    out = tmp_path / "o"
+    if command == "gen":
+        argv = ["gen", "--kind", "llch", "--app", "H", "--accesses", str(10**12),
+                "-o", str(out)]
+    else:
+        cfg = write_config(tmp_path, policy="interleave",
+                           workload=[dict(SMALL_WORKLOAD[0], accesses=10**12)])
+        argv = ["run", "--config", cfg, "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == \
+        f"error: app 'H': {10**12} accesses do not fit in memory\n"
+    assert not out.exists()
 
 
 def test_negative_seed_option_is_usage_error(tmp_path, capsys):
