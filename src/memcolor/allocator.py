@@ -13,6 +13,7 @@ frames, so isolation can never erode silently.
 from __future__ import annotations
 
 import csv
+from collections import defaultdict
 
 import numpy as np
 
@@ -31,13 +32,6 @@ def _draw_frames(n, draws, free, left, frames):
         frames[k] = free[idx]
         left -= 1
         free[idx] = free[left]
-
-
-def _page_key(app: int, vpn: int) -> int:
-    """The row map's key of page (app index, vpn): one int, which keeps the
-    map free of tuples for the garbage collector to track.  App indices fit
-    the int32 app column, so below 2**31."""
-    return vpn << 31 | app
 
 
 class AllocationError(MemcolorError, RuntimeError):
@@ -124,8 +118,8 @@ class Allocator:
     Every translation is one row of a single page table, in global
     first-touch order (the order of `alloc.csv`): the app (its index in
     registration order), vpn, pfn and access bit, in arrays grown by
-    doubling.  A dict from page (app index, vpn) to row is built on the
-    first lookup of a mapped page and kept up to date from then on.
+    doubling.  An app's rows are the mask of its index in the app column;
+    {app index: {vpn: row}} is built from them when a lookup needs it.
     """
 
     def __init__(self, total_pages: int, spec: PolicySpec, m: AddressMapping,
@@ -167,15 +161,12 @@ class Allocator:
     def page_tables(self) -> dict:
         """{app: {vpn: [pfn, access bit]}}, apps in registration order and
         each table in first-touch order; a new copy on every read."""
-        n = self._n
-        app = self._app[:n]
-        order = np.argsort(app, kind="stable")
-        vpn, pfn, bit = (a[:n][order].tolist() for a in (self._vpn, self._pfn, self._bit))
-        ends = np.cumsum(np.bincount(app, minlength=len(self._apps))).tolist()
-        tables, start = {}, 0
-        for name, end in zip(self._apps, ends):
-            tables[name] = dict(zip(vpn[start:end], map(list, zip(pfn[start:end], bit[start:end]))))
-            start = end
+        app, vpn, pfn, bit = (a[:self._n] for a in (self._app, self._vpn, self._pfn, self._bit))
+        tables = {}
+        for name, index in self._apps.items():
+            mine = app == index
+            entries = map(list, zip(pfn[mine].tolist(), bit[mine].tolist()))
+            tables[name] = dict(zip(vpn[mine].tolist(), entries))
         return tables
 
     @property
@@ -192,11 +183,13 @@ class Allocator:
     def quota_of(self, app_id) -> list[int]:
         return list(self._quotas[app_id].colors)
 
-    def _row_map(self) -> dict:
+    def _row_map(self) -> defaultdict:
         if self._rows is None:
-            n = self._n
-            self._rows = dict(zip(map(_page_key, self._app[:n].tolist(), self._vpn[:n].tolist()),
-                                  range(n)))
+            app, vpn = self._app[:self._n], self._vpn[:self._n]
+            self._rows = defaultdict(dict)
+            for index in self._apps.values():
+                mine = app == index
+                self._rows[index] = dict(zip(vpn[mine].tolist(), np.flatnonzero(mine).tolist()))
         return self._rows
 
     def _reserve(self, end: int):
@@ -210,9 +203,7 @@ class Allocator:
         n, end = self._n, self._n + len(vpn)
         self._reserve(end)
         self._app[n:end], self._vpn[n:end], self._pfn[n:end], self._bit[n:end] = app, vpn, pfn, True
-        if self._rows is not None:
-            self._rows.update(zip(map(_page_key, app.tolist(), vpn.tolist()), range(n, end)))
-        self._n = end
+        self._n, self._rows = end, None     # the next lookup rebuilds the row map
 
     # --- quota management ------------------------------------------------
 
@@ -260,9 +251,8 @@ class Allocator:
         index = self._apps.get(app_id)
         if index is None:
             raise AllocationError(f"app {app_id!r} not registered")
-        rows = self._rows if self._rows is not None else self._row_map()
-        key = int(vpn) << 31 | index    # _page_key(index, vpn), without the call
-        row = rows.get(key)
+        rows = (self._rows if self._rows is not None else self._row_map())[index]
+        row = rows.get(vpn)
         if row is not None:
             self._bit[row] = True
             return self._pfn.item(row)
@@ -271,7 +261,7 @@ class Allocator:
         if n == len(self._vpn):
             self._reserve(n + 1)
         self._app[n], self._vpn[n], self._pfn[n], self._bit[n] = index, vpn, pfn, True
-        rows[key] = n
+        rows[vpn] = n
         self._n = n + 1
         return pfn
 
@@ -297,7 +287,7 @@ class Allocator:
         row = None
         if self._n:     # some pages may be mapped already
             rows = self._row_map()
-            row = np.fromiter((rows.get(k, -1) for k in map(_page_key, ids.tolist(), vpn.tolist())),
+            row = np.fromiter((rows[i].get(v, -1) for i, v in zip(ids.tolist(), vpn.tolist())),
                               np.int64, len(vpn))
         new = slice(None) if row is None else row < 0
         wanted = app[new]

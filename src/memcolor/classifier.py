@@ -231,6 +231,9 @@ def classify_offline(trace, m: AddressMapping,
         return proxy_cycles(metrics, latencies)
 
     full = run(range(spec.page_colors))
+    if full <= 0:
+        raise ClassifierError(f"app {app!r}: the full-LLC oracle run costs {full} proxy "
+                              f"cycles, so its degradation is undefined")
     confined = run([c for c in range(spec.page_colors) if spec.project(c)[0] == 0])
     d = (confined - full) / full
     footprint = len(trace.pages(m.page_offset_bits).first)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, fields
 
 import yaml
 
-from memcolor.classifier import Category, SamplerConfig, Thresholds
+from memcolor.classifier import Category, ClassifierError, SamplerConfig, Thresholds
 from memcolor.errors import ConfigError
 from memcolor.hierarchy import (DEFAULT_LATENCIES, DEFAULT_LLC,
                                 DEFAULT_PRIVATE, CacheConfig,
@@ -85,6 +85,14 @@ def _bucket_weights(weights) -> tuple:
         raise ConfigError(f"sampler.bucket_weights must be a non-empty list of "
                           f"numbers, got {weights!r}")
     return tuple(weights)
+
+
+def _checked(name: str, make, **kwargs):
+    """`make(**kwargs)`, its ClassifierError a ConfigError naming section `name`."""
+    try:
+        return make(**kwargs)
+    except ClassifierError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def _workload_entry(doc: dict, index: int, default_seed: int) -> WorkloadEntry:
@@ -199,11 +207,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             latencies = _section("hierarchy.latencies", hier["latencies"],
                                  DEFAULT_LATENCIES)
             cfg.latencies = {**DEFAULT_LATENCIES,
-                             **{k: _integer(f"hierarchy.latencies.{k}", v)
+                             **{k: _at_least(f"hierarchy.latencies.{k}", v, 0)
                                 for k, v in latencies.items()}}
         if "sampler" in doc:
             s = _section("sampler", doc["sampler"], ("period", "bucket_weights"))
-            cfg.sampler = SamplerConfig(
+            cfg.sampler = _checked(
+                "sampler", SamplerConfig,
                 period=_integer("sampler.period", s.get("period", SamplerConfig.period)),
                 bucket_weights=_bucket_weights(s["bucket_weights"]) if "bucket_weights" in s
                 else None)
@@ -212,7 +221,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             t = _section("thresholds", doc["thresholds"], names)
             defaults = Thresholds()
             read = {int: _integer, float: _number}      # by the default's type
-            cfg.thresholds = Thresholds(**{
+            cfg.thresholds = _checked("thresholds", Thresholds, **{
                 f: read[type(getattr(defaults, f))](f"thresholds.{f}",
                                                     t.get(f, getattr(defaults, f)))
                 for f in names})

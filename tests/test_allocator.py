@@ -16,6 +16,12 @@ def avp_alloc(total_pages=TOTAL, **kw):
     return Allocator(total_pages, AVP, M, **kw)
 
 
+def csv_bytes(a, path):
+    """The bytes of `a`'s alloc.csv, written to `path`."""
+    a.write_alloc_csv(path)
+    return path.read_bytes()
+
+
 def test_init_balanced_pools():
     a = avp_alloc()
     assert a.free_by_color() == [1 << 19] * 4
@@ -223,10 +229,6 @@ def test_translate_pages_matches_touch(pages, allow_fallback, tmp_path):
         a.assign_quota("B", {1, 2})
         return a
 
-    def csv_text(a, name):
-        a.write_alloc_csv(tmp_path / name)
-        return (tmp_path / name).read_bytes()
-
     apps = ["A", "B"] * pages
     vpns = [vpn for vpn in range(pages) for _ in "AB"]
     batched = fresh()
@@ -244,7 +246,7 @@ def test_translate_pages_matches_touch(pages, allow_fallback, tmp_path):
         assert error is None
     assert frames.tolist() == expected
     assert batched.page_tables == reference.page_tables
-    assert csv_text(batched, "batched.csv") == csv_text(reference, "reference.csv")
+    assert csv_bytes(batched, tmp_path / "b.csv") == csv_bytes(reference, tmp_path / "r.csv")
     assert batched.free_by_color() == reference.free_by_color()
     assert [q.rr for q in batched._quotas.values()] == [q.rr for q in reference._quotas.values()]
 
@@ -336,3 +338,29 @@ def test_translate_page_array_touches_only_the_pages_past_an_empty_pool():
     assert frames.tolist() == [reference.touch("A", v) for v in range(n)]
     assert allocator_state(batched) == allocator_state(reference)
     assert touched == [n - 1]
+
+
+def test_app_registered_after_the_row_map_exists(tmp_path):
+    # A's touches build the row map before B is registered; one batch then
+    # looks up A's mapped pages and maps B's new ones
+    def fresh():
+        a = avp_alloc(total_pages=64)
+        a.assign_quota("A", {0, 1})
+        return a
+
+    batched, reference = fresh(), fresh()
+    a_vpns, b_vpns = [3, 9, 4], [9, 2]
+    frames = [batched.touch("A", v) for v in a_vpns]
+    assert frames == [reference.touch("A", v) for v in a_vpns]
+    batched.assign_quota("B", {2})
+    reference.assign_quota("B", {2})
+    pages = [(0, 9), (1, 9), (0, 3), (1, 2), (0, 4)]
+    app = np.array([a for a, _ in pages], dtype=np.int64)
+    vpn = np.array([v for _, v in pages], dtype=np.uint64)
+    frames, error = batched.translate_page_array(["A", "B"], app, vpn)
+    assert error is None
+    assert frames.tolist() == [reference.touch("AB"[a], v) for a, v in pages]
+    assert [batched.touch("B", v) for v in b_vpns] == [reference.touch("B", v) for v in b_vpns]
+    assert batched.page_tables == reference.page_tables
+    assert csv_bytes(batched, tmp_path / "b.csv") == csv_bytes(reference, tmp_path / "r.csv")
+    assert batched.free_by_color() == reference.free_by_color()

@@ -23,7 +23,7 @@ from memcolor import _native, cli
 from memcolor.allocator import Allocator
 from memcolor.cli import main
 from memcolor.config import load_config
-from memcolor.hierarchy import MemoryHierarchy, run_trace
+from memcolor.hierarchy import DEFAULT_LATENCIES, MemoryHierarchy, run_trace
 from memcolor.policies import PolicyKind, policy_spec
 from memcolor.workloads import (ARCHETYPE_KINDS, TraceRecord, canonical_params, gen,
                                 read_trace, write_trace)
@@ -559,12 +559,24 @@ def test_malformed_config_field_is_config_error(tmp_path, capsys, overrides, mes
     ({"epoch": False}, "epoch must be an integer, got False"),
     ({"workload": [dict(SMALL_WORKLOAD[0], pages=True)]},
      "workload[0] (app 'H'): pages must be int, got True"),
+    ({"hierarchy": {"latencies": {"row_miss": -200}}},
+     "hierarchy.latencies.row_miss must be >= 0, got -200"),
+    ({"sampler": {"period": 0}}, "sampler: sampling period must be positive"),
+    ({"thresholds": {"wpd_low": 9}}, "thresholds: wpd_low must be <= wpd_high"),
 ])
 def test_config_error_names_entry_or_field(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, policy="interleave", **overrides)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_offline_classification_at_zero_latencies_is_runtime_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, hierarchy={"latencies": dict.fromkeys(DEFAULT_LATENCIES, 0)})
+    assert main(["classify", "--method", "offline", "--config", cfg]) == 3
+    assert capsys.readouterr().err == (
+        "error: app 'H': the full-LLC oracle run costs 0 proxy cycles, so its degradation "
+        "is undefined\n")
 
 
 @pytest.mark.parametrize("field", ["row_shift", "page_offset_bits", "line_offset_bits"])

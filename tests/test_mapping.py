@@ -49,6 +49,15 @@ def test_class_overlap_reported():
     assert any("both" in v for v in validate_mapping(bad))
 
 
+@pytest.mark.parametrize("fields,violation", [
+    ({"set_index_bits": (5, *range(7, 19))}, "set index bit 5 below line offset"),
+    ({"bank_index_bits": (5, 14, 15, 20, 21, 22)}, "bank index bit 5 below line offset"),
+    ({"page_offset_bits": 5}, "line_offset_bits 6 exceeds page_offset_bits 5"),
+])
+def test_index_bit_inside_a_line_reported(fields, violation):
+    assert validate_mapping(AddressMapping(**fields)) == [violation]
+
+
 def test_decompose_zero(m):
     d = decompose(0, m)
     assert (d.set_id, d.bank_id, d.row_id, d.line_tag) == (0, 0, 0, 0)
