@@ -116,25 +116,13 @@ void draw_frames(int64_t n, const int64_t *draws, int64_t *free_frames,
     }
 }
 
-/* Trace files.  parse_trace reads what workloads._parse_lines reads, for
- * ASCII input: records `<app> <core> <hex vaddr> r|w`, fields split on the
- * whitespace str.split() splits on, '#' comments, '\n', '\r\n' and '\r'
- * line ends, cores as plain decimal digits, addresses as hex digits with or
- * without a 0x/0X prefix.  Anything else makes it return -1, "not handled",
- * so that the Python parser reads the file and reports what is wrong. */
-
-/* What str.split() splits on within a line; '\n' and '\r' end lines. */
-static int is_blank(uint8_t c)
-{
-    return c == ' ' || c == '\t' || c == '\v' || c == '\f' || (c >= 0x1c && c <= 0x1f);
-}
-
-static const uint8_t *skip_blanks(const uint8_t *p, const uint8_t *end)
-{
-    while (p < end && is_blank(*p))
-        p++;
-    return p;
-}
+/* Trace files.  parse_trace reads what format_trace writes, records
+ * `<app> <core> 0x<hex vaddr> r|w` split by one space, app names of bytes
+ * 0x21-0x7e but '#', decimal cores, each line ended by '\n' (the last may be
+ * unterminated), and skips empty lines and lines that start with '#'.
+ * Anything else (other whitespace, '\r', a byte past 0x7f, a trailing
+ * comment, 0X, a bare address) makes it return -1, "not handled", so that
+ * workloads._parse_lines reads the file and reports what is wrong. */
 
 /* The value of a hex digit, or -1. */
 static int hex_digit(uint8_t c)
@@ -143,12 +131,6 @@ static int hex_digit(uint8_t c)
         return c - '0';
     c |= 0x20;
     return c >= 'a' && c <= 'f' ? c - 'a' + 10 : -1;
-}
-
-/* Whether a blank follows the field that ends at p. */
-static int blank_follows(const uint8_t *p, const uint8_t *end)
-{
-    return p < end && is_blank(*p);
 }
 
 /* Whether name i, data[names[2i]:names[2i+1]], is the `len` bytes at s.
@@ -179,43 +161,40 @@ int64_t parse_trace(int64_t size, const uint8_t *data, int32_t *app,
     int64_t n = 0, known = 0;
     int32_t last = -1;
     while (p < end) {
-        p = skip_blanks(p, end);
-        if (p < end && *p != '\n' && *p != '\r' && *p != '#') {
+        if (*p == '#') {
+            for (; p < end && *p != '\n'; p++)
+                if (*p == '\r' || *p >= 0x80)
+                    return -1;
+        } else if (*p != '\n') {
             const uint8_t *name = p, *digits;
-            while (p < end && *p < 0x80 && !is_blank(*p) && *p != '\n' && *p != '\r'
-                   && *p != '#')
+            while (p < end && *p > ' ' && *p < 0x7f && *p != '#')
                 p++;
             int64_t len = p - name;
-            if (!blank_follows(p, end))
+            if (len == 0 || p == end || *p++ != ' ')
                 return -1;
             /* the core, below 2^63 */
             uint64_t c = 0;
-            for (p = digits = skip_blanks(p, end); p < end && *p >= '0' && *p <= '9'; p++) {
+            for (digits = p; p < end && *p >= '0' && *p <= '9'; p++) {
                 if (c > ((uint64_t)INT64_MAX - (*p - '0')) / 10)
                     return -1;
                 c = c * 10 + (*p - '0');
             }
-            if (p == digits || !blank_follows(p, end))
+            if (p == digits || end - p < 3 || p[0] != ' ' || p[1] != '0' || p[2] != 'x')
                 return -1;
             /* the address, below 2^64 */
             uint64_t v = 0;
-            p = skip_blanks(p, end);
-            if (end - p > 2 && p[0] == '0' && (p[1] | 0x20) == 'x')
-                p += 2;
-            for (digits = p; p < end && hex_digit(*p) >= 0; p++) {
+            for (p = digits = p + 3; p < end && hex_digit(*p) >= 0; p++) {
                 if (v >> 60)
                     return -1;
                 v = v << 4 | (uint64_t)hex_digit(*p);
             }
-            if (p == digits || !blank_follows(p, end))
-                return -1;
-            p = skip_blanks(p, end);
-            if (p == end || (*p != 'r' && *p != 'w'))
+            if (p == digits || end - p < 2 || p[0] != ' ' || (p[1] != 'r' && p[1] != 'w')
+                || (end - p > 2 && p[2] != '\n'))
                 return -1;
             core[n] = (int64_t)c;
             vaddr[n] = v;
-            write[n] = *p++ == 'w';
-            p = skip_blanks(p, end);
+            write[n] = p[1] == 'w';
+            p += 2;
             if (last < 0 || !is_name(data, names, last, name, len)) {
                 for (last = 0; last < known && !is_name(data, names, last, name, len); last++)
                     ;
@@ -229,15 +208,8 @@ int64_t parse_trace(int64_t size, const uint8_t *data, int32_t *app,
             }
             app[n++] = last;
         }
-        if (p < end && *p == '#')
-            for (; p < end && *p != '\n' && *p != '\r'; p++)
-                if (*p >= 0x80)
-                    return -1;
-        if (p < end) {
-            if (*p != '\n' && *p != '\r')
-                return -1;
-            p++;
-        }
+        if (p < end)
+            p++;    /* the '\n' */
     }
     *napps = known;
     return n;

@@ -18,6 +18,7 @@ counts in first-touch order; its {vpn: count} dict is built only when read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -55,6 +56,10 @@ class SamplerConfig:
     def __post_init__(self):
         if self.period <= 0:
             raise ClassifierError("sampling period must be positive")
+        if self.bucket_weights is not None and not all(
+                math.isfinite(w) and w >= 0 for w in self.bucket_weights):
+            raise ClassifierError(f"bucket_weights must be finite and >= 0, "
+                                  f"got {list(self.bucket_weights)}")
 
     def weights(self, buckets: np.ndarray) -> np.ndarray:
         """The weight of each bucket: `bucket_weights[b - 1]`, the last
@@ -108,6 +113,9 @@ class Thresholds:
     footprint_pages: int = 64
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ClassifierError(f"{name} must be finite, got {value}")
         if self.hot_page_low > self.hot_page_high:
             raise ClassifierError("hot_page_low must be <= hot_page_high")
         if self.wpd_low > self.wpd_high:
@@ -115,6 +123,10 @@ class Thresholds:
         for d in (self.d_ccf_llct, self.d_llch):
             if not 0 < d < 1:
                 raise ClassifierError("degradation cutoffs must be in (0,1)")
+        if self.d_ccf_llct >= self.d_llch:      # no degradation would be LLCM
+            raise ClassifierError("d_ccf_llct must be < d_llch")
+        if self.footprint_pages < 1:            # no footprint would be CCF
+            raise ClassifierError(f"footprint_pages must be >= 1, got {self.footprint_pages}")
 
 
 def job2_wpd(counts, cfg: SamplerConfig) -> float:

@@ -10,8 +10,7 @@ import yaml
 from memcolor.classifier import Category, ClassifierError, SamplerConfig, Thresholds
 from memcolor.errors import ConfigError
 from memcolor.hierarchy import (DEFAULT_LATENCIES, DEFAULT_LLC,
-                                DEFAULT_PRIVATE, CacheConfig,
-                                check_llc_geometry)
+                                DEFAULT_PRIVATE, CacheConfig, check_geometry)
 from memcolor.mapping import AddressMapping, validate_mapping
 from memcolor.workloads import PARAM_NAMES, ArchetypeParams, canonical_params
 
@@ -254,7 +253,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if cfg.mapping.total_pages < 1:
         raise ConfigError(f"mapping.mem_bytes must hold at least one "
                           f"{cfg.mapping.page_bytes}-byte page, got {cfg.mapping.mem_bytes}")
-    check_llc_geometry(cfg.mapping, cfg.llc, "hierarchy.llc")
+    check_geometry(cfg.mapping, cfg.private_cache, cfg.llc,
+                   ("hierarchy.private", "hierarchy.llc"))
     taken = {}
     for i, entry in enumerate(cfg.workload):
         where = f"workload[{i}] (app {entry.app!r}): core {entry.core}"

@@ -68,11 +68,18 @@ DEFAULT_PRIVATE = CacheConfig(256 * 1024, 8)
 DEFAULT_LLC = CacheConfig(8 * 1024 * 1024, 16)
 
 
-def check_llc_geometry(m: AddressMapping, llc: CacheConfig, where: str = "LLC geometry"):
-    """Raise ConfigError unless the LLC has the mapping's sets and lines."""
+def check_geometry(m: AddressMapping, private: CacheConfig, llc: CacheConfig,
+                   where=("private cache geometry", "LLC geometry")):
+    """Raise ConfigError, naming the cache by `where`, unless both caches
+    have the mapping's lines and the LLC its sets.  A replay indexes the
+    private sets at the mapping's line, so another private line size would
+    silently resize the private cache."""
+    if private.line_bytes != m.line_bytes:
+        raise ConfigError(f"{where[0]}: {private.line_bytes}-byte lines disagree with the "
+                          f"mapping's {m.line_bytes}-byte lines")
     if (llc.sets, llc.line_bytes) != (m.llc_sets, m.line_bytes):
         raise ConfigError(
-            f"{where}: {llc.sets} sets of {llc.line_bytes}-byte lines disagree with "
+            f"{where[1]}: {llc.sets} sets of {llc.line_bytes}-byte lines disagree with "
             f"the mapping's {m.llc_sets} sets ({len(m.set_index_bits)} set index "
             f"bits) of {m.line_bytes}-byte lines")
 
@@ -170,7 +177,7 @@ class MemoryHierarchy:
     def __init__(self, m: AddressMapping,
                  private_cfg: CacheConfig = DEFAULT_PRIVATE,
                  llc_cfg: CacheConfig = DEFAULT_LLC):
-        check_llc_geometry(m, llc_cfg)
+        check_geometry(m, private_cfg, llc_cfg)
         self.mapping = m
         self.private_cfg = private_cfg
         self.llc_cfg = llc_cfg

@@ -11,10 +11,11 @@ read them.  Addresses are virtual, in [0, 2^64): physical placement is the
 allocator's job.  In memory a trace is a `Trace`, four read-only columns.
 
 `read_trace` parses a file's bytes in one pass of the native kernel's
-`parse_trace`, which takes any ASCII file in the forms above that has at
-most `NATIVE_NAMES` app names and no sign or '_' in a number.  Any other
-file, and every file when the kernel is not built, goes through the
-per-line parser `_parse_lines`, which reports the first bad line.
+`parse_trace`, which takes the canonical form `write_trace` writes (one
+space between fields, '\n' line ends, `0x` addresses) with at most
+`NATIVE_NAMES` app names, plus empty lines and lines that start with '#'.
+Any other file, and every file when the kernel is not built, goes through
+the per-line parser `_parse_lines`, which reports the first bad line.
 `write_trace` writes through the kernel's `format_trace`, or a Python loop
 without it; both write the same bytes.
 """
@@ -129,14 +130,8 @@ class Trace(Sequence):
                    np.asarray(write, dtype=bool))
         if any(c.shape != app.shape for c in columns) or app.ndim != 1:
             raise TraceError("trace columns must be 1-d and of equal length")
-        top = np.maximum.accumulate(app)
-        if (len(app) and app[0] == 0 and top[-1] == len(apps) - 1 and app.min() >= 0
-                and (app[1:] <= top[:-1] + 1).all()):
-            # numbered in order of first appearance already, every name used
-            self.app, self.apps = app, apps
-        else:
-            first, self.app = _numbering(app)
-            self.apps = tuple(map(apps.__getitem__, app[first].tolist()))
+        first, self.app = _numbering(app)
+        self.apps = tuple(map(apps.__getitem__, app[first].tolist()))
         self.core, self.vaddr, self.write = columns
         for column in (self.app, *columns):
             column.setflags(write=False)
@@ -501,7 +496,7 @@ def _parse_native(lib, data: bytes) -> Trace | None:
     buffer = np.frombuffer(data, dtype=np.uint8)
     # a record a line at most: a canonical file's columns are exact, so its
     # Trace holds no unused tail
-    rows = np.count_nonzero(buffer == ord("\n")) + np.count_nonzero(buffer == ord("\r")) + 1
+    rows = np.count_nonzero(buffer == ord("\n")) + 1
     app = np.empty(rows, dtype=np.int32)
     core = np.empty(rows, dtype=np.int64)
     vaddr = np.empty(rows, dtype=np.uint64)

@@ -563,6 +563,18 @@ def test_malformed_config_field_is_config_error(tmp_path, capsys, overrides, mes
      "hierarchy.latencies.row_miss must be >= 0, got -200"),
     ({"sampler": {"period": 0}}, "sampler: sampling period must be positive"),
     ({"thresholds": {"wpd_low": 9}}, "thresholds: wpd_low must be <= wpd_high"),
+    ({"hierarchy": {"private": {"line": 128}}},
+     "hierarchy.private: 128-byte lines disagree with the mapping's 64-byte lines"),
+    ({"thresholds": {"d_ccf_llct": 0.5, "d_llch": 0.1}},
+     "thresholds: d_ccf_llct must be < d_llch"),
+    ({"thresholds": {"footprint_pages": -5}},
+     "thresholds: footprint_pages must be >= 1, got -5"),
+    ({"thresholds": {"hot_page_low": float("nan")}},
+     "thresholds: hot_page_low must be finite, got nan"),
+    ({"sampler": {"bucket_weights": [-1, -2]}},
+     "sampler: bucket_weights must be finite and >= 0, got [-1, -2]"),
+    ({"sampler": {"bucket_weights": [float("nan")]}},
+     "sampler: bucket_weights must be finite and >= 0, got [nan]"),
 ])
 def test_config_error_names_entry_or_field(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, policy="interleave", **overrides)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from memcolor import _native
 from memcolor.allocator import Allocator
 from memcolor.classifier import cache_quota_spec
+from memcolor.errors import ConfigError
 from memcolor.hierarchy import (COUNTER_KEYS, DEFAULT_LATENCIES, CacheConfig,
                                 MemoryHierarchy, Metrics, SimulationError,
                                 proxy_cycles, run_trace)
@@ -50,6 +51,14 @@ def hier(**kw):
 def test_llc_geometry_must_match_mapping():
     with pytest.raises(ValueError):
         MemoryHierarchy(M, llc_cfg=CacheConfig(1 << 20, 16))
+
+
+def test_private_line_must_match_mapping():
+    # indexed at the mapping's 64-byte line, 256 KiB of 128-byte lines
+    # would hold 128 KiB
+    with pytest.raises(ConfigError, match="^private cache geometry: 128-byte lines "
+                       "disagree with the mapping's 64-byte lines$"):
+        MemoryHierarchy(M, private_cfg=CacheConfig(256 * 1024, 8, 128))
 
 
 def test_back_to_back_same_address_private_hit():

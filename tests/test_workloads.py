@@ -398,6 +398,7 @@ ONE_STEP_FROM_CANONICAL = [
     "A 9999999999999999999 0x40 r\n",
     "A 0 0x40 r#\n",
     "A 0 0x40 r\r\nB 1 0x80 w\n",
+    "# x\rA 0 0x40 r\n",
 ]
 
 
@@ -469,24 +470,21 @@ def test_canonical_files_take_the_vectorized_path(tmp_path, monkeypatch, records
     assert read_trace(path) == records
 
 
-# (text, records) of files that are not canonical but plain ASCII
+# (text, records) of files in the canonical form among empty and comment
+# lines
 PLAIN_FILES = {
     "comment": ("# header\nA 0 0x40 r\n", [("A", 0, 0x40, "r")]),
-    "whitespace": ("A\t0 \x1c0x40\x1dr\x1e\x1f\v\f\n\n  \t\n", [("A", 0, 0x40, "r")]),
-    "line-ends": ("A 0 0x40 r\r\nB 1 0x80 w\rC 2 0xc0 r",
-                  [("A", 0, 0x40, "r"), ("B", 1, 0x80, "w"), ("C", 2, 0xc0, "r")]),
-    "comments": ("A 0 0X4f r #x 1 0x0 r\n#A 0 0x40 w\nA 0 0x40 r#\n",
-                 [("A", 0, 0x4f, "r"), ("A", 0, 0x40, "r")]),
-    "digits": ("A 0009 ffFF r\nA 0 00000000000000000000000001 w\n",
-               [("A", 9, 0xffff, "r"), ("A", 0, 1, "w")]),
-    "limits": ("\x00x 9223372036854775807 0xffffffffffffffff w\n",
-               [("\x00x", (1 << 63) - 1, (1 << 64) - 1, "w")]),
+    "comment-lines": ("\n#\tnote \x1c\n\nA 0 0x40 r\n#A 0 0x1 r\n\n\nB 1 0x80 w\n#",
+                      [("A", 0, 0x40, "r"), ("B", 1, 0x80, "w")]),
+    "limits": ("~x 9223372036854775807 0xffffffffffffffff w\n",
+               [("~x", (1 << 63) - 1, (1 << 64) - 1, "w")]),
     "names": ("".join(f"A{i % 9} 0 0x40 r\nA{i} 1 0x80 w\n"
                       for i in range(workloads.NATIVE_NAMES)),
               [r for i in range(workloads.NATIVE_NAMES)
                for r in [(f"A{i % 9}", 0, 0x40, "r"), (f"A{i}", 1, 0x80, "w")]]),
 }
-# files the native reader leaves to the per-line parser: not ASCII, a sign
+# files the native reader leaves to the per-line parser: not ASCII, other
+# whitespace or line ends, a trailing comment, another number form, a sign
 # or '_', an out-of-range number, a malformed line, too many app names
 NOT_HANDLED = {
     "name": "\u00e9t\u00e9 0 0x40 r\n", "comment": "A 0 0x40 r # \u00e9t\u00e9\n",
@@ -496,6 +494,11 @@ NOT_HANDLED = {
     "vaddr-range": "A 0 0x10000000000000000 r\n", "prefix-only": "A 0 0x r\n",
     "op": "A 0 0x40 R\n", "three-fields": "A 0 0x40\n", "five-fields": "A 0 0x40 r r\n",
     "names": "".join(f"A{i} 0 0x40 r\n" for i in range(workloads.NATIVE_NAMES + 1)),
+    "whitespace": "A\t0 \x1c0x40\x1dr\x1e\x1f\v\f\n\n  \t\n",
+    "line-ends": "A 0 0x40 r\r\nB 1 0x80 w\rC 2 0xc0 r",
+    "comments": "A 0 0X4f r #x 1 0x0 r\n#A 0 0x40 w\nA 0 0x40 r#\n",
+    "digits": "A 0009 ffFF r\nA 0 00000000000000000000000001 w\n",
+    "nul-name": "\x00x 9223372036854775807 0xffffffffffffffff w\n",
 }
 
 
@@ -696,7 +699,6 @@ def check_app_numbering(trace, names, column):
     assert trace.apps == tuple(names[i] for i in key[first].tolist())
     assert trace.app.dtype == np.int32 and trace.app.tolist() == number.tolist()
     assert not trace.app.flags.writeable
-    return len(first), number.tolist()
 
 
 @given(column=st.lists(st.integers(-1, 5), max_size=40), numbered=st.booleans(),
@@ -706,16 +708,15 @@ def check_app_numbering(trace, names, column):
 @example(column=[0, 1, 0, -1, 2], numbered=False, unused=0, part=slice(0, 5, 2))
 @settings(max_examples=200, deadline=None)
 def test_trace_app_column_as_numbering_gives(column, numbered, unused, part):
-    # a column already numbered in first-appearance order that uses every
-    # name is kept as it is; any other is renumbered
+    # every column is numbered in first-appearance order, one numbered so
+    # already included, and unused names are dropped
     if numbered:
         column = reference_numbering(column)[1]
     names = tuple("ABCDEFGH"[:max([0, *column]) + 1 + unused])
     n = len(column)
-    app = np.array(column, dtype=np.int32)
-    trace = Trace(names, app, np.zeros(n), np.zeros(n), np.zeros(n))
-    used, number = check_app_numbering(trace, names, column)
-    assert (trace.app is app) == (n > 0 and column == number and used == len(names))
+    trace = Trace(names, np.array(column, dtype=np.int32), np.zeros(n), np.zeros(n),
+                  np.zeros(n))
+    check_app_numbering(trace, names, column)
     check_app_numbering(trace[part], trace.apps, trace.app[part])
 
 
