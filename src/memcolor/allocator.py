@@ -18,7 +18,7 @@ from collections import defaultdict
 import numpy as np
 
 from memcolor import _native
-from memcolor.errors import MemcolorError
+from memcolor.errors import MemcolorError, fits_in_memory
 from memcolor.mapping import AddressMapping, BitExtractor
 from memcolor.policies import PolicyKind, PolicySpec
 
@@ -140,20 +140,21 @@ class Allocator:
         self._n = 0
         self._rows = None
 
-        if spec.partitioning:
-            shift = m.page_offset_bits
-            self._colors_of = BitExtractor([p - shift for p in spec.color_bits]).extract
-            # A frame's color repeats with the period of its highest color
-            # bit; frames up to total_pages are all the pool needs, however
-            # high that bit.
-            period = min(1 << (max(spec.color_bits) - shift + 1), total_pages)
-            colors = self._colors_of(np.arange(period, dtype=np.int64))
-            self._pools = [_Pool(period, np.flatnonzero(colors == c), total_pages)
-                           for c in range(spec.page_colors)]
-        elif spec.kind is PolicyKind.RANDOM:
-            self._pools = [_RandomPool(total_pages, self._rng)]
-        else:
-            self._pools = [_Pool(1, np.zeros(1, dtype=np.int64), total_pages)]
+        with fits_in_memory(AllocationError, f"{total_pages} free frames"):
+            if spec.partitioning:
+                shift = m.page_offset_bits
+                self._colors_of = BitExtractor([p - shift for p in spec.color_bits]).extract
+                # A frame's color repeats with the period of its highest
+                # color bit; frames up to total_pages are all the pool
+                # needs, however high that bit.
+                period = min(1 << (max(spec.color_bits) - shift + 1), total_pages)
+                colors = self._colors_of(np.arange(period, dtype=np.int64))
+                self._pools = [_Pool(period, np.flatnonzero(colors == c), total_pages)
+                               for c in range(spec.page_colors)]
+            elif spec.kind is PolicyKind.RANDOM:
+                self._pools = [_RandomPool(total_pages, self._rng)]
+            else:
+                self._pools = [_Pool(1, np.zeros(1, dtype=np.int64), total_pages)]
 
     # --- bookkeeping -----------------------------------------------------
 

@@ -65,15 +65,6 @@ def _load_traces(cfg: ExperimentConfig) -> dict:
     return traces
 
 
-def _mix(cfg: ExperimentConfig, traces: dict) -> list:
-    """One mix of `traces` ({app: trace}), each app on the core its workload
-    entry names, or on its position when the config lists no workload."""
-    configured = {entry.app: entry.core for entry in cfg.workload}
-    cores = [configured[app] for app in traces] if configured else None
-    return mix(list(traces.values()), k=cfg.mix_chunk, core_count=cfg.core_count,
-               cores=cores)
-
-
 def _even_split_quotas(spec, apps):
     """Round-robin color split for an explicitly named policy."""
     n_colors = spec.page_colors
@@ -105,14 +96,13 @@ def _profile(cfg: ExperimentConfig, traces):
                             core_count=cfg.core_count), evidence)
 
 
-def _run_policy(cfg: ExperimentConfig, merged, apps, spec: PolicySpec, quotas=None,
-                epoch=None):
+def _run_policy(cfg: ExperimentConfig, merged, spec: PolicySpec, quotas=None, epoch=None):
     """Replay a mixed trace under one policy; quotas default to an even
-    color split.  Returns (Metrics, snapshots per `epoch` accesses if
-    given, Allocator)."""
+    color split over its apps.  Returns (Metrics, snapshots per `epoch`
+    accesses if given, Allocator)."""
     alloc = Allocator(cfg.resolved_total_pages(), spec, cfg.mapping,
                       seed=cfg.seed, allow_fallback=cfg.allow_fallback)
-    for app, colors in (quotas or _even_split_quotas(spec, apps)).items():
+    for app, colors in (quotas or _even_split_quotas(spec, merged.apps)).items():
         alloc.assign_quota(app, colors)
     hier = MemoryHierarchy(cfg.mapping, cfg.private_cache, cfg.llc)
     metrics, snapshots = run_trace(merged, alloc, hier, epoch=epoch)
@@ -127,13 +117,13 @@ def sweep_policies(cfg: ExperimentConfig, traces: dict,
     Returns {PolicyKind: Metrics, or the library error that stopped that
     cell}; a cell whose quota plan is infeasible holds an AdvisorError.
     """
-    merged = _mix(cfg, traces)
+    merged = mix(list(traces.values()), k=cfg.mix_chunk)
     cells = {}
     for policy in PolicyKind:
         try:
             spec = policy_spec(policy, cfg.mapping)
             quotas = plan_quotas(profile, policy, spec).quotas if spec.partitioning else None
-            cells[policy] = _run_policy(cfg, merged, list(traces), spec, quotas)[0]
+            cells[policy] = _run_policy(cfg, merged, spec, quotas)[0]
         except MemcolorError as exc:
             cells[policy] = exc
     return cells
@@ -190,8 +180,8 @@ def cmd_run(args, cfg: ExperimentConfig) -> int:
     else:
         policy, decision_json, quotas = PolicyKind.from_name(cfg.policy), None, None
     metrics, snapshots, alloc = _run_policy(
-        cfg, _mix(cfg, traces), list(traces), policy_spec(policy, cfg.mapping), quotas,
-        cfg.epoch)
+        cfg, mix(list(traces.values()), k=cfg.mix_chunk), policy_spec(policy, cfg.mapping),
+        quotas, cfg.epoch)
     _commit(args.out or ".", {
         "decision.json": decision_json,
         "metrics.json": metrics.to_json(cfg.latencies),

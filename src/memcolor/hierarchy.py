@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from memcolor import _native
-from memcolor.errors import ConfigError, MemcolorError
+from memcolor.errors import ConfigError, MemcolorError, fits_in_memory
 from memcolor.mapping import AddressMapping, MappingError
 from memcolor.workloads import CHUNK, Trace
 
@@ -196,17 +196,20 @@ class MemoryHierarchy:
                         banks, len(banks) // 3, private_cfg.ways, llc_cfg.ways)
 
         self._llc_ways = llc_cfg.ways
-        self._llc = np.zeros(llc_cfg.sets * llc_cfg.ways, dtype=np.int64)
-        self._llc_owner = np.zeros(len(self._llc), dtype=np.int32)
-        self._llc_fill = np.zeros(llc_cfg.sets, dtype=np.int32)
+        with fits_in_memory(SimulationError, f"{llc_cfg.sets} LLC sets"):
+            self._llc = np.zeros(llc_cfg.sets * llc_cfg.ways, dtype=np.int64)
+            self._llc_owner = np.zeros(len(self._llc), dtype=np.int32)
+            self._llc_fill = np.zeros(llc_cfg.sets, dtype=np.int32)
         self._private_sets = private_cfg.sets
         self._private_mask = private_cfg.sets - 1
         self._private_ways = private_cfg.ways
         self._cores: dict = {}      # core -> its position in the private sets
-        self._private = np.zeros(private_cfg.sets * private_cfg.ways, dtype=np.int64)
-        self._private_fill = np.zeros(private_cfg.sets, dtype=np.int32)
-        self._bank_row = np.full(m.banks, -1, dtype=np.int64)
-        self._bank_app = np.zeros(m.banks, dtype=np.int32)
+        with fits_in_memory(SimulationError, f"{private_cfg.sets} private cache sets"):
+            self._private = np.zeros(private_cfg.sets * private_cfg.ways, dtype=np.int64)
+            self._private_fill = np.zeros(private_cfg.sets, dtype=np.int32)
+        with fits_in_memory(SimulationError, f"{m.banks} DRAM banks"):
+            self._bank_row = np.full(m.banks, -1, dtype=np.int64)
+            self._bank_app = np.zeros(m.banks, dtype=np.int32)
         self._views()
 
     def _views(self):

@@ -176,11 +176,14 @@ def validate_mapping(m: AddressMapping) -> list[str]:
         violations.append("duplicate set index bits")
     if len(set(m.bank_index_bits)) != len(m.bank_index_bits):
         violations.append("duplicate bank index bits")
-    # a line lies in one LLC set and one bank, so both index above its offset
+    # a line lies in one LLC set and one bank, so both index above its
+    # offset; and below bit 64, where the kernel's shift is undefined
     for name, bits in (("set", m.set_index_bits), ("bank", m.bank_index_bits)):
         for p in bits:
             if p < m.line_offset_bits:
                 violations.append(f"{name} index bit {p} below line offset")
+            if p >= 64:
+                violations.append(f"{name} index bit {p} at or above 64")
     if m.line_offset_bits > m.page_offset_bits:
         violations.append(f"line_offset_bits {m.line_offset_bits} exceeds "
                           f"page_offset_bits {m.page_offset_bits}")

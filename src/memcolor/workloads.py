@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from memcolor import _native
-from memcolor.errors import MemcolorError
+from memcolor.errors import MemcolorError, fits_in_memory
 
 
 PAGE_BYTES = 4096
@@ -352,7 +352,7 @@ def gen(params: ArchetypeParams) -> Trace:
     a uniform line within the page.  A trace too large for memory is a
     TraceError naming its app and access count.
     """
-    try:
+    with fits_in_memory(TraceError, f"app {params.app!r}: {params.access_count} accesses"):
         rng = np.random.default_rng(params.seed)
         pages = params.working_set_pages
         n = params.access_count
@@ -375,35 +375,26 @@ def gen(params: ArchetypeParams) -> Trace:
         return Trace((params.app,), np.zeros(n, dtype=np.int32),
                      np.full(n, params.core, dtype=np.int64), vaddr.astype(np.uint64),
                      np.zeros(n, dtype=bool))
-    except MemoryError:
-        raise TraceError(f"app {params.app!r}: {params.access_count} accesses do not "
-                         f"fit in memory") from None
 
 
-def mix(traces, k: int = 1, core_count: int | None = None,
-        cores=None) -> Trace:
-    """Round-robin interleave, k records per turn, each trace on its own
-    core: `cores[i]` for trace i, by default i.  Per-app record order is
-    preserved; apps of the same name are one app."""
+def mix(traces, k: int = 1) -> Trace:
+    """Round-robin interleave, k records of each trace per turn.  Each record
+    keeps the core set where its trace was made: `gen`'s `core`, `Trace.on`
+    or a trace file's core column.  Apps of the same name are one app."""
     if not traces:
         raise TraceError("mix needs at least one trace")
     if k < 1:
         raise TraceError("k must be >= 1")
-    if core_count is not None and len(traces) > core_count:
-        raise TraceError(f"{len(traces)} apps exceed {core_count} cores")
-    if cores is None:
-        cores = range(len(traces))
-    elif len(cores) != len(traces):
-        raise TraceError(f"{len(cores)} cores for {len(traces)} traces")
     traces = [Trace.of(t) for t in traces]
     index = {a: i for i, a in enumerate(dict.fromkeys(chain.from_iterable(
         t.apps for t in traces)))}
     lengths = [len(t) for t in traces]
+    # a chunk longer than the longest trace takes the same turns as one equal to it
+    k = min(k, max(lengths) or 1)
     columns = [np.empty(sum(lengths), dtype=dtype)
                for dtype in (np.int32, np.int64, np.uint64, bool)]
     sources = [(np.array([index[a] for a in t.apps], dtype=np.int32)[t.app],
-                np.broadcast_to(np.int64(c), len(t)), t.vaddr, t.write)
-               for t, c in zip(traces, cores)]
+                t.core, t.vaddr, t.write) for t in traces]
     # Turn u holds records [u * k, (u + 1) * k) of each trace, trace after
     # trace.  Before the turn in which the first of the m traces left ends,
     # each has k records a turn: the r-th of them fills offsets r * k to

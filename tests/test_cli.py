@@ -118,10 +118,9 @@ def test_run_policy_without_partitioning_matches_registered_apps(tmp_path, polic
     # perfbench and the scripts only register the apps of these policies
     cfg = load_config(write_config(tmp_path, epoch=7000))
     traces = cli._load_traces(cfg)
-    merged = cli._mix(cfg, traces)
+    merged = cli.mix(list(traces.values()), k=cfg.mix_chunk)
     spec = policy_spec(policy, cfg.mapping)
-    metrics, snapshots, alloc = cli._run_policy(cfg, merged, list(traces), spec,
-                                                epoch=cfg.epoch)
+    metrics, snapshots, alloc = cli._run_policy(cfg, merged, spec, epoch=cfg.epoch)
     registered = Allocator(cfg.resolved_total_pages(), spec, cfg.mapping,
                            seed=cfg.seed, allow_fallback=cfg.allow_fallback)
     for app in traces:
@@ -603,6 +602,17 @@ def test_address_shift_of_64_or_more_is_config_error(tmp_path, capsys, field, va
     assert not (tmp_path / "o").exists()
 
 
+def test_index_bit_of_64_or_more_is_config_error(tmp_path, capsys):
+    # the kernel's bank bit 70 reads bit 6 on x86, where the Python replay's
+    # reads 0: the two reported different row hits and misses
+    cfg = write_config(tmp_path, policy="interleave",
+                       mapping={"bank_index_bits": [14, 15, 19, 20, 21, 22, 70]})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        "config error: invalid mapping: bank index bit 70 at or above 64\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("overrides,message", [
     ({"multithreaded": "false"}, "multithreaded must be true or false, got 'false'"),
     ({"multithreaded": 0}, "multithreaded must be true or false, got 0"),
@@ -699,6 +709,51 @@ def test_workload_too_large_for_memory_is_runtime_error(tmp_path, capsys, comman
     assert capsys.readouterr().err == \
         f"error: app 'H': {10**12} accesses do not fit in memory\n"
     assert not out.exists()
+
+
+# each size is petabytes, far beyond any host's memory, so numpy's request
+# fails at once
+STATE_TOO_LARGE = {
+    "random-free-list": ({"policy": "random", "mapping": {"mem_bytes": 2**62}},
+                         f"{2**50} free frames"),
+    "private-sets": ({"hierarchy": {"private": {"size": 2**60}}},
+                     f"{2**51} private cache sets"),
+    "banks": ({"mapping": {"bank_index_bits": [14, 15, *range(19, 64)]}},
+              f"{2**47} DRAM banks"),
+}
+
+
+@pytest.mark.parametrize("case", STATE_TOO_LARGE)
+def test_simulator_state_too_large_for_memory_is_runtime_error(tmp_path, capsys, case):
+    overrides, what = STATE_TOO_LARGE[case]
+    cfg = write_config(tmp_path, **{"policy": "interleave", **overrides})
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {what} do not fit in memory\n"
+    assert not out.exists()
+    if case != "random-free-list":
+        assert main(["classify", "--method", "offline", "--config", cfg]) == 3
+        assert capsys.readouterr().err == f"error: {what} do not fit in memory\n"
+
+
+def test_sweep_cell_too_large_for_memory_fails_alone(tmp_path):
+    overrides, what = STATE_TOO_LARGE["random-free-list"]
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", write_config(tmp_path, **overrides),
+                 "--out", str(out)]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert rows[-1] == f"random,,,,,failed: {what} do not fit in memory"
+    assert all(row.endswith(",ok") for row in rows[1:-1])
+
+
+def test_mix_chunk_longer_than_every_trace_runs_as_the_longest(tmp_path):
+    metrics = []
+    for chunk in (10**18, max(entry["accesses"] for entry in SMALL_WORKLOAD)):
+        out = tmp_path / str(chunk)
+        cfg = write_config(tmp_path, policy="interleave", mix_chunk=chunk)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        metrics.append((out / "metrics.json").read_bytes())
+    assert metrics[0] == metrics[1]
 
 
 def test_negative_seed_option_is_usage_error(tmp_path, capsys):
@@ -809,7 +864,7 @@ def fuzz_configs(draw):
                 for app, core in zip(FUZZ_APPS, cores)]
     doc = {"seed": draw(st.integers(-1, 50)), "core_count": 4,
            "policy": draw(st.sampled_from(POLICY_NAMES)),
-           "mix_chunk": draw(st.integers(-1, 8)),
+           "mix_chunk": draw(st.one_of(st.integers(-1, 8), st.just(1 << 62))),
            "epoch": draw(st.one_of(st.none(), st.integers(-2, 1500))),
            "total_pages": draw(st.one_of(st.none(), st.integers(0, 1500),
                                          st.sampled_from([1 << 21, (1 << 21) + 1]))),

@@ -53,6 +53,8 @@ def test_class_overlap_reported():
     ({"set_index_bits": (5, *range(7, 19))}, "set index bit 5 below line offset"),
     ({"bank_index_bits": (5, 14, 15, 20, 21, 22)}, "bank index bit 5 below line offset"),
     ({"page_offset_bits": 5}, "line_offset_bits 6 exceeds page_offset_bits 5"),
+    ({"set_index_bits": (*range(6, 19), 64)}, "set index bit 64 at or above 64"),
+    ({"bank_index_bits": (14, 15, 19, 20, 21, 22, 70)}, "bank index bit 70 at or above 64"),
 ])
 def test_index_bit_inside_a_line_reported(fields, violation):
     assert validate_mapping(AddressMapping(**fields)) == [violation]

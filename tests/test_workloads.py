@@ -65,7 +65,7 @@ def test_mix_strict_alternation():
     b = [TraceRecord("B", 0, i * 64, "r") for i in range(3)]
     merged = mix([a, b], k=1)
     assert [r.app for r in merged] == ["A", "B", "A", "B", "A", "B"]
-    assert [r.core for r in merged] == [0, 1, 0, 1, 0, 1]
+    assert [r.core for r in merged] == [0, 0, 0, 0, 0, 0]
 
 
 def test_mix_projection_identity():
@@ -77,34 +77,23 @@ def test_mix_projection_identity():
 
 
 @pytest.mark.parametrize("k", [1, 3])
-def test_mix_rewrites_cores_in_chunks(k):
-    # A already sits on core 0; B and C arrive on core 7 and move to 1 and 2
-    a = [TraceRecord("A", 0, i * 64, "r") for i in range(7)]
+def test_mix_keeps_every_record_core(k):
+    # A spans cores 0, 5 and 2; B and C share core 7 and stay on it
+    a = [TraceRecord("A", (0, 5, 2)[i % 3], i * 64, "r") for i in range(7)]
     b = [TraceRecord("B", 7, i * 128, "w") for i in range(2)]
     c = [TraceRecord("C", 7, i * 256, "r") for i in range(5)]
     expected = []
     for start in range(0, 7, k):
-        for core, t in enumerate((a, b, c)):
-            expected += [r._replace(core=core) for r in t[start:start + k]]
+        for t in (a, b, c):
+            expected += t[start:start + k]
     assert mix([a, b, c], k=k) == expected
 
 
-@pytest.mark.parametrize("k", [1, 3])
-def test_mix_puts_traces_on_given_cores(k):
-    a = [TraceRecord("A", 0, i * 64, "r") for i in range(7)]
-    b = [TraceRecord("B", 2, i * 128, "w") for i in range(2)]
-    merged = mix([a, b], k=k, cores=[3, 2])
-    assert {(r.app, r.core) for r in merged} == {("A", 3), ("B", 2)}
-    assert [r._replace(core=0) for r in merged] == mix([a, b], k=k, cores=[0, 0])
-    assert mix([a], cores=[5]) == [r._replace(core=5) for r in a]
-    with pytest.raises(TraceError, match="1 cores for 2 traces"):
-        mix([a, b], cores=[1])
-
-
-def test_mix_too_many_apps():
-    traces = [[TraceRecord(str(i), 0, 0, "r")] for i in range(5)]
-    with pytest.raises(TraceError):
-        mix(traces, core_count=4)
+def test_mix_chunk_longer_than_every_trace():
+    ts = [[TraceRecord(app, 0, i * 64, "r") for i in range(n)]
+          for app, n in (("A", 7), ("B", 0), ("C", 3))]
+    assert mix(ts, k=10**30) == mix(ts, k=max(map(len, ts))) == ts[0] + ts[2]
+    assert mix([[]], k=10**30) == []
 
 
 def test_trace_round_trip(tmp_path):
@@ -193,12 +182,13 @@ def reference_gen(p):
     return [TraceRecord(p.app, p.core, v, "r") for v in vaddrs]
 
 
-def reference_mix(traces, k, cores):
-    """Round-robin interleave, k records of each trace per turn."""
+def reference_mix(traces, k):
+    """Round-robin interleave, k records of each trace per turn, every
+    record keeping its core."""
     out = []
     for start in range(0, max(map(len, traces)), k):
-        for core, t in zip(cores, traces):
-            out += [r._replace(core=core) for r in t[start:start + k]]
+        for t in traces:
+            out += t[start:start + k]
     return out
 
 
@@ -252,18 +242,15 @@ records_st = st.lists(st.tuples(st.sampled_from(["A", "B", "C"]), st.integers(0,
 
 
 @given(traces=st.lists(records_st.filter(bool), min_size=1, max_size=4),
-       k=st.sampled_from([1, 3]), columnar=st.lists(st.booleans(), min_size=4, max_size=4),
-       data=st.data())
+       k=st.sampled_from([1, 3]), columnar=st.lists(st.booleans(), min_size=4, max_size=4))
 @settings(max_examples=200, deadline=None)
-def test_mix_matches_record_reference(traces, k, columnar, data):
-    cores = data.draw(st.permutations(range(6)))[:len(traces)]
+def test_mix_matches_record_reference(traces, k, columnar):
     inputs = [Trace.of(t) if c else t for t, c in zip(traces, columnar)]
-    expected = reference_mix(traces, k, cores)
-    merged = mix(inputs, k=k, cores=cores)
+    expected = reference_mix(traces, k)
+    merged = mix(inputs, k=k)
     assert isinstance(merged, Trace)
     assert merged == expected
     assert merged.apps == tuple(dict.fromkeys(r.app for r in expected))
-    assert mix(inputs, k=k) == reference_mix(traces, k, range(len(traces)))
 
 
 @given(records=records_st, data=st.data())
@@ -448,10 +435,10 @@ def test_read_trace_without_the_kernel_matches_reference(tmp_path_factory, faile
 @pytest.mark.parametrize("records", [
     gen(canonical_params("ccf", seed=1)), gen(canonical_params("llct", seed=2)),
     gen(canonical_params("llcm", seed=3)), gen(canonical_params("llch", seed=4)),
-    mix([gen(ArchetypeParams("llch", 16, 2048, seed=5, app="H1", core=3)),
-         gen(ArchetypeParams("ccf", 4, 700, seed=6, app="c", core=1)),
-         [TraceRecord("long-app-name", 0, (1 << 64) - 1, "w"),
-          TraceRecord("A", 0, 0, "r")]], k=3, cores=[7, 0, 99]),
+    mix([gen(ArchetypeParams("llch", 16, 2048, seed=5, app="H1", core=7)),
+         gen(ArchetypeParams("ccf", 4, 700, seed=6, app="c", core=0)),
+         [TraceRecord("long-app-name", 99, (1 << 64) - 1, "w"),
+          TraceRecord("A", 99, 0, "r")]], k=3),
     [], [TraceRecord("A", 10 ** 18 - 1, (1 << 64) - 1, "w")]])
 @needs_gcc
 def test_canonical_files_take_the_vectorized_path(tmp_path, monkeypatch, records):
