@@ -89,6 +89,31 @@ def test_mix_keeps_every_record_core(k):
     assert mix([a, b, c], k=k) == expected
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_mix_rewrites_cores_in_chunks(k):
+    # A already sits on core 0; B and C arrive on core 7, Trace.on moves
+    # them to 1 and 2, and mix interleaves them in chunks of k
+    a = [TraceRecord("A", 0, i * 64, "r") for i in range(7)]
+    b = [TraceRecord("B", 7, i * 128, "w") for i in range(2)]
+    c = [TraceRecord("C", 7, i * 256, "r") for i in range(5)]
+    expected = []
+    for start in range(0, 7, k):
+        for core, t in enumerate((a, b, c)):
+            expected += [r._replace(core=core) for r in t[start:start + k]]
+    placed = [Trace.of(t).on(t[0].app, core) for core, t in enumerate((a, b, c))]
+    assert mix(placed, k=k) == expected
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_mix_puts_traces_on_given_cores(k):
+    a = Trace.of([TraceRecord("A", 0, i * 64, "r") for i in range(7)])
+    b = Trace.of([TraceRecord("B", 2, i * 128, "w") for i in range(2)])
+    merged = mix([a.on("A", 3), b.on("B", 2)], k=k)
+    assert {(r.app, r.core) for r in merged} == {("A", 3), ("B", 2)}
+    assert [r._replace(core=0) for r in merged] == mix([a.on("A", 0), b.on("B", 0)], k=k)
+    assert mix([a.on("A", 5)]) == [r._replace(core=5) for r in a]
+
+
 def test_mix_chunk_longer_than_every_trace():
     ts = [[TraceRecord(app, 0, i * 64, "r") for i in range(n)]
           for app, n in (("A", 7), ("B", 0), ("C", 3))]
