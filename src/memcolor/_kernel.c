@@ -1,8 +1,8 @@
 /* Native forms of memcolor's per-element loops, loaded with ctypes by
- * memcolor._native: the two replay loops, whose Python references are
- * MemoryHierarchy._step and the swap-remove loop allocator._draw_frames;
- * the trace-file parser and writer; and first-appearance numbering.  Each
- * is tested against its Python reference.
+ * memcolor._native: the replay and the two first-touch frame placements,
+ * whose Python references are MemoryHierarchy._step, allocator._place_frames
+ * and allocator._draw_frames; the trace-file parser and writer; and
+ * first-appearance numbering.  Each is tested against its Python reference.
  *
  * Cache sets are flat arrays of `ways` slots, way 0 the least recent, with
  * a fill count per set.  Apps are small ints; a bank never opened has row
@@ -12,7 +12,7 @@
 #include <string.h>
 
 enum { PRIVATE_HIT, LLC_HIT, ROW_HIT, ROW_MISS, ROW_CONFLICT, CROSS_CONFLICT,
-       CROSS_EVICTION = 8 };
+       CROSS_EVICTION = 8, N_CODES = 16 };
 
 /* Look `line` up in one set.  A hit moves it to the most recent way and
  * returns HIT.  A miss inserts it there and returns FILLED, or EVICTED
@@ -56,53 +56,80 @@ static int64_t extract(uint64_t v, const int64_t *seg, int32_t n)
     return r;
 }
 
-/* Replay accesses 0..n-1 of a trace through the caches and banks, writing
- * an outcome code per access.  Access k is at offset vaddr[k] within frame
- * frames[page[k]], by core core[k] of the trace, whose private sets start
- * at priv_base[core[k]], and by app app[k], owner id owner[app[k]].  Every
- * frame is inside memory, as run_trace checks before it calls this. */
-void replay(int64_t n, const int32_t *page, const uint64_t *vaddr,
+/* Replay accesses 0..n-1 of a trace through the caches and banks, counting
+ * each access's outcome code in counts[k / step][app[k]][code], blocks of
+ * apps x N_CODES counts, one block per `step` accesses.  Access k is at
+ * offset vaddr[k] within frame frames[page[k]], by core core[k] of the
+ * trace, whose private sets start at priv_base[core[k]], and by app app[k]
+ * (below `apps`), owner id owner[app[k]].  Every frame is inside memory, as
+ * run_trace checks before it calls this. */
+void replay(int64_t n, int64_t step, const int32_t *page, const uint64_t *vaddr,
             const int32_t *core, const int32_t *app, const int64_t *frames,
-            const int64_t *priv_base, const int32_t *owner,
+            const int64_t *priv_base, const int32_t *owner, int32_t apps,
             int32_t page_shift, int32_t line_shift, int32_t row_shift,
             int64_t priv_mask, const int64_t *set_seg, int32_t set_segs,
             const int64_t *bank_seg, int32_t bank_segs, int32_t priv_ways,
             int32_t llc_ways, int64_t *priv, int32_t *priv_fill,
             int64_t *llc, int32_t *llc_owner, int32_t *llc_fill,
-            int64_t *bank_row, int32_t *bank_app, uint8_t *out)
+            int64_t *bank_row, int32_t *bank_app, int64_t *counts)
 {
     const uint64_t offset_mask = ((uint64_t)1 << page_shift) - 1;
-    for (int64_t k = 0; k < n; k++) {
-        uint64_t addr = (uint64_t)frames[page[k]] << page_shift
-                        | (vaddr[k] & offset_mask);
-        int64_t line = (int64_t)(addr >> line_shift);
-        int64_t p = priv_base[core[k]] + (line & priv_mask);
-        int32_t a = owner[app[k]], victim = 0;
-        if (lru(priv + p * priv_ways, NULL, priv_fill + p, priv_ways, line,
-                a, &victim) == HIT) {
-            out[k] = PRIVATE_HIT;
-            continue;
+    for (int64_t start = 0; start < n; start += step, counts += (int64_t)apps * N_CODES) {
+        int64_t end = n - start < step ? n : start + step;
+        for (int64_t k = start; k < end; k++) {
+            uint64_t addr = (uint64_t)frames[page[k]] << page_shift
+                            | (vaddr[k] & offset_mask);
+            int64_t line = (int64_t)(addr >> line_shift);
+            int64_t p = priv_base[core[k]] + (line & priv_mask);
+            int64_t *count = counts + (int64_t)app[k] * N_CODES;
+            int32_t a = owner[app[k]], victim = 0;
+            if (lru(priv + p * priv_ways, NULL, priv_fill + p, priv_ways, line,
+                    a, &victim) == HIT) {
+                count[PRIVATE_HIT]++;
+                continue;
+            }
+            int64_t s = extract(addr, set_seg, set_segs);
+            int found = lru(llc + s * llc_ways, llc_owner + s * llc_ways,
+                            llc_fill + s, llc_ways, line, a, &victim);
+            if (found == HIT) {
+                count[LLC_HIT]++;
+                continue;
+            }
+            int code = found == EVICTED && victim != a ? CROSS_EVICTION : 0;
+            int64_t b = extract(addr, bank_seg, bank_segs);
+            int64_t row = (int64_t)(addr >> row_shift), open = bank_row[b];
+            if (open < 0)
+                code |= ROW_MISS;
+            else if (open == row)
+                code |= ROW_HIT;
+            else
+                code |= bank_app[b] != a ? CROSS_CONFLICT : ROW_CONFLICT;
+            bank_row[b] = row;
+            bank_app[b] = a;
+            count[code]++;
         }
-        int64_t s = extract(addr, set_seg, set_segs);
-        int found = lru(llc + s * llc_ways, llc_owner + s * llc_ways,
-                        llc_fill + s, llc_ways, line, a, &victim);
-        if (found == HIT) {
-            out[k] = LLC_HIT;
-            continue;
-        }
-        int code = found == EVICTED && victim != a ? CROSS_EVICTION : 0;
-        int64_t b = extract(addr, bank_seg, bank_segs);
-        int64_t row = (int64_t)(addr >> row_shift), open = bank_row[b];
-        if (open < 0)
-            code |= ROW_MISS;
-        else if (open == row)
-            code |= ROW_HIT;
-        else
-            code |= bank_app[b] != a ? CROSS_CONFLICT : ROW_CONFLICT;
-        bank_row[b] = row;
-        bank_app[b] = a;
-        out[k] = (uint8_t)code;
     }
+}
+
+/* First-touch frames from the colour pools, page by page as
+ * allocator._place_frames describes: returns the count of pages placed. */
+int64_t place_frames(int64_t n, const int32_t *app, const int64_t *quota,
+                     const int64_t *colors, int64_t *rr, int64_t period,
+                     const int64_t *start, const int64_t *offsets,
+                     int64_t *cursor, const int64_t *size, int64_t *frames)
+{
+    for (int64_t k = 0; k < n; k++) {
+        int32_t a = app[k];
+        int64_t c = colors[quota[a] + rr[a]], j = cursor[c];
+        if (j == size[c])
+            return k;
+        int64_t m = start[c + 1] - start[c];
+        frames[k] = j / m * period + offsets[start[c] + j % m];
+        cursor[c] = j + 1;
+        if (++rr[a] == quota[a + 1] - quota[a])
+            rr[a] = 0;
+    }
+    return n;
 }
 
 /* Swap-remove draws: frame k is free[draws[k]], whose slot then takes the

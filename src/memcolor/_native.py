@@ -6,9 +6,9 @@ interpreter's cache tag and the machine; where that directory is not
 writable, the library is built in a temporary directory for this process.
 `kernel()` returns the loaded library, or None with one RuntimeWarning
 when gcc is missing or the build or load fails; callers then run their
-Python code (the replay loops, the trace-file parser and writer, and the
-sort that numbers values in order of first appearance), which is the
-reference the kernel is tested against.
+Python code (the replay, the two first-touch frame placements, the
+trace-file parser and writer, and the sort that numbers values in order of
+first appearance), which is the reference the kernel is tested against.
 The modules only a build or load needs are imported on first use, so that
 importing memcolor stays cheap.
 """
@@ -91,9 +91,12 @@ def kernel():
     i64, i32, u64, u8 = (np.ctypeslib.ndpointer(t, ndim=1, flags="C_CONTIGUOUS")
                          for t in (np.int64, np.int32, np.uint64, np.uint8))
     c64, c32 = ctypes.c_int64, ctypes.c_int32
-    lib.replay.argtypes = [c64, i32, u64, i32, i32, i64, i64, i32, c32, c32, c32, c64,
-                           i64, c32, i64, c32, c32, c32, i64, i32, i64, i32, i32, i64, i32, u8]
+    lib.replay.argtypes = [c64, c64, i32, u64, i32, i32, i64, i64, i32, c32, c32, c32, c32,
+                           c64, i64, c32, i64, c32, c32, c32, i64, i32, i64, i32, i32, i64,
+                           i32, i64]
     lib.replay.restype = None
+    lib.place_frames.argtypes = [c64, i32, i64, i64, i64, c64, i64, i64, i64, i64, i64]
+    lib.place_frames.restype = c64
     lib.draw_frames.argtypes = [c64, i64, i64, c64, i64]
     lib.draw_frames.restype = None
     lib.parse_trace.argtypes = [c64, u8, i32, i64, u64, u8, c64, i64, i64]

@@ -4,7 +4,10 @@ Every app allocates round-robin over the free pools of its color quota; a
 policy that does not partition has one color, so one pool and the quota [0].
 A `_Pool` hands out the lowest free frame first, by arithmetic over one
 period of frame colors; the random policy's pool is a seeded swap-remove
-list.  The page table is one set of arrays for all apps in first-touch order.
+list.  A batch of new pages gets its frames in one pass, the kernel's
+`place_frames` over the color pools (`_place_frames` without it) or
+`draw_frames` over the random pool (`_draw_frames`).  The page table is one
+set of arrays for all apps in first-touch order.
 There is no fallback across color quotas unless explicitly enabled:
 exhausting an app's colors is an error even when other colors have free
 frames, so isolation can never erode silently.
@@ -32,6 +35,30 @@ def _draw_frames(n, draws, free, left, frames):
         frames[k] = free[idx]
         left -= 1
         free[idx] = free[left]
+
+
+def _place_frames(n, app, quota, colors, rr, period, start, offsets, cursor, size, frames):
+    """Frames from the color pools for new pages of apps app[k], as
+    `_alloc` gives them: app a takes the color at its round-robin position
+    rr[a] in its quota colors[quota[a]:quota[a + 1]], and the position
+    advances.  Color c has given cursor[c] of its size[c] frames; its j-th
+    is `_Pool`'s (j // m) * period + offsets[start[c] + j % m], m being
+    start[c + 1] - start[c].  Stops at the first page whose color has none
+    left; returns the count placed.  The reference for the kernel's
+    `place_frames` and its fallback, with the same arguments."""
+    app, quota, colors, rr, start, offsets, cursor, size, frames = map(
+        memoryview, (app, quota, colors, rr, start, offsets, cursor, size, frames))
+    for k in range(n):
+        a = app[k]
+        c = colors[quota[a] + rr[a]]
+        j = cursor[c]
+        if j == size[c]:
+            return k
+        m = start[c + 1] - start[c]
+        frames[k] = j // m * period + offsets[start[c] + j % m]
+        cursor[c] = j + 1
+        rr[a] = (rr[a] + 1) % (quota[a + 1] - quota[a])
+    return n
 
 
 class AllocationError(MemcolorError, RuntimeError):
@@ -63,13 +90,8 @@ class _Pool:
     def free(self) -> int:
         return self.size - self.cursor
 
-    def take(self, count: int) -> np.ndarray:
-        turn, at = np.divmod(np.arange(self.cursor, self.cursor + count), len(self.offsets))
-        self.cursor += count
-        return turn * self.period + self.offsets[at]
-
     def pop(self) -> int:
-        """`take(1)`'s frame, as an int."""
+        """The lowest free frame."""
         turn, at = divmod(self.cursor, len(self.offsets))
         self.cursor += 1
         return turn * self.period + self.offsets.item(at)
@@ -325,33 +347,26 @@ class Allocator:
         """Frames for one new page of apps[app[k]] per k, in order, up to the
         first page whose pool is empty: the longest prefix served without
         fallback."""
-        if len(self._pools) == 1:     # one color: round-robin is pool order
-            pool = self._pools[0]
-            return pool.take(min(len(app), pool.free))
-        # An app with q quota colors takes its new pages t, t + q, ... from
-        # the color t steps past its round-robin position, and a pool serves
-        # its pages in page order; this holds while no pool runs empty.
-        wanted = [[] for _ in self._pools]
-        taken = []
-        for i, a in enumerate(apps):
-            q = self._quotas[a]
-            sel = np.flatnonzero(app == i)
-            n = len(q.colors)
-            for t in range(min(n, len(sel))):
-                wanted[q.colors[(q.rr + t) % n]].append(sel[t::n])
-            taken.append((q, sel))
-        # the apps' pages are disjoint, so a pool's pages need only a sort
-        takes = [(pool, parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts)))
-                 for pool, parts in zip(self._pools, wanted) if parts]
-        cut = min([int(pages[pool.free]) for pool, pages in takes if len(pages) > pool.free],
-                  default=len(app))
-        frames = np.empty(cut, dtype=np.int64)
-        for pool, pages in takes:
-            pages = pages[:np.searchsorted(pages, cut)]
-            frames[pages] = pool.take(len(pages))
-        for q, sel in taken:
-            q.rr = (q.rr + int(np.searchsorted(sel, cut))) % len(q.colors)
-        return frames
+        pools = self._pools
+        if isinstance(pools[0], _RandomPool):
+            return pools[0].take(min(len(app), pools[0].free))
+        quotas = [self._quotas[a] for a in apps]
+        quota = np.cumsum([0, *(len(q.colors) for q in quotas)], dtype=np.int64)
+        start = np.cumsum([0, *(len(p.offsets) for p in pools)], dtype=np.int64)
+        colors, rr, cursor, size = (np.array(values, dtype=np.int64) for values in (
+            [c for q in quotas for c in q.colors], [q.rr for q in quotas],
+            [p.cursor for p in pools], [p.size for p in pools]))
+        frames = np.empty(len(app), dtype=np.int64)
+        lib = _native.kernel()
+        place = _place_frames if lib is None else lib.place_frames
+        placed = place(len(app), np.ascontiguousarray(app, dtype=np.int32), quota, colors, rr,
+                       pools[0].period, start, np.concatenate([p.offsets for p in pools]),
+                       cursor, size, frames)
+        for q, r in zip(quotas, rr.tolist()):
+            q.rr = r
+        for p, c in zip(pools, cursor.tolist()):
+            p.cursor = c
+        return frames[:placed]
 
     def access_bit_scan_and_clear(self, app_id) -> int:
         index = self._apps.get(app_id)

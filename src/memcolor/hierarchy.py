@@ -292,25 +292,27 @@ class MemoryHierarchy:
         bank_app[bank] = app
         return code
 
-    def _replay(self, page_of, vaddr, core_of, app_of, frames, private_base, owner_of, codes):
-        """Replay the first len(codes) accesses of a trace and write their
-        codes: access k is at offset vaddr[k] in frame frames[page_of[k]],
-        which must be inside memory, by private_base[core_of[k]] and
-        owner_of[app_of[k]] as in `_step`.  One kernel call when gcc can
-        build it, else `_step`s."""
-        n = len(codes)
+    def _replay(self, n, step, page_of, vaddr, core_of, app_of, frames, private_base,
+                owner_of, counts):
+        """Replay the first `n` accesses of a trace and count their outcome
+        codes in counts[k // step][app_of[k]][code], blocks of
+        len(owner_of) x N_CODES counts: access k is at offset vaddr[k] in
+        frame frames[page_of[k]], which must be inside memory, by
+        private_base[core_of[k]] and owner_of[app_of[k]] as in `_step`.
+        One kernel call when gcc can build it, else `_step`s."""
         lib = _native.kernel()
         if lib is not None:
-            lib.replay(n, page_of, vaddr, core_of, app_of, frames, private_base, owner_of,
-                       *self._layout, *self._state, codes)
+            lib.replay(n, step, page_of, vaddr, core_of, app_of, frames, private_base,
+                       owner_of, len(owner_of), *self._layout, *self._state, counts.reshape(-1))
             return
         shift, offset_mask = self.mapping.page_offset_bits, self.mapping.page_bytes - 1
         for start in range(0, n, CHUNK):
             part = slice(start, min(start + CHUNK, n))
             addrs = (frames[page_of[part]] << shift) | (vaddr[part].astype(np.int64) & offset_mask)
-            codes[part] = [self._step(addr, base, app) for addr, base, app in zip(
+            codes = [self._step(addr, base, app) for addr, base, app in zip(
                 addrs.tolist(), private_base[core_of[part]].tolist(),
                 owner_of[app_of[part]].tolist())]
+            np.add.at(counts, (np.arange(part.start, part.stop) // step, app_of[part], codes), 1)
 
 
 # Results of a set lookup, as in the kernel's `lru`
@@ -347,7 +349,7 @@ def _lru(slots, owners, fill, s, ways, line, app):
     return result, victim
 
 
-# Outcome code per access, written by the replay loop: one terminal
+# Outcome code per access, counted by the replay loop: one terminal
 # outcome, plus the OUT_CROSS_EVICTION flag when an LLC miss evicted another
 # app's line.
 OUT_PRIVATE_HIT, OUT_LLC_HIT, OUT_ROW_HIT, OUT_ROW_MISS, OUT_ROW_CONFLICT, \
@@ -395,9 +397,10 @@ def run_trace(trace, allocator, hierarchy: MemoryHierarchy,
     page is translated once, in first-touch order (the trace's page
     numbering, kept with the trace); one call replays every access from
     the trace's columns and its pages' frames, deriving address, line,
-    sets, bank and row and writing an outcome code, and the counters are
-    bincounts of the codes.  That call is the native kernel (`_kernel.c`)
-    on the hierarchy's own arrays when gcc can build it, and
+    sets, bank and row and counting each access's outcome code per app in
+    one block of counts per epoch, and each block times CODE_COUNTS adds
+    to the counters.  That call is the native kernel (`_kernel.c`) on the
+    hierarchy's own arrays when gcc can build it, and
     `MemoryHierarchy._step` per access otherwise.
 
     An allocator with more frames than the hierarchy's memory is refused
@@ -430,24 +433,24 @@ def run_trace(trace, allocator, hierarchy: MemoryHierarchy,
 
     # 2. replay the accesses before the stop in one call, on the cores'
     # private sets and the apps' owner ids; the cores and apps met before
-    # the stop lead core_order and app_order, and only they are registered
+    # the stop lead core_order and app_order, and only they are registered.
+    # It counts the outcome codes per app, one block per epoch.
     core_order, core_of = trace.cores()
     cores, apps = (int(of[:stop].max()) + 1 if stop else 0 for of in (core_of, app_of))
     private_base = np.array([hierarchy.private_base(c) for c in core_order[:cores]], dtype=np.int64)
     owner_of = np.array([metrics.owner(a) for a in app_order[:apps]], dtype=np.int32)
-    codes = np.empty(stop, dtype=np.uint8)
-    hierarchy._replay(pages.of, np.ascontiguousarray(trace.vaddr), core_of, app_of,
-                      pfns, private_base, owner_of, codes)
-
-    # 3. counters per epoch from the outcome codes, into the apps' rows
-    key = app_of[:stop] * N_CODES + codes
     step = epoch or max(stop, 1)
+    blocks = -(-stop // step)
+    with fits_in_memory(SimulationError, f"outcome counts of {blocks} epochs"):
+        counts = np.zeros((blocks, apps, N_CODES), dtype=np.int64)
+    hierarchy._replay(stop, step, pages.of, np.ascontiguousarray(trace.vaddr), core_of, app_of,
+                      pfns, private_base, owner_of, counts)
+
+    # 3. the counters, epoch by epoch, into the apps' rows
     snapshots = []
-    for start in range(0, stop, step):
-        part = key[start:start + step]
-        counts = np.bincount(part, minlength=apps * N_CODES).reshape(apps, N_CODES)
-        metrics.counts[owner_of] += counts @ CODE_COUNTS
-        if epoch and len(part) == step:
+    for i, block in enumerate(counts @ CODE_COUNTS, 1):
+        metrics.counts[owner_of] += block
+        if epoch and i * step <= stop:
             snapshots.append(metrics.snapshot())
     if failure is not None:
         raise failure

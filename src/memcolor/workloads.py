@@ -66,7 +66,10 @@ def _numbering(key: np.ndarray):
     """Number the values of `key`, an integer array, in order of first
     appearance: (each distinct value's first position, in that order
     (int64); each element's number (int32)).  One pass of the kernel's
-    `number_first` when it is built, else `_sort_numbering`."""
+    `number_first` when it is built, else `_sort_numbering`; a key of one
+    value, as a one-app column is, needs neither."""
+    if len(key) and key[0] == key[-1] and key.min() == key.max():
+        return np.zeros(1, dtype=np.int64), np.zeros(len(key), dtype=np.int32)
     lib = _native.kernel()
     if lib is not None:
         # one uint64 per key, distinct for distinct keys

@@ -216,7 +216,7 @@ def test_pools_hold_each_color_in_ascending_order(kind, total):
     a = Allocator(total, spec, M)
     colors = [page_color(pfn, spec.color_bits, M) for pfn in range(total)]
     for c, pool in enumerate(a._pools):
-        assert pool.take(pool.free).tolist() == [p for p in range(total) if colors[p] == c]
+        assert [pool.pop() for _ in range(pool.free)] == [p for p in range(total) if colors[p] == c]
 
 
 @pytest.mark.parametrize("allow_fallback", [False, True])

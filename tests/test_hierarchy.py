@@ -14,11 +14,11 @@ from memcolor import _native
 from memcolor.allocator import Allocator
 from memcolor.classifier import cache_quota_spec
 from memcolor.errors import ConfigError
-from memcolor.hierarchy import (COUNTER_KEYS, DEFAULT_LATENCIES, CacheConfig,
+from memcolor.hierarchy import (COUNTER_KEYS, DEFAULT_LATENCIES, N_CODES, CacheConfig,
                                 MemoryHierarchy, Metrics, SimulationError,
                                 proxy_cycles, run_trace)
 from memcolor.mapping import AddressMapping, MappingError, decompose
-from memcolor.policies import PolicyKind, policy_spec
+from memcolor.policies import PolicyKind, custom_spec, policy_spec
 from memcolor.workloads import Trace, TraceRecord
 
 M = AddressMapping()
@@ -505,8 +505,8 @@ def replay_cases(draw):
 
 def replay_tiny(geometry, calls):
     """Replay `calls` through `MemoryHierarchy._replay` on a fresh tiny
-    hierarchy; returns per call the accesses' codes, and the end state,
-    orders included."""
+    hierarchy, one access per block of counts; returns per call the
+    accesses' codes, and the end state, orders included."""
     g = geometry
     m = AddressMapping(set_index_bits=g["set_bits"], bank_index_bits=g["bank_bits"],
                        b_bits=(), c_bits=(), o_bits=(), row_shift=g["row_shift"],
@@ -520,10 +520,14 @@ def replay_tiny(geometry, calls):
         owner_of = np.array([h.metrics.owner(a) for a in apps], dtype=np.int32)
         core, app, page, vaddr = (np.array(column, dtype=dtype) for column, dtype in zip(
             zip(*accesses) if accesses else ((),) * 4, (np.int32, np.int32, np.int32, np.uint64)))
-        codes = np.zeros(len(accesses), dtype=np.uint8)
-        h._replay(page, vaddr, core, app, np.array(frames, dtype=np.int64),
-                  private_base, owner_of, codes)
-        out.append(codes.tolist())
+        counts = np.zeros((len(accesses), len(apps), N_CODES), dtype=np.int64)
+        h._replay(len(accesses), 1, page, vaddr, core, app, np.array(frames, dtype=np.int64),
+                  private_base, owner_of, counts)
+        # each block holds one count, at the access's (app, code)
+        block, of, code = np.nonzero(counts)
+        assert (block.tolist(), of.tolist(), counts.sum()) == (
+            list(range(len(accesses))), app.tolist(), len(accesses))
+        out.append(code.tolist())
     return out, h.state()
 
 
@@ -557,6 +561,46 @@ def test_kernel_draw_frames_matches_python_loop(total, batches, seed):
         pool = alloc._pools[0]
         sides.append((drawn, pool.frames.tolist(), pool.free,
                       int(alloc._rng.integers(1 << 30))))
+    assert sides[0] == sides[1]
+
+
+@needs_gcc
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), bits=st.lists(st.sampled_from(sorted(M.color_classes)), max_size=4,
+                                     unique=True),
+       total=st.integers(1, 64) | st.integers(1900, 2100), disjoint=st.booleans(),
+       fallback=st.booleans())
+def test_kernel_place_frames_matches_python_loop(data, bits, total, disjoint, fallback):
+    # 1-16 colors, overlapping or disjoint quotas, pools small enough to run
+    # empty within a batch, and with color bit 22, fewer frames than the
+    # 2,048 of one color period
+    assert _native.kernel() is not None
+    spec = custom_spec(bits, M)
+    colors = spec.page_colors
+    if disjoint:
+        owner = data.draw(st.permutations(range(colors)))
+        quotas = [owner[i::min(3, colors)] for i in range(min(3, colors))]
+    else:
+        quotas = data.draw(st.lists(st.sets(st.integers(0, colors - 1), min_size=1),
+                                    min_size=1, max_size=3))
+    names = [f"app{i}" for i in range(len(quotas))]
+    batches = data.draw(st.lists(st.lists(st.integers(0, len(names) - 1), max_size=120),
+                                 min_size=1, max_size=3))
+    sides = []
+    for loops in (contextlib.nullcontext(), python_loops()):
+        alloc = Allocator(total, spec, M, allow_fallback=fallback)
+        for name, quota in zip(names, quotas):
+            alloc.assign_quota(name, quota)
+        placed, vpn = [], 0
+        with loops:
+            for batch in batches:
+                frames, error = alloc.translate_page_array(
+                    names, np.array(batch, dtype=np.int32),
+                    np.arange(vpn, vpn + len(batch), dtype=np.uint64))
+                vpn += len(batch)
+                placed.append((frames.tolist(), str(error)))
+        sides.append((placed, alloc.page_tables, [p.cursor for p in alloc._pools],
+                      [q.rr for q in alloc._quotas.values()]))
     assert sides[0] == sides[1]
 
 

@@ -1,4 +1,5 @@
 import shutil
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -796,6 +797,24 @@ def test_native_numbering_matches_sort(key):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_numbering_without_the_kernel_matches_reference(failed_build, key):
     check_numbering_against_sort(key)
+
+
+def test_one_value_column_is_numbered_without_a_table():
+    # a one-app column of 60k records: 16 bytes a record for the new
+    # trace's app, core and numbered app columns, not another hash table
+    # of 2^17 int32 slots and 60k int64 first positions
+    n = 60_000
+    for value in (0, 5, (1 << 64) - 1):
+        check_numbering_against_sort(np.full(n, value, dtype=np.uint64))
+    trace = Trace(("a", "b"), np.arange(n) % 2, np.zeros(n), np.arange(n, dtype=np.uint64),
+                  np.zeros(n, dtype=bool))
+    tracemalloc.start()
+    try:
+        trace.on("x", 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * 2**20
 
 
 @needs_gcc
