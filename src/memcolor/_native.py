@@ -95,7 +95,7 @@ def kernel():
                            c64, i64, c32, i64, c32, c32, c32, i64, i32, i64, i32, i32, i64,
                            i32, i64]
     lib.replay.restype = None
-    lib.place_frames.argtypes = [c64, i32, i64, i64, i64, c64, i64, i64, i64, i64, i64]
+    lib.place_frames.argtypes = [c64, i32, i64, i64, i64, c64, c64, i64, i64, i64, i64, i64]
     lib.place_frames.restype = c64
     lib.draw_frames.argtypes = [c64, i64, i64, c64, i64]
     lib.draw_frames.restype = None

@@ -2,12 +2,15 @@
 
 Every app allocates round-robin over the free pools of its color quota; a
 policy that does not partition has one color, so one pool and the quota [0].
-A `_Pool` hands out the lowest free frame first, by arithmetic over one
-period of frame colors; the random policy's pool is a seeded swap-remove
-list.  A batch of new pages gets its frames in one pass, the kernel's
-`place_frames` over the color pools (`_place_frames` without it) or
-`draw_frames` over the random pool (`_draw_frames`).  The page table is one
-set of arrays for all apps in first-touch order.
+The pools and quotas are kept as the arrays the kernel's `place_frames`
+takes: per color, its pool's size and cursor, the pool handing out its
+lowest free frame first by arithmetic over one period of frame colors; per
+registered app, its quota's colors and round-robin position.  The random
+policy's one pool is a seeded swap-remove list, drawn by `draw_frames`.
+`_place_frames` and `_draw_frames`, their Python forms, state the placement
+rule once: `touch` places its new page through them, and a batch of new
+pages takes one call of the kernel (of the Python forms without gcc).  The
+page table is one set of arrays for all apps in first-touch order.
 There is no fallback across color quotas unless explicitly enabled:
 exhausting an app's colors is an error even when other colors have free
 frames, so isolation can never erode silently.
@@ -37,27 +40,35 @@ def _draw_frames(n, draws, free, left, frames):
         free[idx] = free[left]
 
 
-def _place_frames(n, app, quota, colors, rr, period, start, offsets, cursor, size, frames):
-    """Frames from the color pools for new pages of apps app[k], as
-    `_alloc` gives them: app a takes the color at its round-robin position
-    rr[a] in its quota colors[quota[a]:quota[a + 1]], and the position
-    advances.  Color c has given cursor[c] of its size[c] frames; its j-th
-    is `_Pool`'s (j // m) * period + offsets[start[c] + j % m], m being
-    start[c + 1] - start[c].  Stops at the first page whose color has none
-    left; returns the count placed.  The reference for the kernel's
-    `place_frames` and its fallback, with the same arguments."""
+def _place_frames(n, app, quota, colors, rr, pools, period, start, offsets, cursor, size, frames):
+    """Frames from the color pools for new pages of apps app[k], in order.
+    App a takes the first color with a free frame in its quota
+    colors[quota[a]:quota[a + 1]], from its round-robin position rr[a] on,
+    and rr[a] moves past that color; with none, the first of colors
+    0..pools-1 with a free frame (`pools` is the color count with fallback,
+    0 without).  Color c has given cursor[c] of its size[c] frames; its
+    j-th is (j // m) * period + offsets[start[c] + j % m], m being
+    start[c + 1] - start[c].  Stops at the first page that no pool serves,
+    such as one of an app without a quota; returns the count placed.  The
+    reference for the kernel's `place_frames`, with the same arguments, and
+    what runs without it."""
     app, quota, colors, rr, start, offsets, cursor, size, frames = map(
         memoryview, (app, quota, colors, rr, start, offsets, cursor, size, frames))
     for k in range(n):
         a = app[k]
-        c = colors[quota[a] + rr[a]]
-        j = cursor[c]
-        if j == size[c]:
-            return k
-        m = start[c + 1] - start[c]
-        frames[k] = j // m * period + offsets[start[c] + j % m]
+        lo, m, r = quota[a], quota[a + 1] - quota[a], rr[a]
+        for _ in range(m):
+            c, r = colors[lo + r], (r + 1) % m
+            if cursor[c] < size[c]:
+                rr[a] = r
+                break
+        else:
+            c = next((c for c in range(pools if m else 0) if cursor[c] < size[c]), None)
+            if c is None:
+                return k
+        j, w = cursor[c], start[c + 1] - start[c]
+        frames[k] = j // w * period + offsets[start[c] + j % w]
         cursor[c] = j + 1
-        rr[a] = (rr[a] + 1) % (quota[a + 1] - quota[a])
     return n
 
 
@@ -71,67 +82,6 @@ class OutOfColorMemory(AllocationError):
         self.empty_colors = tuple(empty_colors)
         super().__init__(
             f"app {app_id!r}: all allowed color pools empty: {sorted(empty_colors)}")
-
-
-class _Pool:
-    """Free frames of one color, ascending pfn, consumed front-to-back.  The
-    color's frames repeat with `period`, at `offsets` within each period, so
-    the k-th is (k // len(offsets)) * period + offsets[k % len(offsets)]."""
-
-    __slots__ = ("period", "offsets", "size", "cursor")
-
-    def __init__(self, period: int, offsets: np.ndarray, total_pages: int):
-        self.period, self.offsets = period, offsets
-        full, rest = divmod(total_pages, period)
-        self.size = full * len(offsets) + int(np.searchsorted(offsets, rest))
-        self.cursor = 0
-
-    @property
-    def free(self) -> int:
-        return self.size - self.cursor
-
-    def pop(self) -> int:
-        """The lowest free frame."""
-        turn, at = divmod(self.cursor, len(self.offsets))
-        self.cursor += 1
-        return turn * self.period + self.offsets.item(at)
-
-
-class _RandomPool:
-    """The random policy's free frames `frames[:free]`, drawn uniformly with
-    the allocator's RNG; a drawn frame's slot takes the last free one."""
-
-    __slots__ = ("frames", "free", "rng")
-
-    def __init__(self, total_pages: int, rng: np.random.Generator):
-        self.frames = np.arange(total_pages, dtype=np.int64)
-        self.free = total_pages
-        self.rng = rng
-
-    def take(self, count: int) -> np.ndarray:
-        # one draw per frame, the same stream as `count` scalar draws
-        draws = self.rng.integers(np.arange(self.free, self.free - count, -1))
-        out = np.empty(count, dtype=np.int64)
-        lib = _native.kernel()
-        draw = _draw_frames if lib is None else lib.draw_frames
-        draw(count, draws, self.frames, self.free, out)
-        self.free -= count
-        return out
-
-    def pop(self) -> int:
-        """`take(1)`'s frame, as an int, by one scalar draw: the same stream."""
-        idx, self.free = int(self.rng.integers(self.free)), self.free - 1
-        frame = self.frames.item(idx)
-        self.frames[idx] = self.frames[self.free]
-        return frame
-
-
-class _QuotaState:
-    __slots__ = ("colors", "rr")
-
-    def __init__(self, colors):
-        self.colors = sorted(colors)
-        self.rr = 0
 
 
 class Allocator:
@@ -153,30 +103,41 @@ class Allocator:
         self.mapping = m
         self.allow_fallback = allow_fallback
         self._rng = np.random.default_rng(seed)
-        self._quotas: dict[object, _QuotaState] = {}
         self._apps: dict = {}       # app -> its index, in registration order
+        # app i's quota is colors[quota[i]:quota[i + 1]], ascending (none
+        # until one is assigned), and it takes the one at rr[i] next
+        self._quota = np.zeros(1, dtype=np.int64)
+        self._colors = np.empty(0, dtype=np.int64)
+        self._rr = np.empty(0, dtype=np.int64)
         self._app = np.empty(0, dtype=np.int32)
         self._vpn = np.empty(0, dtype=np.uint64)
         self._pfn = np.empty(0, dtype=np.int64)
         self._bit = np.empty(0, dtype=bool)
         self._n = 0
         self._rows = None
+        self._free = None       # the random policy's pool: free frames first
 
         with fits_in_memory(AllocationError, f"{total_pages} free frames"):
+            period, colors = 1, np.zeros(1, dtype=np.int64)
             if spec.partitioning:
                 shift = m.page_offset_bits
                 self._colors_of = BitExtractor([p - shift for p in spec.color_bits]).extract
                 # A frame's color repeats with the period of its highest
-                # color bit; frames up to total_pages are all the pool
-                # needs, however high that bit.
+                # color bit; frames up to total_pages are all the pools
+                # need, however high that bit.
                 period = min(1 << (max(spec.color_bits) - shift + 1), total_pages)
                 colors = self._colors_of(np.arange(period, dtype=np.int64))
-                self._pools = [_Pool(period, np.flatnonzero(colors == c), total_pages)
-                               for c in range(spec.page_colors)]
             elif spec.kind is PolicyKind.RANDOM:
-                self._pools = [_RandomPool(total_pages, self._rng)]
-            else:
-                self._pools = [_Pool(1, np.zeros(1, dtype=np.int64), total_pages)]
+                self._free = np.arange(total_pages, dtype=np.int64)
+            # Color c's pool: its j-th frame is (j // m) * period +
+            # offsets[start[c] + j % m], m being start[c + 1] - start[c], for
+            # j below size[c]; cursor[c] of them are taken (drawn, at random).
+            counts = np.bincount(colors, minlength=spec.page_colors)
+            self._period, self._offsets = period, np.argsort(colors, kind="stable")
+            self._start = np.concatenate([[0], np.cumsum(counts)])
+            self._size = total_pages // period * counts + np.bincount(
+                colors[:total_pages % period], minlength=spec.page_colors)
+            self._cursor = np.zeros(len(counts), dtype=np.int64)
 
     # --- bookkeeping -----------------------------------------------------
 
@@ -201,10 +162,11 @@ class Allocator:
         return self._n
 
     def free_by_color(self) -> list[int]:
-        return [p.free for p in self._pools]
+        return (self._size - self._cursor).tolist()
 
     def quota_of(self, app_id) -> list[int]:
-        return list(self._quotas[app_id].colors)
+        index = self._apps[app_id]
+        return self._colors[self._quota[index]:self._quota[index + 1]].tolist()
 
     def _row_map(self) -> defaultdict:
         if self._rows is None:
@@ -232,12 +194,15 @@ class Allocator:
 
     def register(self, app_id):
         """Register an app; under a one-color policy it gets the quota [0]."""
-        self._apps.setdefault(app_id, len(self._apps))
-        if self.spec.page_colors == 1:
-            self._quotas.setdefault(app_id, _QuotaState([0]))
+        if app_id not in self._apps:
+            self._apps[app_id] = len(self._apps)
+            self._quota = np.append(self._quota, self._quota[-1])
+            self._rr = np.append(self._rr, 0)
+            if self.spec.page_colors == 1:
+                self.assign_quota(app_id, [0])
 
     def assign_quota(self, app_id, colors):
-        colors = set(colors)
+        colors = sorted(set(colors))
         if not colors:
             raise AllocationError(f"app {app_id!r}: empty color quota")
         for c in colors:
@@ -246,40 +211,59 @@ class Allocator:
                     f"app {app_id!r}: unknown color {c} (policy has "
                     f"{self.spec.page_colors} colors)")
         self.register(app_id)
-        if (self._app[:self._n] == self._apps[app_id]).any():
+        index = self._apps[app_id]
+        if (self._app[:self._n] == index).any():
             raise AllocationError(f"app {app_id!r} already has allocated pages")
-        self._quotas[app_id] = _QuotaState(colors)
+        lo, hi = self._quota[index:index + 2].tolist()
+        self._colors = np.concatenate([self._colors[:lo], colors, self._colors[hi:]])
+        self._quota[index + 1:] += len(colors) - (hi - lo)
+        self._rr[index] = 0
 
     # --- allocation ------------------------------------------------------
 
-    def _alloc(self, app_id) -> int:
-        q = self._quotas.get(app_id)
-        if q is None:
-            raise AllocationError(f"app {app_id!r} has no color quota assigned")
-        n = len(q.colors)
-        for step in range(n):
-            pool = self._pools[q.colors[(q.rr + step) % n]]
-            if pool.free:
-                q.rr = (q.rr + step + 1) % n
-                return pool.pop()
-        if self.allow_fallback:
-            for pool in self._pools:
-                if pool.free:
-                    return pool.pop()
-        raise OutOfColorMemory(app_id, q.colors)
+    def _refusal(self, app_id) -> AllocationError:
+        """Why a new page of `app_id` gets no frame."""
+        if app_id not in self._apps:
+            return AllocationError(f"app {app_id!r} not registered")
+        colors = self.quota_of(app_id)
+        if not colors:
+            return AllocationError(f"app {app_id!r} has no color quota assigned")
+        return OutOfColorMemory(app_id, colors)
+
+    def _new_frames(self, index: np.ndarray, lib) -> np.ndarray:
+        """Frames for one new page of app index[k] per k, in order, up to
+        the first page that no pool serves: by the kernel `lib`, or by the
+        Python forms when it is None."""
+        frames = np.empty(len(index), dtype=np.int64)
+        if self._free is None:
+            place = _place_frames if lib is None else lib.place_frames
+            n = place(len(index), index, self._quota, self._colors, self._rr,
+                      len(self._size) if self.allow_fallback else 0, self._period,
+                      self._start, self._offsets, self._cursor, self._size, frames)
+        else:
+            # one draw per frame from the free ones left
+            left = self.total_pages - self._cursor.item(0)
+            n = min(len(index), left)
+            draws = self._rng.integers(np.arange(left, left - n, -1))
+            (_draw_frames if lib is None else lib.draw_frames)(n, draws, self._free, left, frames)
+            self._cursor[0] += n
+        return frames[:n]
 
     def touch(self, app_id, vpn: int):
         """First-touch translate: return the frame backing (app, vpn),
         allocating one on first access; sets the page's access bit."""
         index = self._apps.get(app_id)
         if index is None:
-            raise AllocationError(f"app {app_id!r} not registered")
+            raise self._refusal(app_id)
         rows = (self._rows if self._rows is not None else self._row_map())[index]
         row = rows.get(vpn)
         if row is not None:
             self._bit[row] = True
             return self._pfn.item(row)
-        pfn = self._alloc(app_id)
+        frames = self._new_frames(np.array([index], dtype=np.int32), None)
+        if not len(frames):
+            raise self._refusal(app_id)
+        pfn = frames.item(0)
         n = self._n
         if n == len(self._vpn):
             self._reserve(n + 1)
@@ -296,77 +280,46 @@ class Allocator:
         Leaves the allocator exactly as `touch` at each page's first access
         would: page-table rows in order, access bits, pool cursors, quota
         round-robin positions and the RNG.  Pages already mapped are looked
-        up.  From the first new page whose pool is empty on (so fallback or
-        an error), and for a batch with an app without a quota or
-        registration, pages go one by one through `touch`.
+        up; the new ones take their frames in one call of the kernel's
+        `place_frames` or `draw_frames` (their Python forms without gcc).
+        Translation stops at the first page of an app not registered, or
+        the first new page that no pool serves, with the error `touch`
+        raises there.
 
         Returns (frames, error): the frames of the pages translated, in
         order, and None, or the exception that stopped translation at page
         `len(frames)`.
         """
-        if not all(a in self._quotas for a in apps):    # a quota implies registration
-            return self._translate_each(apps, app, vpn)
-        ids = np.array([self._apps[a] for a in apps], dtype=np.int32)[app]
+        index = np.array([self._apps.get(a, -1) for a in apps], dtype=np.int32)
+        ids = index[app]
+        cut = len(vpn)      # the batch up to its first page of an unregistered app
+        if (index < 0).any() and (ids < 0).any():
+            cut = int(np.argmax(ids < 0))
+            ids, vpn = ids[:cut], vpn[:cut]
         row = None
         if self._n:     # some pages may be mapped already
             rows = self._row_map()
             row = np.fromiter((rows[i].get(v, -1) for i, v in zip(ids.tolist(), vpn.tolist())),
-                              np.int64, len(vpn))
+                              np.int64, cut)
         new = slice(None) if row is None else row < 0
-        wanted = app[new]
-        new_frames = self._new_frames(apps, wanted)
-        cut = len(vpn)      # the batch up to its first new page the pools do not serve
+        wanted = ids[new]
+        new_frames = self._new_frames(wanted, _native.kernel())
+        stop = cut      # the batch up to its first page not translated
         if len(new_frames) < len(wanted):
-            cut = len(new_frames) if row is None else int(np.flatnonzero(new)[len(new_frames)])
+            stop = len(new_frames) if row is None else int(np.flatnonzero(new)[len(new_frames)])
 
         frames = new_frames
         if row is not None:
-            row = row[:cut]
+            row = row[:stop]
             new = row < 0
             mapped = row[~new]
             self._bit[mapped] = True
-            frames = np.empty(cut, dtype=np.int64)
+            frames = np.empty(stop, dtype=np.int64)
             frames[new] = new_frames
             frames[~new] = self._pfn[mapped]
-        self._append(ids[:cut][new], vpn[:cut][new], new_frames)
-        if cut == len(vpn):
-            return frames, None
-        rest, error = self._translate_each(apps, app[cut:], vpn[cut:])
-        return np.concatenate([frames, rest]), error
-
-    def _translate_each(self, apps, app, vpn):
-        frames = []
-        for a, v in zip(app.tolist(), vpn.tolist()):
-            try:
-                frames.append(self.touch(apps[a], v))
-            except Exception as exc:    # whatever touch raises; the caller names the record
-                return np.array(frames, dtype=np.int64), exc
-        return np.array(frames, dtype=np.int64), None
-
-    def _new_frames(self, apps, app):
-        """Frames for one new page of apps[app[k]] per k, in order, up to the
-        first page whose pool is empty: the longest prefix served without
-        fallback."""
-        pools = self._pools
-        if isinstance(pools[0], _RandomPool):
-            return pools[0].take(min(len(app), pools[0].free))
-        quotas = [self._quotas[a] for a in apps]
-        quota = np.cumsum([0, *(len(q.colors) for q in quotas)], dtype=np.int64)
-        start = np.cumsum([0, *(len(p.offsets) for p in pools)], dtype=np.int64)
-        colors, rr, cursor, size = (np.array(values, dtype=np.int64) for values in (
-            [c for q in quotas for c in q.colors], [q.rr for q in quotas],
-            [p.cursor for p in pools], [p.size for p in pools]))
-        frames = np.empty(len(app), dtype=np.int64)
-        lib = _native.kernel()
-        place = _place_frames if lib is None else lib.place_frames
-        placed = place(len(app), np.ascontiguousarray(app, dtype=np.int32), quota, colors, rr,
-                       pools[0].period, start, np.concatenate([p.offsets for p in pools]),
-                       cursor, size, frames)
-        for q, r in zip(quotas, rr.tolist()):
-            q.rr = r
-        for p, c in zip(pools, cursor.tolist()):
-            p.cursor = c
-        return frames[:placed]
+        self._append(ids[:stop][new], vpn[:stop][new], new_frames)
+        error = None if stop == len(app) else self._refusal(apps[app[stop]])
+        return frames, error
 
     def access_bit_scan_and_clear(self, app_id) -> int:
         index = self._apps.get(app_id)

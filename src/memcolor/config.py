@@ -224,12 +224,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                 f: read[type(getattr(defaults, f))](f"thresholds.{f}",
                                                     t.get(f, getattr(defaults, f)))
                 for f in names})
-        cfg.seed = _at_least("seed", doc.get("seed", 0), 0)
-        cfg.policy = str(doc.get("policy", "auto"))
-        cfg.core_count = _integer("core_count", doc.get("core_count", 4))
-        cfg.multithreaded = _boolean("multithreaded", doc.get("multithreaded", False))
-        cfg.mix_chunk = _at_least("mix_chunk", doc.get("mix_chunk", 1), 1)
-        cfg.allow_fallback = _boolean("allow_fallback", doc.get("allow_fallback", False))
+        cfg.seed = _at_least("seed", doc.get("seed", cfg.seed), 0)
+        cfg.policy = str(doc.get("policy", cfg.policy))
+        cfg.core_count = _integer("core_count", doc.get("core_count", cfg.core_count))
+        cfg.multithreaded = _boolean("multithreaded", doc.get("multithreaded", cfg.multithreaded))
+        cfg.mix_chunk = _at_least("mix_chunk", doc.get("mix_chunk", cfg.mix_chunk), 1)
+        cfg.allow_fallback = _boolean("allow_fallback",
+                                      doc.get("allow_fallback", cfg.allow_fallback))
         # 0 (or none) means no epochs
         if doc.get("epoch") is not None:
             cfg.epoch = _at_least("epoch", doc["epoch"], 0) or None

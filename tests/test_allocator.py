@@ -1,8 +1,12 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memcolor import _native
 from memcolor.allocator import AllocationError, Allocator, OutOfColorMemory
 from memcolor.mapping import AddressMapping, page_color
 from memcolor.policies import PolicyKind, custom_spec, policy_spec
@@ -215,8 +219,10 @@ def test_pools_hold_each_color_in_ascending_order(kind, total):
     spec = policy_spec(kind, M)
     a = Allocator(total, spec, M)
     colors = [page_color(pfn, spec.color_bits, M) for pfn in range(total)]
-    for c, pool in enumerate(a._pools):
-        assert [pool.pop() for _ in range(pool.free)] == [p for p in range(total) if colors[p] == c]
+    for c, size in enumerate(a._size.tolist()):
+        offsets = a._offsets[a._start[c]:a._start[c + 1]].tolist()
+        pool = [j // len(offsets) * a._period + offsets[j % len(offsets)] for j in range(size)]
+        assert pool == [p for p in range(total) if colors[p] == c]
 
 
 @pytest.mark.parametrize("allow_fallback", [False, True])
@@ -248,11 +254,11 @@ def test_translate_pages_matches_touch(pages, allow_fallback, tmp_path):
     assert batched.page_tables == reference.page_tables
     assert csv_bytes(batched, tmp_path / "b.csv") == csv_bytes(reference, tmp_path / "r.csv")
     assert batched.free_by_color() == reference.free_by_color()
-    assert [q.rr for q in batched._quotas.values()] == [q.rr for q in reference._quotas.values()]
+    assert batched._rr.tolist() == reference._rr.tolist()
 
 
 def test_random_touch_draws_the_batch_stream():
-    # touch's scalar draws take the frames of the batch's one array draw,
+    # touch's one-page draws take the frames of the batch's one array draw,
     # down to the last free frame
     spec = policy_spec(PolicyKind.RANDOM, M)
     batched, reference = Allocator(1000, spec, M, seed=3), Allocator(1000, spec, M, seed=3)
@@ -265,9 +271,8 @@ def test_random_touch_draws_the_batch_stream():
 
 
 def allocator_state(a):
-    pools = [p.frames[:p.free].tolist() if hasattr(p, "rng") else p.cursor for p in a._pools]
-    return (a.page_tables, a.free_by_color(), pools,
-            {app: q.rr for app, q in a._quotas.items()})
+    pools = a._cursor.tolist() if a._free is None else a._free[:a.free_frames].tolist()
+    return (a.page_tables, a.free_by_color(), pools, dict(zip(a._apps, a._rr.tolist())))
 
 
 @given(data=st.data(), apps=st.integers(1, 6), random=st.booleans(),
@@ -320,7 +325,7 @@ def test_translate_page_array_matches_touch(data, apps, random, bits, total, dis
 
 def test_translate_page_array_touches_only_the_pages_past_an_empty_pool():
     # a-vp on 65,536 frames has 16,384 of color 0: the pool serves all but
-    # the last of 16,385 pages, which falls back page by page
+    # the last of 16,385 pages, which falls back in the same batch
     spec = policy_spec(PolicyKind.A_VP, M)
 
     def fresh():
@@ -337,7 +342,39 @@ def test_translate_page_array_touches_only_the_pages_past_an_empty_pool():
     assert error is None
     assert frames.tolist() == [reference.touch("A", v) for v in range(n)]
     assert allocator_state(batched) == allocator_state(reference)
-    assert touched == [n - 1]
+    assert touched == []
+
+
+@pytest.mark.parametrize("kernel", [True, False])
+@pytest.mark.parametrize("premapped", [False, True])
+def test_translate_page_array_stops_at_an_app_without_a_quota(kernel, premapped):
+    # B is registered but has no quota: the batch maps A's pages up to B's
+    # first page and stops there, with touch's error
+    def fresh():
+        a = avp_alloc(total_pages=64)
+        a.assign_quota("A", {0, 1})
+        a.register("B")
+        if premapped:
+            a.touch("A", 9)
+        return a
+
+    pages = [(0, 3), (0, 9), (0, 4), (1, 4), (0, 5), (1, 7)]
+    batched, reference = fresh(), fresh()
+    python = mock.patch.object(_native, "kernel", lambda: None)
+    with contextlib.nullcontext() if kernel else python:
+        frames, error = batched.translate_page_array(
+            ["A", "B"], np.array([a for a, _ in pages]),
+            np.array([v for _, v in pages], dtype=np.uint64))
+    expected = []
+    for a, v in pages:
+        try:
+            expected.append(reference.touch("AB"[a], v))
+        except AllocationError as exc:
+            assert str(exc) == "app 'B' has no color quota assigned"
+            assert type(error) is type(exc) and str(error) == str(exc)
+            break
+    assert frames.tolist() == expected and len(expected) == 3
+    assert allocator_state(batched) == allocator_state(reference)
 
 
 def test_app_registered_after_the_row_map_exists(tmp_path):

@@ -276,7 +276,7 @@ def replay_state(alloc, h):
         "tables": [(a, list(pt.items())) for a, pt in alloc.page_tables.items()],
         "alloc_csv": alloc_csv(alloc),
         "free": (alloc.free_frames, alloc.free_by_color()),
-        "round_robin": [(a, q.rr) for a, q in alloc._quotas.items()],
+        "round_robin": list(zip(alloc._apps, alloc._rr.tolist())),
         "next_draw": int(alloc._rng.integers(1 << 30)),
         "hierarchy": h.state(),
     }
@@ -389,9 +389,10 @@ def test_batched_replay_unregistered_app_matches_reference():
     spec = policy_spec(PolicyKind.A_VP, DM)
 
     def make():
-        alloc, h = set_up(spec, "disjoint", 1 << 14)
-        del alloc._apps["C"], alloc._quotas["C"]
-        return alloc, h
+        alloc = Allocator(1 << 14, spec, DM, seed=7)
+        for i, app in enumerate("AB"):
+            alloc.assign_quota(app, [c for c in range(spec.page_colors) if c % 3 == i])
+        return alloc, MemoryHierarchy(DM, TINY_PRIVATE, TINY_LLC)
 
     batched, reference = replay_both(make, [mixed_trace(5, late=1000)])
     assert batched == reference
@@ -558,8 +559,7 @@ def test_kernel_draw_frames_matches_python_loop(total, batches, seed):
                     ["A"], np.zeros(n, dtype=np.int64), np.arange(vpn, vpn + n, dtype=np.uint64))
                 vpn += len(frames)
                 drawn.append((frames.tolist(), str(error)))
-        pool = alloc._pools[0]
-        sides.append((drawn, pool.frames.tolist(), pool.free,
+        sides.append((drawn, alloc._free.tolist(), alloc.free_frames,
                       int(alloc._rng.integers(1 << 30))))
     assert sides[0] == sides[1]
 
@@ -599,8 +599,7 @@ def test_kernel_place_frames_matches_python_loop(data, bits, total, disjoint, fa
                     np.arange(vpn, vpn + len(batch), dtype=np.uint64))
                 vpn += len(batch)
                 placed.append((frames.tolist(), str(error)))
-        sides.append((placed, alloc.page_tables, [p.cursor for p in alloc._pools],
-                      [q.rr for q in alloc._quotas.values()]))
+        sides.append((placed, alloc.page_tables, alloc._cursor.tolist(), alloc._rr.tolist()))
     assert sides[0] == sides[1]
 
 
