@@ -7,7 +7,17 @@
  *
  * Cache sets are flat arrays of `ways` slots, way 0 the least recent, with
  * a fill count per set.  Apps are small ints; a bank never opened has row
- * -1.  Outcome codes are those of memcolor.hierarchy. */
+ * -1.  Outcome codes are those of memcolor.hierarchy.
+ *
+ * The order of the functions is part of their speed.  Reading trace files
+ * measured 10% slower with parse_trace's loop at another alignment, and a
+ * sweep's replay 2.5% slower with one more libc import before it.  With
+ * gcc -O2 on x86-64, `nm -n` of the library shows replay at 0x1270 and
+ * parse_trace at 0x1880: 0x80 modulo 256, as in every build whose reads
+ * measured fast.  So the frame placements, the code most often changed,
+ * come last, where they move nothing else; a new function goes last too,
+ * and a change to replay, format_trace or number_first, which fill the
+ * 0x610 bytes before parse_trace, keeps it at 0x80 modulo 256. */
 
 #include <stdint.h>
 #include <string.h>
@@ -112,15 +122,66 @@ void replay(int64_t n, int64_t step, const int32_t *page, const uint64_t *vaddr,
     }
 }
 
-/* Swap-remove draws: frame k is free[draws[k]], whose slot then takes the
- * last of the `left` free frames. */
-void draw_frames(int64_t n, const int64_t *draws, int64_t *free_frames,
-                 int64_t left, int64_t *frames)
+/* Write records 0..n-1 in the canonical form into `out`, which has room for
+ * them: record k is line kind kind[k]'s text, prefixes[ends[kind[k] - 1]:
+ * ends[kind[k]]] (from 0 for kind 0), then its address as 0x and lowercase
+ * hex digits without leading zeros, then " w\n" or " r\n" by write[k].
+ * Returns the number of bytes written. */
+int64_t format_trace(int64_t n, const int32_t *kind, const uint64_t *vaddr,
+                     const uint8_t *write, const uint8_t *prefixes,
+                     const int64_t *ends, uint8_t *out)
 {
+    uint8_t *p = out;
     for (int64_t k = 0; k < n; k++) {
-        frames[k] = free_frames[draws[k]];
-        free_frames[draws[k]] = free_frames[--left];
+        int64_t from = kind[k] ? ends[kind[k] - 1] : 0, len = ends[kind[k]] - from;
+        memmove(p, prefixes + from, (size_t)len);
+        p += len;
+        *p++ = '0';
+        *p++ = 'x';
+        uint64_t v = vaddr[k];
+        int digits = 1;
+        while (digits < 16 && v >> 4 * digits)
+            digits++;
+        while (digits--)
+            *p++ = "0123456789abcdef"[v >> 4 * digits & 15];
+        *p++ = ' ';
+        *p++ = write[k] ? 'w' : 'r';
+        *p++ = '\n';
     }
+    return p - out;
+}
+
+/* First-appearance numbering, the numbers workloads._sort_numbering gives:
+ * key i takes the number of the first key equal to it, and a key not seen
+ * before takes the next number, its position going to first[number].
+ * `table` has 2^(64 - shift) slots, at least 2n, all -1 (empty) on entry.
+ * A key's number sits in the slot of its Fibonacci hash,
+ * k * 2^64/phi >> shift, or, when that slot holds another key's, in the
+ * next slot on (wrapping round) that does not.  Returns the count of distinct keys, or -1 once the probes
+ * past the hashed slots outnumber NUMBER_PROBES * n: keys crafted to
+ * collide then cost the caller a sort, not n^2 probes. */
+enum { NUMBER_PROBES = 8 };
+
+int64_t number_first(int64_t n, const uint64_t *key, int32_t shift, int32_t *table,
+                     int64_t *first, int32_t *number)
+{
+    const uint64_t mask = UINT64_MAX >> shift;
+    int64_t distinct = 0, budget = NUMBER_PROBES * n;
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t k = key[i], s = k * 0x9E3779B97F4A7C15u >> shift;
+        int32_t j;
+        while ((j = table[s]) >= 0 && key[first[j]] != k) {
+            s = (s + 1) & mask;
+            if (--budget < 0)
+                return -1;
+        }
+        if (j < 0) {
+            j = table[s] = (int32_t)distinct;
+            first[distinct++] = i;
+        }
+        number[i] = j;
+    }
+    return distinct;
 }
 
 /* Trace files.  parse_trace reads what format_trace writes, records
@@ -222,74 +283,10 @@ int64_t parse_trace(int64_t size, const uint8_t *data, int32_t *app,
     return n;
 }
 
-/* Write records 0..n-1 in the canonical form into `out`, which has room for
- * them: record k is line kind kind[k]'s text, prefixes[ends[kind[k] - 1]:
- * ends[kind[k]]] (from 0 for kind 0), then its address as 0x and lowercase
- * hex digits without leading zeros, then " w\n" or " r\n" by write[k].
- * Returns the number of bytes written. */
-int64_t format_trace(int64_t n, const int32_t *kind, const uint64_t *vaddr,
-                     const uint8_t *write, const uint8_t *prefixes,
-                     const int64_t *ends, uint8_t *out)
-{
-    uint8_t *p = out;
-    for (int64_t k = 0; k < n; k++) {
-        int64_t from = kind[k] ? ends[kind[k] - 1] : 0, len = ends[kind[k]] - from;
-        memmove(p, prefixes + from, (size_t)len);
-        p += len;
-        *p++ = '0';
-        *p++ = 'x';
-        uint64_t v = vaddr[k];
-        int digits = 1;
-        while (digits < 16 && v >> 4 * digits)
-            digits++;
-        while (digits--)
-            *p++ = "0123456789abcdef"[v >> 4 * digits & 15];
-        *p++ = ' ';
-        *p++ = write[k] ? 'w' : 'r';
-        *p++ = '\n';
-    }
-    return p - out;
-}
-
-/* First-appearance numbering, the numbers workloads._sort_numbering gives:
- * key i takes the number of the first key equal to it, and a key not seen
- * before takes the next number, its position going to first[number].
- * `table` has 2^(64 - shift) slots, at least 2n, all -1 (empty) on entry.
- * A key's number sits in the slot of its Fibonacci hash,
- * k * 2^64/phi >> shift, or, when that slot holds another key's, in the
- * next slot on (wrapping round) that does not.  Returns the count of distinct keys, or -1 once the probes
- * past the hashed slots outnumber NUMBER_PROBES * n: keys crafted to
- * collide then cost the caller a sort, not n^2 probes. */
-enum { NUMBER_PROBES = 8 };
-
-int64_t number_first(int64_t n, const uint64_t *key, int32_t shift, int32_t *table,
-                     int64_t *first, int32_t *number)
-{
-    const uint64_t mask = UINT64_MAX >> shift;
-    int64_t distinct = 0, budget = NUMBER_PROBES * n;
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t k = key[i], s = k * 0x9E3779B97F4A7C15u >> shift;
-        int32_t j;
-        while ((j = table[s]) >= 0 && key[first[j]] != k) {
-            s = (s + 1) & mask;
-            if (--budget < 0)
-                return -1;
-        }
-        if (j < 0) {
-            j = table[s] = (int32_t)distinct;
-            first[distinct++] = i;
-        }
-        number[i] = j;
-    }
-    return distinct;
-}
-
 /* First-touch frames from the colour pools, by the rule and with the
  * arguments of allocator._place_frames: app a takes the first colour with a
  * free frame in its quota from rr[a] on, or else the first of colours
- * 0..pools-1.  Returns the count placed, up to the first page none serves.
- * It comes last: placed before parse_trace, it moved that loop to another
- * alignment, and reading trace files measured 10% slower. */
+ * 0..pools-1.  Returns the count placed, up to the first page none serves. */
 int64_t place_frames(int64_t n, const int32_t *app, const int64_t *quota,
                      const int64_t *colors, int64_t *rr, int64_t pools, int64_t period,
                      const int64_t *start, const int64_t *offsets,
@@ -317,4 +314,42 @@ int64_t place_frames(int64_t n, const int32_t *app, const int64_t *quota,
         frames[k] = j / w * period + offsets[start[c] + j % w];
     }
     return n;
+}
+
+/* The random policy's free list, swap-remove and sparse: slot i holds frame
+ * i unless a draw displaced it, and `table` holds the displaced slots as
+ * (slot, frame) pairs, mask + 1 of them (a power of two), slot -1 in an
+ * empty one.  A slot's pair is at pair slot & mask, or the next on
+ * (wrapping round) that holds the slot or is empty.  The slots are drawn
+ * uniformly, so their low bits need no other hash; and the last free slot,
+ * looked up on every draw, walks down the table from one draw to the next,
+ * in cache. */
+static int64_t *slot_pair(int64_t *table, int64_t mask, int64_t slot)
+{
+    int64_t s = slot & mask;
+    while (table[2 * s] >= 0 && table[2 * s] != slot)
+        s = (s + 1) & mask;
+    return table + 2 * s;
+}
+
+/* Swap-remove draws, with the arguments of allocator._draw_frames: frame k
+ * is the one in slot draws[k] of the `left` free, and that slot then takes
+ * the last free slot's frame.  The `olds` pairs of `old`, the table before
+ * it grew, are put into `table` first, in their order. */
+void draw_frames(int64_t n, const int64_t *draws, int64_t left, int64_t *frames,
+                 int64_t *table, int64_t mask, const int64_t *old, int64_t olds)
+{
+    for (int64_t i = 0; i < 2 * olds; i += 2)
+        if (old[i] >= 0) {
+            int64_t *pair = slot_pair(table, mask, old[i]);
+            pair[0] = old[i];
+            pair[1] = old[i + 1];
+        }
+    for (int64_t k = 0; k < n; k++) {
+        int64_t *pair = slot_pair(table, mask, draws[k]);
+        int64_t *last = slot_pair(table, mask, --left);
+        frames[k] = pair[0] < 0 ? draws[k] : pair[1];
+        pair[1] = last[0] < 0 ? left : last[1];
+        pair[0] = draws[k];
+    }
 }

@@ -97,7 +97,7 @@ def kernel():
     lib.replay.restype = None
     lib.place_frames.argtypes = [c64, i32, i64, i64, i64, c64, c64, i64, i64, i64, i64, i64]
     lib.place_frames.restype = c64
-    lib.draw_frames.argtypes = [c64, i64, i64, c64, i64]
+    lib.draw_frames.argtypes = [c64, i64, c64, i64, i64, c64, i64, c64]
     lib.draw_frames.restype = None
     lib.parse_trace.argtypes = [c64, u8, i32, i64, u64, u8, c64, i64, i64]
     lib.parse_trace.restype = c64

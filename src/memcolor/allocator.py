@@ -6,7 +6,10 @@ The pools and quotas are kept as the arrays the kernel's `place_frames`
 takes: per color, its pool's size and cursor, the pool handing out its
 lowest free frame first by arithmetic over one period of frame colors; per
 registered app, its quota's colors and round-robin position.  The random
-policy's one pool is a seeded swap-remove list, drawn by `draw_frames`.
+policy's one pool is a seeded swap-remove list of the free frames, drawn by
+`draw_frames` and kept sparse: slot i holds frame i until a draw displaces
+it, and only displaced slots are stored, as (slot, frame) pairs in one
+open-addressing table that grows with the pages drawn, not with the frames.
 `_place_frames` and `_draw_frames`, their Python forms, state the placement
 rule once: `touch` places its new page through them, and a batch of new
 pages takes one call of the kernel (of the Python forms without gcc).  The
@@ -29,15 +32,40 @@ from memcolor.mapping import AddressMapping, BitExtractor
 from memcolor.policies import PolicyKind, PolicySpec
 
 
-def _draw_frames(n, draws, free, left, frames):
-    """Swap-remove draws: frame k is free[draws[k]], whose slot then takes
-    the last of the `left` free frames.  The reference for the kernel's
-    `draw_frames` and its fallback, with the same arguments (`n` is
-    len(draws))."""
-    for k, idx in enumerate(draws.tolist()):
-        frames[k] = free[idx]
+_LOAD = 0.5         # the random table's most displaced slots per pair
+_NO_PAIRS = np.empty(0, dtype=np.int64)
+
+
+def _slot_pair(table, mask, slot):
+    """The index in `table` of slot `slot`'s pair, or of the empty pair it
+    takes: pair slot & mask, or the next one on (wrapping round) that holds
+    the slot or is empty.  The kernel's `slot_pair`."""
+    i = (slot & mask) << 1
+    while table[i] >= 0 and table[i] != slot:
+        i = (i + 2) % len(table)
+    return i
+
+
+def _draw_frames(n, draws, left, frames, table, mask, old, olds):
+    """Swap-remove draws: frame k is the one in slot draws[k] of the `left`
+    free, and that slot then takes the last free slot's frame.  Slot i holds
+    frame i unless `table`, mask + 1 (slot, frame) pairs with slot -1 in an
+    empty one, has a pair for it.  The `olds` pairs of `old`, the
+    table before it grew, are put into `table` first, in their order.  The
+    reference for the kernel's `draw_frames`, with the same arguments (`n`
+    is len(draws)), and what runs without it."""
+    if olds:
+        old = iter(old.tolist())
+        for slot, frame in zip(old, old):
+            if slot >= 0:
+                p = _slot_pair(table, mask, slot)
+                table[p], table[p + 1] = slot, frame
+    for k, slot in enumerate(draws.tolist()):
+        p = _slot_pair(table, mask, slot)
         left -= 1
-        free[idx] = free[left]
+        last = _slot_pair(table, mask, left)
+        frames[k] = table[p + 1] if table[p] >= 0 else slot
+        table[p], table[p + 1] = slot, table[last + 1] if table[last] >= 0 else left
 
 
 def _place_frames(n, app, quota, colors, rr, pools, period, start, offsets, cursor, size, frames):
@@ -52,8 +80,6 @@ def _place_frames(n, app, quota, colors, rr, pools, period, start, offsets, curs
     such as one of an app without a quota; returns the count placed.  The
     reference for the kernel's `place_frames`, with the same arguments, and
     what runs without it."""
-    app, quota, colors, rr, start, offsets, cursor, size, frames = map(
-        memoryview, (app, quota, colors, rr, start, offsets, cursor, size, frames))
     for k in range(n):
         a = app[k]
         lo, m, r = quota[a], quota[a + 1] - quota[a], rr[a]
@@ -115,29 +141,31 @@ class Allocator:
         self._bit = np.empty(0, dtype=bool)
         self._n = 0
         self._rows = None
-        self._free = None       # the random policy's pool: free frames first
+        self._views = None      # see _arrays
+        # the random policy's displaced slots, in a table _grow sizes to
+        # hold `_room` of them
+        self._random = spec.kind is PolicyKind.RANDOM
+        self._table, self._mask, self._room = _NO_PAIRS, 0, 0
 
-        with fits_in_memory(AllocationError, f"{total_pages} free frames"):
-            period, colors = 1, np.zeros(1, dtype=np.int64)
-            if spec.partitioning:
-                shift = m.page_offset_bits
-                self._colors_of = BitExtractor([p - shift for p in spec.color_bits]).extract
-                # A frame's color repeats with the period of its highest
-                # color bit; frames up to total_pages are all the pools
-                # need, however high that bit.
-                period = min(1 << (max(spec.color_bits) - shift + 1), total_pages)
+        period, colors = 1, np.zeros(1, dtype=np.int64)
+        if spec.partitioning:
+            shift = m.page_offset_bits
+            self._colors_of = BitExtractor([p - shift for p in spec.color_bits]).extract
+            # A frame's color repeats with the period of its highest color
+            # bit; frames up to total_pages are all the pools need, however
+            # high that bit.
+            period = min(1 << (max(spec.color_bits) - shift + 1), total_pages)
+            with fits_in_memory(AllocationError, f"{period} frame colors"):
                 colors = self._colors_of(np.arange(period, dtype=np.int64))
-            elif spec.kind is PolicyKind.RANDOM:
-                self._free = np.arange(total_pages, dtype=np.int64)
-            # Color c's pool: its j-th frame is (j // m) * period +
-            # offsets[start[c] + j % m], m being start[c + 1] - start[c], for
-            # j below size[c]; cursor[c] of them are taken (drawn, at random).
-            counts = np.bincount(colors, minlength=spec.page_colors)
-            self._period, self._offsets = period, np.argsort(colors, kind="stable")
-            self._start = np.concatenate([[0], np.cumsum(counts)])
-            self._size = total_pages // period * counts + np.bincount(
-                colors[:total_pages % period], minlength=spec.page_colors)
-            self._cursor = np.zeros(len(counts), dtype=np.int64)
+        # Color c's pool: its j-th frame is (j // m) * period +
+        # offsets[start[c] + j % m], m being start[c + 1] - start[c], for j
+        # below size[c]; cursor[c] of them are taken (drawn, at random).
+        counts = np.bincount(colors, minlength=spec.page_colors)
+        self._period, self._offsets = period, np.argsort(colors, kind="stable")
+        self._start = np.concatenate([[0], np.cumsum(counts)])
+        self._size = total_pages // period * counts + np.bincount(
+            colors[:total_pages % period], minlength=spec.page_colors)
+        self._cursor = np.zeros(len(counts), dtype=np.int64)
 
     # --- bookkeeping -----------------------------------------------------
 
@@ -198,6 +226,7 @@ class Allocator:
             self._apps[app_id] = len(self._apps)
             self._quota = np.append(self._quota, self._quota[-1])
             self._rr = np.append(self._rr, 0)
+            self._views = None
             if self.spec.page_colors == 1:
                 self.assign_quota(app_id, [0])
 
@@ -216,6 +245,7 @@ class Allocator:
             raise AllocationError(f"app {app_id!r} already has allocated pages")
         lo, hi = self._quota[index:index + 2].tolist()
         self._colors = np.concatenate([self._colors[:lo], colors, self._colors[hi:]])
+        self._views = None
         self._quota[index + 1:] += len(colors) - (hi - lo)
         self._rr[index] = 0
 
@@ -230,24 +260,50 @@ class Allocator:
             return AllocationError(f"app {app_id!r} has no color quota assigned")
         return OutOfColorMemory(app_id, colors)
 
-    def _new_frames(self, index: np.ndarray, lib) -> np.ndarray:
-        """Frames for one new page of app index[k] per k, in order, up to
-        the first page that no pool serves: by the kernel `lib`, or by the
-        Python forms when it is None."""
-        frames = np.empty(len(index), dtype=np.int64)
-        if self._free is None:
-            place = _place_frames if lib is None else lib.place_frames
-            n = place(len(index), index, self._quota, self._colors, self._rr,
-                      len(self._size) if self.allow_fallback else 0, self._period,
-                      self._start, self._offsets, self._cursor, self._size, frames)
-        else:
+    def _arrays(self, lib) -> tuple:
+        """The pools, quotas and random table, in the kernel's order; for
+        the Python forms (`lib` None) memoryviews of them, which they index
+        faster, kept until `register`, `assign_quota` or `_grow` replaces
+        an array."""
+        if lib is None and self._views is not None:
+            return self._views
+        arrays = (self._quota, self._colors, self._rr, self._start, self._offsets,
+                  self._cursor, self._size, self._table)
+        if lib is None:
+            self._views = arrays = tuple(map(memoryview, arrays))
+        return arrays
+
+    def _grow(self, drawn: int) -> np.ndarray:
+        """Double the random table until it holds `drawn` displaced slots at
+        a load of at most _LOAD; returns the table it replaced."""
+        pairs = max(len(self._table) // 2, 2)
+        while drawn > _LOAD * pairs:
+            pairs *= 2
+        old, self._table = self._table, np.full(2 * pairs, -1, dtype=np.int64)
+        self._mask, self._room, self._views = pairs - 1, int(_LOAD * pairs), None
+        return old
+
+    def _new_frames(self, index, frames, lib) -> int:
+        """Frames for one new page of app index[k] per k into frames[k], in
+        order, up to the first page that no pool serves; returns their
+        count.  By the kernel `lib` on arrays, or by the Python forms when it
+        is None, on any sequences and the views of `_arrays`."""
+        if self._random:
             # one draw per frame from the free ones left
-            left = self.total_pages - self._cursor.item(0)
+            drawn = self._cursor.item(0)
+            left = self.total_pages - drawn
             n = min(len(index), left)
             draws = self._rng.integers(np.arange(left, left - n, -1))
-            (_draw_frames if lib is None else lib.draw_frames)(n, draws, self._free, left, frames)
-            self._cursor[0] += n
-        return frames[:n]
+            old = _NO_PAIRS if drawn + n <= self._room else self._grow(drawn + n)
+        quota, colors, rr, start, offsets, cursor, size, table = self._arrays(lib)
+        if not self._random:
+            return (_place_frames if lib is None else lib.place_frames)(
+                len(index), index, quota, colors, rr, len(size) if self.allow_fallback else 0,
+                self._period, start, offsets, cursor, size, frames)
+        (_draw_frames if lib is None else lib.draw_frames)(
+            n, draws, left, frames, table, self._mask, old, len(old) // 2)
+        cursor[0] += n
+        return n
 
     def touch(self, app_id, vpn: int):
         """First-touch translate: return the frame backing (app, vpn),
@@ -260,10 +316,10 @@ class Allocator:
         if row is not None:
             self._bit[row] = True
             return self._pfn.item(row)
-        frames = self._new_frames(np.array([index], dtype=np.int32), None)
-        if not len(frames):
+        frames = [0]
+        if not self._new_frames((index,), frames, None):
             raise self._refusal(app_id)
-        pfn = frames.item(0)
+        pfn = frames[0]
         n = self._n
         if n == len(self._vpn):
             self._reserve(n + 1)
@@ -302,8 +358,11 @@ class Allocator:
             row = np.fromiter((rows[i].get(v, -1) for i, v in zip(ids.tolist(), vpn.tolist())),
                               np.int64, cut)
         new = slice(None) if row is None else row < 0
-        wanted = ids[new]
-        new_frames = self._new_frames(wanted, _native.kernel())
+        wanted, lib = ids[new], _native.kernel()
+        new_frames = np.empty(len(wanted), dtype=np.int64)
+        # the Python forms index memoryviews faster than arrays
+        args = (wanted, new_frames) if lib else (memoryview(wanted), memoryview(new_frames))
+        new_frames = new_frames[:self._new_frames(*args, lib)]
         stop = cut      # the batch up to its first page not translated
         if len(new_frames) < len(wanted):
             stop = len(new_frames) if row is None else int(np.flatnonzero(new)[len(new_frames)])

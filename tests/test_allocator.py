@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -270,9 +271,74 @@ def test_random_touch_draws_the_batch_stream():
     assert sorted(frames.tolist()) == list(range(1000))
 
 
+def free_list(a):
+    """The random pool's free frames in slot order, read from its table of
+    displaced slots: slot i holds frame i unless a pair names it."""
+    slots, frames = a._table[0::2].tolist(), a._table[1::2].tolist()
+    displaced = {slot: frame for slot, frame in zip(slots, frames) if slot >= 0}
+    assert len(displaced) == len(slots) - slots.count(-1)   # no slot in two pairs
+    return [displaced.get(i, i) for i in range(a.free_frames)]
+
+
 def allocator_state(a):
-    pools = a._cursor.tolist() if a._free is None else a._free[:a.free_frames].tolist()
+    pools = free_list(a) if a._random else a._cursor.tolist()
     return (a.page_tables, a.free_by_color(), pools, dict(zip(a._apps, a._rr.tolist())))
+
+
+@pytest.mark.parametrize("kernel", [True, False])
+@given(total=st.integers(1, 300) | st.integers(2000, 5000),
+       steps=st.lists(st.integers(0, 700) | st.just("touch"), max_size=12),
+       seed=st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_sparse_draws_match_a_dense_swap_remove(kernel, total, steps, seed):
+    # batches (of the kernel or of the Python form) mixed with touches, the
+    # table growing between and within them, down to the last free frame;
+    # the reference is the swap-remove over a list of every frame
+    a = Allocator(total, policy_spec(PolicyKind.RANDOM, M), M, seed=seed)
+    a.register("A")
+    free, left, rng = np.arange(total), total, np.random.default_rng(seed)
+    vpn = 0
+    python = mock.patch.object(_native, "kernel", lambda: None)
+    for step in steps:
+        n = 1 if step == "touch" else step
+        expected = []
+        for slot in rng.integers(np.arange(left, left - min(n, left), -1)).tolist():
+            expected.append(free[slot].item())
+            left -= 1
+            free[slot] = free[left]
+        if step == "touch":
+            try:
+                drawn = [a.touch("A", vpn)]
+            except OutOfColorMemory:
+                drawn = []
+        else:
+            with contextlib.nullcontext() if kernel else python:
+                frames, error = a.translate_page_array(
+                    ["A"], np.zeros(n, dtype=np.int32), np.arange(vpn, vpn + n, dtype=np.uint64))
+            drawn = frames.tolist()
+            assert (error is None) == (n == len(expected))
+        assert drawn == expected
+        vpn += len(drawn)
+        assert free_list(a) == free[:left].tolist()
+        assert total - left <= len(a._table) // 2 * 0.5     # the load bound
+    assert a._rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_random_pool_memory_grows_with_the_pages_drawn():
+    # 2^21 frames, 16 MB as a list of every frame; 1,000 pages drawn take a
+    # table of 2,048 pairs (32 KB)
+    _native.kernel()    # built and loaded outside the measurement
+    tracemalloc.start()
+    try:
+        a = Allocator(2**21, policy_spec(PolicyKind.RANDOM, M), M, seed=5)
+        a.register("A")
+        frames, error = a.translate_page_array(
+            ["A"], np.zeros(1000, dtype=np.int32), np.arange(1000, dtype=np.uint64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert error is None and len(set(frames.tolist())) == 1000
+    assert peak < 2**20
 
 
 @given(data=st.data(), apps=st.integers(1, 6), random=st.booleans(),

@@ -714,8 +714,11 @@ def test_workload_too_large_for_memory_is_runtime_error(tmp_path, capsys, comman
 # each size is petabytes, far beyond any host's memory, so numpy's request
 # fails at once
 STATE_TOO_LARGE = {
-    "random-free-list": ({"policy": "random", "mapping": {"mem_bytes": 2**62}},
-                         f"{2**50} free frames"),
+    # c-vp colors by bit 60 alone, so a color repeats every 2^49 frames
+    "color-period": ({"policy": "c-vp",
+                      "mapping": {"mem_bytes": 2**62, "c_bits": [60],
+                                  "set_index_bits": [*range(6, 18), 60]}},
+                     f"{2**49} frame colors"),
     "private-sets": ({"hierarchy": {"private": {"size": 2**60}}},
                      f"{2**51} private cache sets"),
     "banks": ({"mapping": {"bank_index_bits": [14, 15, *range(19, 64)]}},
@@ -731,19 +734,32 @@ def test_simulator_state_too_large_for_memory_is_runtime_error(tmp_path, capsys,
     assert main(["run", "--config", cfg, "--out", str(out)]) == 3
     assert capsys.readouterr().err == f"error: {what} do not fit in memory\n"
     assert not out.exists()
-    if case != "random-free-list":
-        assert main(["classify", "--method", "offline", "--config", cfg]) == 3
-        assert capsys.readouterr().err == f"error: {what} do not fit in memory\n"
+    assert main(["classify", "--method", "offline", "--config", cfg]) == 3
+    assert capsys.readouterr().err == f"error: {what} do not fit in memory\n"
+
+
+def test_random_policy_runs_on_memory_too_large_for_a_list_of_frames(tmp_path):
+    # 2^50 frames: the random pool stores only the slots its draws displace
+    cfg = write_config(tmp_path, policy="random", epoch=20000,
+                       mapping={"mem_bytes": 2**62})
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["alloc.csv", "epochs.json", "metrics.json"]
+    rows = (out / "alloc.csv").read_text().splitlines()[1:]
+    pfns = [int(row.split(",")[2]) for row in rows]
+    assert len(set(pfns)) == len(pfns) and max(pfns) < 2**50
+    assert max(pfns) > 2**40    # drawn from all of memory
 
 
 def test_sweep_cell_too_large_for_memory_fails_alone(tmp_path):
-    overrides, what = STATE_TOO_LARGE["random-free-list"]
+    overrides, what = STATE_TOO_LARGE["color-period"]
     out = tmp_path / "o"
     assert main(["sweep", "--config", write_config(tmp_path, **overrides),
                  "--out", str(out)]) == 0
-    rows = (out / "sweep.csv").read_text().splitlines()
-    assert rows[-1] == f"random,,,,,failed: {what} do not fit in memory"
-    assert all(row.endswith(",ok") for row in rows[1:-1])
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    failed = [row for row in rows if not row.endswith(",ok")]
+    assert failed == [f"c-vp,,,,,failed: {what} do not fit in memory"]
+    assert len(rows) == 6
 
 
 def test_mix_chunk_longer_than_every_trace_runs_as_the_longest(tmp_path):

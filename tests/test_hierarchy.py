@@ -544,9 +544,12 @@ def test_kernel_replay_matches_python_loop(case):
 
 @needs_gcc
 @settings(max_examples=100, deadline=None)
-@given(total=st.integers(1, 64), batches=st.lists(st.integers(0, 16), max_size=4),
+@given(total=st.integers(1, 64) | st.integers(2000, 5000),
+       batches=st.lists(st.integers(0, 16) | st.integers(300, 700), max_size=4),
        seed=st.integers(0, 3))
 def test_kernel_draw_frames_matches_python_loop(total, batches, seed):
+    # small pools drawn down to their last frame, and random tables that
+    # grow within and between batches
     assert _native.kernel() is not None
     sides = []
     for loops in (contextlib.nullcontext(), python_loops()):
@@ -559,7 +562,11 @@ def test_kernel_draw_frames_matches_python_loop(total, batches, seed):
                     ["A"], np.zeros(n, dtype=np.int64), np.arange(vpn, vpn + n, dtype=np.uint64))
                 vpn += len(frames)
                 drawn.append((frames.tolist(), str(error)))
-        sides.append((drawn, alloc._free.tolist(), alloc.free_frames,
+        # the free list in slot order: slot i holds frame i unless displaced
+        table = alloc._table.tolist()
+        displaced = dict(zip(table[0::2], table[1::2]))
+        free = [displaced.get(i, i) for i in range(alloc.free_frames)]
+        sides.append((drawn, free, table, alloc.free_frames,
                       int(alloc._rng.integers(1 << 30))))
     assert sides[0] == sides[1]
 
