@@ -1,9 +1,10 @@
 """Application classification.
 
 Offline oracle: run one app's trace twice through a fresh hierarchy, once
-with the whole LLC and once confined to 1 of 8 cache color groups (pure
-cache-only bits, so DRAM banks are untouched), and classify by the relative
-proxy-cycle degradation plus the page footprint.
+with the whole LLC and once confined to 1 of the 2^|c_bits| cache color
+groups (pure cache-only bits, so DRAM banks are untouched; 8 groups under
+the default mapping), and classify by the relative proxy-cycle degradation
+plus the page footprint.
 
 Online method: two periodic sampling jobs over the app's page table — one
 counts hot pages via access-bit scan-and-clear, the other keeps per-page
@@ -26,7 +27,7 @@ import numpy as np
 
 from memcolor.allocator import Allocator
 from memcolor.errors import MemcolorError
-from memcolor.hierarchy import (DEFAULT_LATENCIES, DEFAULT_LLC,
+from memcolor.hierarchy import (DEFAULT_LATENCIES, DEFAULT_LLC_WAYS,
                                 DEFAULT_PRIVATE, MemoryHierarchy,
                                 proxy_cycles, run_trace)
 from memcolor.mapping import AddressMapping
@@ -211,10 +212,10 @@ class OfflineResult:
 
 
 def classify_offline(trace, m: AddressMapping,
-                     private_cfg=DEFAULT_PRIVATE, llc_cfg=DEFAULT_LLC,
-                     latencies=None, thresholds: Thresholds | None = None,
-                     total_pages: int | None = None) -> OfflineResult:
-    """Cache-quota oracle: full-LLC run vs 1-of-8-groups run.
+                     private_cfg=DEFAULT_PRIVATE, llc_ways=DEFAULT_LLC_WAYS,
+                     latencies=None, thresholds: Thresholds | None = None) -> OfflineResult:
+    """Cache-quota oracle: full-LLC run vs a run confined to 1 of the
+    2^|c_bits| cache color groups.
 
     DRAM outcome latencies are flattened to the row-miss cost for the two
     oracle runs: confining frames to one cache color also spreads them over
@@ -228,7 +229,6 @@ def classify_offline(trace, m: AddressMapping,
     base = dict(latencies or DEFAULT_LATENCIES)
     flat = base["row_miss"]
     latencies = {**base, "row_hit": flat, "row_conflict": flat}
-    total_pages = total_pages or m.total_pages
     spec = cache_quota_spec(m)
     if len(trace.apps) != 1:
         raise ClassifierError(
@@ -236,9 +236,9 @@ def classify_offline(trace, m: AddressMapping,
     (app,) = trace.apps
 
     def run(colors):
-        alloc = Allocator(total_pages, spec, m)
+        alloc = Allocator(m.total_pages, spec, m)
         alloc.assign_quota(app, colors)
-        hier = MemoryHierarchy(m, private_cfg, llc_cfg)
+        hier = MemoryHierarchy(m, private_cfg, llc_ways)
         metrics, _ = run_trace(trace, alloc, hier)
         return proxy_cycles(metrics, latencies)
 

@@ -100,11 +100,11 @@ def _run_policy(cfg: ExperimentConfig, merged, spec: PolicySpec, quotas=None, ep
     """Replay a mixed trace under one policy; quotas default to an even
     color split over its apps.  Returns (Metrics, snapshots per `epoch`
     accesses if given, Allocator)."""
-    alloc = Allocator(cfg.resolved_total_pages(), spec, cfg.mapping,
+    alloc = Allocator(cfg.mapping.total_pages, spec, cfg.mapping,
                       seed=cfg.seed, allow_fallback=cfg.allow_fallback)
     for app, colors in (quotas or _even_split_quotas(spec, merged.apps)).items():
         alloc.assign_quota(app, colors)
-    hier = MemoryHierarchy(cfg.mapping, cfg.private_cache, cfg.llc)
+    hier = MemoryHierarchy(cfg.mapping, cfg.private_cache, cfg.llc_ways)
     metrics, snapshots = run_trace(merged, alloc, hier, epoch=epoch)
     return metrics, snapshots, alloc
 
@@ -199,9 +199,8 @@ def cmd_classify(args, cfg: ExperimentConfig) -> int:
     else:
         out = {}
         for app, trace in traces.items():
-            res = classify_offline(trace, cfg.mapping, cfg.private_cache, cfg.llc,
-                                   cfg.latencies, cfg.thresholds,
-                                   cfg.resolved_total_pages())
+            res = classify_offline(trace, cfg.mapping, cfg.private_cache, cfg.llc_ways,
+                                   cfg.latencies, cfg.thresholds)
             out[app] = {"category": res.category.value,
                         "degradation": res.degradation,
                         "footprint_pages": res.footprint_pages}
@@ -312,9 +311,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "gen":
             return cmd_gen(args)
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, seed=args.seed)
         cfg.policy = getattr(args, "policy", None) or cfg.policy
-        cfg.seed = cfg.seed if args.seed is None else args.seed
         return args.func(args, cfg)
     except Exception as exc:
         for errors, code, prefix in EXIT_CODES:

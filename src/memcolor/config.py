@@ -9,8 +9,8 @@ import yaml
 
 from memcolor.classifier import Category, ClassifierError, SamplerConfig, Thresholds
 from memcolor.errors import ConfigError
-from memcolor.hierarchy import (DEFAULT_LATENCIES, DEFAULT_LLC,
-                                DEFAULT_PRIVATE, CacheConfig, check_geometry)
+from memcolor.hierarchy import (DEFAULT_LATENCIES, DEFAULT_LLC_WAYS, DEFAULT_PRIVATE,
+                                CacheConfig, power_of_two, private_sets)
 from memcolor.mapping import AddressMapping, validate_mapping
 from memcolor.workloads import PARAM_NAMES, ArchetypeParams, canonical_params
 
@@ -27,7 +27,7 @@ class WorkloadEntry:
 class ExperimentConfig:
     mapping: AddressMapping = field(default_factory=AddressMapping)
     private_cache: CacheConfig = DEFAULT_PRIVATE
-    llc: CacheConfig = DEFAULT_LLC
+    llc_ways: int = DEFAULT_LLC_WAYS
     latencies: dict = field(default_factory=lambda: dict(DEFAULT_LATENCIES))
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     thresholds: Thresholds = field(default_factory=Thresholds)
@@ -35,21 +35,17 @@ class ExperimentConfig:
     profile: list | None = None                        # [(app, Category)] bypasses classification
     policy: str = "auto"
     seed: int = 0
-    total_pages: int | None = None
     core_count: int = 4
     multithreaded: bool = False
     mix_chunk: int = 1
     epoch: int | None = None
     allow_fallback: bool = False
 
-    def resolved_total_pages(self) -> int:
-        return self.total_pages or self.mapping.total_pages
-
 
 # The keys each section of a config may hold: what config_from_dict reads.
 TOP_KEYS = ("mapping", "hierarchy", "sampler", "thresholds", "seed", "policy", "core_count",
-            "multithreaded", "mix_chunk", "allow_fallback", "epoch", "total_pages",
-            "workload", "profile")
+            "multithreaded", "mix_chunk", "allow_fallback", "epoch", "workload",
+            "profile")
 MAPPING_INTS = ("page_offset_bits", "line_offset_bits", "row_shift", "mem_bytes")
 MAPPING_BITS = {"set_index_bits": tuple, "bank_index_bits": tuple, "b_bits": frozenset,
                 "c_bits": frozenset, "o_bits": frozenset}
@@ -68,12 +64,13 @@ def _mapping_from(doc: dict) -> AddressMapping:
     return AddressMapping(**kwargs)
 
 
-def _cache_from(doc: dict, default: CacheConfig, name: str) -> CacheConfig:
-    _section(name, doc, ("size", "ways", "line"))
-    size, ways, line = (_integer(f"{name}.{key}", doc.get(key, value)) for key, value in (
-        ("size", default.size_bytes), ("ways", default.ways), ("line", default.line_bytes)))
+def _cache_from(name: str, doc: dict, make, **defaults):
+    """`make` of the integers `doc` gives for each key of `defaults`, the
+    default where it gives none; its ValueError a ConfigError naming `name`."""
+    _section(name, doc, defaults)
+    values = [_integer(f"{name}.{key}", doc.get(key, value)) for key, value in defaults.items()]
     try:
-        return CacheConfig(size_bytes=size, ways=ways, line_bytes=line)
+        return make(*values)
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
@@ -175,7 +172,9 @@ def _at_least(name: str, value, low: int) -> int:
     return value
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, seed: int | None = None) -> ExperimentConfig:
+    """The config in the file `path`.  A `seed` given stands for the file's
+    `seed:`, so the workload entries take their default seed from it too."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = yaml.safe_load(fh) or {}
@@ -186,6 +185,8 @@ def load_config(path) -> ExperimentConfig:
                           f"({exc.reason})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
+    if seed is not None:
+        doc["seed"] = seed
     return config_from_dict(doc)
 
 
@@ -198,10 +199,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                                                  (*MAPPING_INTS, *MAPPING_BITS)))
         hier = _section("hierarchy", doc.get("hierarchy", {}), ("private", "llc", "latencies"))
         if "private" in hier:
-            cfg.private_cache = _cache_from(hier["private"], DEFAULT_PRIVATE,
-                                            "hierarchy.private")
+            cfg.private_cache = _cache_from("hierarchy.private", hier["private"], CacheConfig,
+                                            size=DEFAULT_PRIVATE.size_bytes,
+                                            ways=DEFAULT_PRIVATE.ways)
         if "llc" in hier:
-            cfg.llc = _cache_from(hier["llc"], DEFAULT_LLC, "hierarchy.llc")
+            cfg.llc_ways = _cache_from("hierarchy.llc", hier["llc"],
+                                       lambda ways: power_of_two("ways", ways),
+                                       ways=DEFAULT_LLC_WAYS)
         if "latencies" in hier:
             latencies = _section("hierarchy.latencies", hier["latencies"],
                                  DEFAULT_LATENCIES)
@@ -234,8 +238,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         # 0 (or none) means no epochs
         if doc.get("epoch") is not None:
             cfg.epoch = _at_least("epoch", doc["epoch"], 0) or None
-        if doc.get("total_pages") is not None:
-            cfg.total_pages = _integer("total_pages", doc["total_pages"])
         workload = doc.get("workload", [])
         if not isinstance(workload, list):
             raise ConfigError(f"workload must be a list of mappings, got {workload!r}")
@@ -254,8 +256,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if cfg.mapping.total_pages < 1:
         raise ConfigError(f"mapping.mem_bytes must hold at least one "
                           f"{cfg.mapping.page_bytes}-byte page, got {cfg.mapping.mem_bytes}")
-    check_geometry(cfg.mapping, cfg.private_cache, cfg.llc,
-                   ("hierarchy.private", "hierarchy.llc"))
+    private_sets(cfg.mapping, cfg.private_cache)
     taken = {}
     for i, entry in enumerate(cfg.workload):
         where = f"workload[{i}] (app {entry.app!r}): core {entry.core}"
@@ -264,6 +265,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if entry.core in taken:
             raise ConfigError(f"{where} is already taken by {taken[entry.core]}")
         taken[entry.core] = f"workload[{i}] (app {entry.app!r})"
+    profiled = [app for app, _ in cfg.profile or ()]
+    for i, app in enumerate(profiled):
+        if profiled.index(app) != i:
+            raise ConfigError(f"profile[{i}] (app {app!r}): duplicate app, already in "
+                              f"profile[{profiled.index(app)}]")
     if cfg.profile and cfg.workload:
         apps = {"workload": [entry.app for entry in cfg.workload],
                 "profile": [app for app, _ in cfg.profile]}
@@ -271,8 +277,4 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             for i, app in enumerate(mine):
                 if app not in apps[other]:
                     raise ConfigError(f"{where}[{i}] (app {app!r}) is not in the {other}")
-    limit = cfg.mapping.total_pages
-    if cfg.total_pages is not None and not 1 <= cfg.total_pages <= limit:
-        raise ConfigError(f"total_pages must be in [1, {limit}] (the mapping's "
-                          f"page frames), got {cfg.total_pages}")
     return cfg

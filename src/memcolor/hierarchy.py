@@ -1,6 +1,10 @@
 """Memory hierarchy model: per-core private cache, shared physically-indexed
 LLC, and per-bank open-row DRAM state.
 
+The address mapping alone fixes the geometry: every cache's line size, the
+LLC's set count and the banks.  A hierarchy adds only the LLC's ways and the
+private cache's size and ways.
+
 LRU replacement everywhere (slot arrays, least-recent first).
 No timing model: every access resolves to exactly one terminal outcome and
 a latency table turns outcome counts into proxy cycles for relative policy
@@ -45,43 +49,37 @@ class SimulationError(MemcolorError, RuntimeError):
     pass
 
 
+def power_of_two(name: str, value: int) -> int:
+    """`value`, if a power of two; else a ValueError naming it the cache's `name`."""
+    if value <= 0 or value & (value - 1):
+        raise ValueError(f"cache {name} must be a power of two, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class CacheConfig:
+    """A private cache of `size_bytes` in sets of `ways` lines.  Its lines
+    are the address mapping's, so its set count is `private_sets`."""
     size_bytes: int
     ways: int
-    line_bytes: int = 64
 
     def __post_init__(self):
-        for name, v in (("size", self.size_bytes), ("ways", self.ways),
-                        ("line", self.line_bytes)):
-            if v <= 0 or v & (v - 1):
-                raise ValueError(f"cache {name} must be a power of two, got {v}")
-        if self.size_bytes % (self.ways * self.line_bytes):
-            raise ValueError("cache size not divisible by ways * line")
-
-    @property
-    def sets(self) -> int:
-        return self.size_bytes // (self.ways * self.line_bytes)
+        power_of_two("size", self.size_bytes)
+        power_of_two("ways", self.ways)
 
 
 DEFAULT_PRIVATE = CacheConfig(256 * 1024, 8)
-DEFAULT_LLC = CacheConfig(8 * 1024 * 1024, 16)
+DEFAULT_LLC_WAYS = 16
 
 
-def check_geometry(m: AddressMapping, private: CacheConfig, llc: CacheConfig,
-                   where=("private cache geometry", "LLC geometry")):
-    """Raise ConfigError, naming the cache by `where`, unless both caches
-    have the mapping's lines and the LLC its sets.  A replay indexes the
-    private sets at the mapping's line, so another private line size would
-    silently resize the private cache."""
-    if private.line_bytes != m.line_bytes:
-        raise ConfigError(f"{where[0]}: {private.line_bytes}-byte lines disagree with the "
-                          f"mapping's {m.line_bytes}-byte lines")
-    if (llc.sets, llc.line_bytes) != (m.llc_sets, m.line_bytes):
-        raise ConfigError(
-            f"{where[1]}: {llc.sets} sets of {llc.line_bytes}-byte lines disagree with "
-            f"the mapping's {m.llc_sets} sets ({len(m.set_index_bits)} set index "
-            f"bits) of {m.line_bytes}-byte lines")
+def private_sets(m: AddressMapping, private: CacheConfig) -> int:
+    """The sets of `private` at the mapping's line size; a ConfigError
+    naming hierarchy.private when its size holds not one set of its ways."""
+    sets = private.size_bytes // (private.ways * m.line_bytes)
+    if not sets:
+        raise ConfigError(f"hierarchy.private: {private.size_bytes} bytes hold no set of "
+                          f"{private.ways} {m.line_bytes}-byte lines")
+    return sets
 
 
 class AccessOutcome(NamedTuple):
@@ -174,13 +172,11 @@ class MemoryHierarchy:
     0 owns the slots and banks never used.
     """
 
-    def __init__(self, m: AddressMapping,
-                 private_cfg: CacheConfig = DEFAULT_PRIVATE,
-                 llc_cfg: CacheConfig = DEFAULT_LLC):
-        check_geometry(m, private_cfg, llc_cfg)
+    def __init__(self, m: AddressMapping, private_cfg: CacheConfig = DEFAULT_PRIVATE,
+                 llc_ways: int = DEFAULT_LLC_WAYS):
+        psets = private_sets(m, private_cfg)
+        self._llc_ways = power_of_two("ways", llc_ways)
         self.mapping = m
-        self.private_cfg = private_cfg
-        self.llc_cfg = llc_cfg
         self.metrics = Metrics()
 
         self._set_extract = m.set_extractor().extract
@@ -192,21 +188,20 @@ class MemoryHierarchy:
         sets, banks = (np.array(e.segments, dtype=np.int64).reshape(-1)
                        for e in (m.set_extractor(), m.bank_extractor()))
         self._layout = (m.page_offset_bits, m.line_offset_bits, m.row_shift,
-                        private_cfg.sets - 1, sets, len(sets) // 3,
-                        banks, len(banks) // 3, private_cfg.ways, llc_cfg.ways)
+                        psets - 1, sets, len(sets) // 3,
+                        banks, len(banks) // 3, private_cfg.ways, llc_ways)
 
-        self._llc_ways = llc_cfg.ways
-        with fits_in_memory(SimulationError, f"{llc_cfg.sets} LLC sets"):
-            self._llc = np.zeros(llc_cfg.sets * llc_cfg.ways, dtype=np.int64)
+        with fits_in_memory(SimulationError, f"{m.llc_sets} LLC sets"):
+            self._llc = np.zeros(m.llc_sets * llc_ways, dtype=np.int64)
             self._llc_owner = np.zeros(len(self._llc), dtype=np.int32)
-            self._llc_fill = np.zeros(llc_cfg.sets, dtype=np.int32)
-        self._private_sets = private_cfg.sets
-        self._private_mask = private_cfg.sets - 1
+            self._llc_fill = np.zeros(m.llc_sets, dtype=np.int32)
+        self._private_sets = psets
+        self._private_mask = psets - 1
         self._private_ways = private_cfg.ways
         self._cores: dict = {}      # core -> its position in the private sets
-        with fits_in_memory(SimulationError, f"{private_cfg.sets} private cache sets"):
-            self._private = np.zeros(private_cfg.sets * private_cfg.ways, dtype=np.int64)
-            self._private_fill = np.zeros(private_cfg.sets, dtype=np.int32)
+        with fits_in_memory(SimulationError, f"{psets} private cache sets"):
+            self._private = np.zeros(psets * private_cfg.ways, dtype=np.int64)
+            self._private_fill = np.zeros(psets, dtype=np.int32)
         with fits_in_memory(SimulationError, f"{m.banks} DRAM banks"):
             self._bank_row = np.full(m.banks, -1, dtype=np.int64)
             self._bank_app = np.zeros(m.banks, dtype=np.int32)

@@ -21,7 +21,8 @@ from memcolor.classifier import (Category, classify_offline,
                                  classify_trace_online)
 from memcolor.cli import main, sweep_policies
 from memcolor.config import ExperimentConfig
-from memcolor.hierarchy import CacheConfig, MemoryHierarchy, proxy_cycles, run_trace
+from memcolor.hierarchy import (CacheConfig, MemoryHierarchy, private_sets, proxy_cycles,
+                                run_trace)
 from memcolor.mapping import AddressMapping, decompose
 from memcolor.policies import PARTITIONING_KINDS, PolicyKind, policy_spec
 from memcolor.workloads import (TraceRecord, canonical_params, gen,
@@ -209,7 +210,7 @@ def test_c05_lru_equivalence():
     def check(lines):
         nonlocal core, mismatches, checked
         core += 1
-        ref = ReferenceLRU(cfg.sets, cfg.ways)
+        ref = ReferenceLRU(private_sets(M, cfg), cfg.ways)
         for line in lines:
             if sim.access(core, "A", int(line) << 6).private_hit != ref.access(int(line)):
                 mismatches += 1

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -22,7 +23,7 @@ import memcolor
 from memcolor import _native, cli
 from memcolor.allocator import Allocator
 from memcolor.cli import main
-from memcolor.config import load_config
+from memcolor.config import TOP_KEYS, ExperimentConfig, config_from_dict, load_config
 from memcolor.hierarchy import DEFAULT_LATENCIES, MemoryHierarchy, run_trace
 from memcolor.policies import PolicyKind, policy_spec
 from memcolor.workloads import (ARCHETYPE_KINDS, TraceRecord, canonical_params, gen,
@@ -121,12 +122,12 @@ def test_run_policy_without_partitioning_matches_registered_apps(tmp_path, polic
     merged = cli.mix(list(traces.values()), k=cfg.mix_chunk)
     spec = policy_spec(policy, cfg.mapping)
     metrics, snapshots, alloc = cli._run_policy(cfg, merged, spec, epoch=cfg.epoch)
-    registered = Allocator(cfg.resolved_total_pages(), spec, cfg.mapping,
+    registered = Allocator(cfg.mapping.total_pages, spec, cfg.mapping,
                            seed=cfg.seed, allow_fallback=cfg.allow_fallback)
     for app in traces:
         registered.register(app)
     ref_metrics, ref_snapshots = run_trace(
-        merged, registered, MemoryHierarchy(cfg.mapping, cfg.private_cache, cfg.llc),
+        merged, registered, MemoryHierarchy(cfg.mapping, cfg.private_cache, cfg.llc_ways),
         epoch=cfg.epoch)
     assert [alloc.quota_of(app) for app in traces] == [[0], [0]]
     assert metrics.to_json(cfg.latencies) == ref_metrics.to_json(cfg.latencies)
@@ -398,7 +399,7 @@ def test_unsupported_core_count_is_config_error(tmp_path):
 
 def test_sweep_csv_quotes_failure_reasons(tmp_path, capsys):
     # b-vp gives T colors [3, 7], 16384 of the 65536 frames, for its 20000 pages
-    cfg = write_config(tmp_path, total_pages=65536, profile=[
+    cfg = write_config(tmp_path, mapping={"mem_bytes": 65536 << 12}, profile=[
         {"app": "H", "category": "LLCH"},
         {"app": "T", "category": "LLCT"},
     ])
@@ -410,14 +411,6 @@ def test_sweep_csv_quotes_failure_reasons(tmp_path, capsys):
     status = {row[0]: row[5] for row in rows[1:]}
     assert status["b-vp"] == ("failed: record 32769: app 'T': all allowed color "
                               "pools empty: [3, 7]")
-
-
-def test_total_pages_beyond_mapping_is_config_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, policy="random", total_pages=4194304)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "total_pages" in err and "2097152" in err and "4194304" in err
-    assert not (tmp_path / "o").exists()
 
 
 def test_trace_file_app_and_core_follow_the_config(tmp_path):
@@ -481,12 +474,40 @@ def test_bad_seed_chunk_or_epoch_is_config_error(tmp_path, capsys, overrides, me
 @pytest.mark.parametrize("llc", [{"size": 1 << 22}, {"line": 128}])
 @pytest.mark.parametrize("command", [["run"], ["sweep"], ["classify", "--method", "offline"]])
 def test_llc_geometry_against_mapping_is_config_error(tmp_path, capsys, command, llc):
+    # the mapping alone gives the LLC's sets and lines, so a config that
+    # states either names a key the LLC does not read
     cfg = write_config(tmp_path, policy="interleave", hierarchy={"llc": llc})
     assert main([*command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    line = llc.get("line", 64)
     assert capsys.readouterr().err == (
-        f"config error: hierarchy.llc: 4096 sets of {line}-byte lines disagree with the "
-        f"mapping's 8192 sets (13 set index bits) of 64-byte lines\n")
+        f"config error: hierarchy.llc: unknown key {next(iter(llc))!r}\n")
+
+
+@pytest.mark.parametrize("mapping", [
+    {"set_index_bits": list(range(7, 19))},
+    {"line_offset_bits": 7, "set_index_bits": list(range(7, 19))},
+])
+def test_mapping_alone_gives_the_cache_geometry(tmp_path, mapping):
+    # 4096 LLC sets, and 128-byte lines in every cache, from the default
+    # hierarchy
+    cfg = write_config(tmp_path, policy="interleave", mapping=mapping)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert main(["classify", "--method", "offline", "--config", cfg]) == 0
+
+
+def test_seed_flag_means_the_configs_seed(tmp_path):
+    # the entries give no seed of their own, so they take the config's
+    workload = [{k: v for k, v in w.items() if k != "seed"} for w in SMALL_WORKLOAD]
+
+    def run(name, flags, **doc):
+        cfg = tmp_path / f"{name}.yaml"
+        cfg.write_text(yaml.safe_dump(
+            {"core_count": 4, "policy": "interleave", "workload": workload, **doc}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name), *flags]) == 0
+        return {p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())}
+
+    in_file = run("file", [], seed=3)
+    assert run("flag", ["--seed", "3"]) == in_file
+    assert run("unseeded", [])["alloc.csv"] != in_file["alloc.csv"]
 
 
 @pytest.mark.parametrize("overrides,message", [
@@ -507,6 +528,16 @@ def test_malformed_config_field_is_config_error(tmp_path, capsys, overrides, mes
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+def test_readme_configs_load():
+    # every yaml block of the README is a valid config, so it documents no
+    # key the config does not read; config_from_dict opens no trace file.
+    # The block of every key at its default is the default config.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    docs = [yaml.safe_load(block) for block in re.findall(r"```yaml\n(.*?)```", readme, re.S)]
+    defaults = [doc for doc in docs if config_from_dict(doc) == ExperimentConfig()]
+    assert docs and [sorted(doc) for doc in defaults] == [sorted(TOP_KEYS)]
+
+
 @pytest.mark.parametrize("overrides,message", [
     ({"workload": [dict(SMALL_WORKLOAD[0], kind="zzz")]},
      "workload[0] (app 'H'): unknown archetype kind 'zzz'"),
@@ -525,7 +556,7 @@ def test_malformed_config_field_is_config_error(tmp_path, capsys, overrides, mes
     ({"workload": [{"app": "H"}]}, "workload[0] (app 'H'): needs either 'trace' or 'kind'"),
     ({"epoch": "x"}, "epoch must be an integer, got 'x'"),
     ({"core_count": "four"}, "core_count must be an integer, got 'four'"),
-    ({"total_pages": [1]}, "total_pages must be an integer, got [1]"),
+    ({"total_pages": 65536}, "top level: unknown key 'total_pages'"),
     ({"workload": [{"app": "H", "kind": "llch", "pages": 64, "accesses": 10}]},
      "workload[0] (app 'H'): 10 accesses cannot cover 64 pages at stride 64 (need >= 4096)"),
     ({"sampler": {"period": "x"}}, "sampler.period must be an integer, got 'x'"),
@@ -562,8 +593,7 @@ def test_malformed_config_field_is_config_error(tmp_path, capsys, overrides, mes
      "hierarchy.latencies.row_miss must be >= 0, got -200"),
     ({"sampler": {"period": 0}}, "sampler: sampling period must be positive"),
     ({"thresholds": {"wpd_low": 9}}, "thresholds: wpd_low must be <= wpd_high"),
-    ({"hierarchy": {"private": {"line": 128}}},
-     "hierarchy.private: 128-byte lines disagree with the mapping's 64-byte lines"),
+    ({"hierarchy": {"private": {"line": 128}}}, "hierarchy.private: unknown key 'line'"),
     ({"thresholds": {"d_ccf_llct": 0.5, "d_llch": 0.1}},
      "thresholds: d_ccf_llct must be < d_llch"),
     ({"thresholds": {"footprint_pages": -5}},
@@ -574,6 +604,11 @@ def test_malformed_config_field_is_config_error(tmp_path, capsys, overrides, mes
      "sampler: bucket_weights must be finite and >= 0, got [-1, -2]"),
     ({"sampler": {"bucket_weights": [float("nan")]}},
      "sampler: bucket_weights must be finite and >= 0, got [nan]"),
+    ({"profile": [{"app": "H", "category": "CCF"}, {"app": "H", "category": "LLCH"},
+                  {"app": "T", "category": "LLCT"}]},
+     "profile[1] (app 'H'): duplicate app, already in profile[0]"),
+    ({"hierarchy": {"private": {"size": 256, "ways": 8}}},
+     "hierarchy.private: 256 bytes hold no set of 8 64-byte lines"),
 ])
 def test_config_error_names_entry_or_field(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, policy="interleave", **overrides)
@@ -882,9 +917,11 @@ def fuzz_configs(draw):
            "policy": draw(st.sampled_from(POLICY_NAMES)),
            "mix_chunk": draw(st.one_of(st.integers(-1, 8), st.just(1 << 62))),
            "epoch": draw(st.one_of(st.none(), st.integers(-2, 1500))),
-           "total_pages": draw(st.one_of(st.none(), st.integers(0, 1500),
-                                         st.sampled_from([1 << 21, (1 << 21) + 1]))),
            "sampler": {"period": 500}, "workload": workload}
+    pages = draw(st.one_of(st.none(), st.integers(0, 1500),
+                           st.sampled_from([1 << 21, (1 << 21) + 1])))
+    if pages is not None:
+        doc["mapping"] = {"mem_bytes": pages << 12}
     odd = draw(st.integers(0, 9))
     if odd == 0:
         doc["sampler"]["bucket_weights"] = draw(st.one_of(
@@ -894,8 +931,7 @@ def fuzz_configs(draw):
     elif odd == 2:
         doc["mapping"] = {"mem_bytes": draw(st.sampled_from([-4096, 0, 1024]))}
     elif odd == 3:
-        doc["hierarchy"] = {"llc": {"size": draw(st.sampled_from([1 << 22, 3 << 21, 1 << 23])),
-                                    "ways": draw(st.sampled_from([3, 8, 16]))}}
+        doc["hierarchy"] = {"llc": {"ways": draw(st.sampled_from([0, 3, 8, 16]))}}
     return draw(st.sampled_from(["run", "sweep"])), doc
 
 

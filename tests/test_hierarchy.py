@@ -16,7 +16,7 @@ from memcolor.classifier import cache_quota_spec
 from memcolor.errors import ConfigError
 from memcolor.hierarchy import (COUNTER_KEYS, DEFAULT_LATENCIES, N_CODES, CacheConfig,
                                 MemoryHierarchy, Metrics, SimulationError,
-                                proxy_cycles, run_trace)
+                                private_sets, proxy_cycles, run_trace)
 from memcolor.mapping import AddressMapping, MappingError, decompose
 from memcolor.policies import PolicyKind, custom_spec, policy_spec
 from memcolor.workloads import Trace, TraceRecord
@@ -48,17 +48,14 @@ def hier(**kw):
     return MemoryHierarchy(M, **kw)
 
 
-def test_llc_geometry_must_match_mapping():
-    with pytest.raises(ValueError):
-        MemoryHierarchy(M, llc_cfg=CacheConfig(1 << 20, 16))
-
-
-def test_private_line_must_match_mapping():
-    # indexed at the mapping's 64-byte line, 256 KiB of 128-byte lines
-    # would hold 128 KiB
-    with pytest.raises(ConfigError, match="^private cache geometry: 128-byte lines "
-                       "disagree with the mapping's 64-byte lines$"):
-        MemoryHierarchy(M, private_cfg=CacheConfig(256 * 1024, 8, 128))
+def test_private_cache_must_hold_a_set_of_mapping_lines():
+    # the private cache's lines are the mapping's: 512 bytes hold one set of
+    # 8 64-byte lines, but none of 8 128-byte lines
+    wide = AddressMapping(line_offset_bits=7, set_index_bits=tuple(range(7, 19)))
+    assert private_sets(M, CacheConfig(512, 8)) == 1
+    with pytest.raises(ConfigError, match="^hierarchy.private: 512 bytes hold no set of "
+                       "8 128-byte lines$"):
+        MemoryHierarchy(wide, private_cfg=CacheConfig(512, 8))
 
 
 def test_back_to_back_same_address_private_hit():
@@ -119,7 +116,7 @@ def test_small_instance_lru_oracle_exhaustive():
             for _ in range(length):
                 trace.append(lines[c % 4])
                 c //= 4
-            ref = ReferenceLRU(cfg.sets, cfg.ways)
+            ref = ReferenceLRU(private_sets(M, cfg), cfg.ways)
             core += 1
             for line in trace:
                 got = sim.access(core, "A", line << 6).private_hit
@@ -133,7 +130,7 @@ def test_small_instance_lru_oracle_randomized():
     for core in range(10_000):
         length = int(rng.integers(1, 33))
         trace = rng.integers(0, 4, size=length)
-        ref = ReferenceLRU(cfg.sets, cfg.ways)
+        ref = ReferenceLRU(private_sets(M, cfg), cfg.ways)
         for line in trace:
             assert sim.access(core, "A", int(line) << 6).private_hit == ref.access(int(line))
 
@@ -141,9 +138,7 @@ def test_small_instance_lru_oracle_randomized():
 def test_llc_lru_matches_reference_through_private_bypass():
     # 1-line private cache forces almost everything to the LLC; check the
     # LLC hit sequence against the reference on the LLC's set geometry.
-    private = CacheConfig(64, 1)
-    llc = CacheConfig(M.llc_sets * 2 * 64, 2)
-    sim = MemoryHierarchy(M, private_cfg=private, llc_cfg=llc)
+    sim = MemoryHierarchy(M, private_cfg=CacheConfig(64, 1), llc_ways=2)
     ref = ReferenceLRU(M.llc_sets, 2)
     last = None
     rng = np.random.default_rng(11)
@@ -241,7 +236,7 @@ def test_metrics_json_stable_keys():
 # 16384 frames; rows of 16 frames, so banks switch rows often
 DM = AddressMapping(row_shift=16, mem_bytes=1 << 26)
 TINY_PRIVATE = CacheConfig(2 * 2 * 64, 2)
-TINY_LLC = CacheConfig(DM.llc_sets * 64, 1)     # direct-mapped
+TINY_LLC_WAYS = 1                               # direct-mapped
 
 
 def replay_reference(trace, alloc, h, epoch=None):
@@ -314,7 +309,7 @@ def set_up(spec, quotas, total_pages, allow_fallback=False):
     else:
         for app in "ABC":
             alloc.register(app)
-    return alloc, MemoryHierarchy(DM, TINY_PRIVATE, TINY_LLC)
+    return alloc, MemoryHierarchy(DM, TINY_PRIVATE, TINY_LLC_WAYS)
 
 
 def replay_both(make, traces, epoch=None):
@@ -371,7 +366,7 @@ def test_per_app_lists_apps_in_first_counted_order_after_a_stop():
         alloc = Allocator(64, policy_spec(PolicyKind.A_VP, DM), DM)
         for app, color in zip("ABC", range(3)):
             alloc.assign_quota(app, [color])
-        return alloc, MemoryHierarchy(DM, TINY_PRIVATE, TINY_LLC)
+        return alloc, MemoryHierarchy(DM, TINY_PRIVATE, TINY_LLC_WAYS)
 
     def records(app, core, pages):
         return [TraceRecord(app, core, vpn * 4096, "r") for vpn in pages]
@@ -392,7 +387,7 @@ def test_batched_replay_unregistered_app_matches_reference():
         alloc = Allocator(1 << 14, spec, DM, seed=7)
         for i, app in enumerate("AB"):
             alloc.assign_quota(app, [c for c in range(spec.page_colors) if c % 3 == i])
-        return alloc, MemoryHierarchy(DM, TINY_PRIVATE, TINY_LLC)
+        return alloc, MemoryHierarchy(DM, TINY_PRIVATE, TINY_LLC_WAYS)
 
     batched, reference = replay_both(make, [mixed_trace(5, late=1000)])
     assert batched == reference
@@ -512,9 +507,7 @@ def replay_tiny(geometry, calls):
     m = AddressMapping(set_index_bits=g["set_bits"], bank_index_bits=g["bank_bits"],
                        b_bits=(), c_bits=(), o_bits=(), row_shift=g["row_shift"],
                        mem_bytes=1 << 16)
-    lsets = 1 << len(g["set_bits"])
-    h = MemoryHierarchy(m, CacheConfig(g["psets"] * g["pways"] * 64, g["pways"]),
-                        CacheConfig(lsets * g["lways"] * 64, g["lways"]))
+    h = MemoryHierarchy(m, CacheConfig(g["psets"] * g["pways"] * 64, g["pways"]), g["lways"])
     out = []
     for cores, apps, frames, accesses in calls:
         private_base = np.array([h.private_base(c) for c in cores], dtype=np.int64)

@@ -68,10 +68,6 @@ def traces(draw, apps=3):
     return out
 
 
-def llc(ways):
-    return CacheConfig(SMALL.llc_sets * ways * 64, ways)
-
-
 def set_up(kind, total_pages, quotas, ways=2, apps=APPS):
     spec = policy_spec(kind, SMALL)
     alloc = Allocator(total_pages, spec, SMALL, seed=3)
@@ -80,7 +76,7 @@ def set_up(kind, total_pages, quotas, ways=2, apps=APPS):
             alloc.assign_quota(app, colors)
         else:
             alloc.register(app)
-    return alloc, MemoryHierarchy(SMALL, PRIVATE, llc(ways))
+    return alloc, MemoryHierarchy(SMALL, PRIVATE, ways)
 
 
 def all_colors(spec):
