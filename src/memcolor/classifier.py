@@ -4,7 +4,7 @@ Offline oracle: run one app's trace twice through a fresh hierarchy, once
 with the whole LLC and once confined to 1 of the 2^|c_bits| cache color
 groups (pure cache-only bits, so DRAM banks are untouched; 8 groups under
 the default mapping), and classify by the relative proxy-cycle degradation
-plus the page footprint.
+plus the page footprint against the pages the private cache holds.
 
 Online method: two periodic sampling jobs over the app's page table — one
 counts hot pages via access-bit scan-and-clear, the other keeps per-page
@@ -107,11 +107,10 @@ class Thresholds:
     hot_page_high: float = 128.0
     wpd_low: float = 1.2
     wpd_high: float = 6.0
-    # Offline oracle cutoffs on relative proxy-cycle degradation.
+    # Offline oracle cutoffs on relative proxy-cycle degradation.  Its
+    # footprint cutoff is no threshold: the private cache's size in pages.
     d_ccf_llct: float = 0.05
     d_llch: float = 0.20
-    # Pages that fit the private cache (256 KiB / 4 KiB).
-    footprint_pages: int = 64
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -126,8 +125,6 @@ class Thresholds:
                 raise ClassifierError("degradation cutoffs must be in (0,1)")
         if self.d_ccf_llct >= self.d_llch:      # no degradation would be LLCM
             raise ClassifierError("d_ccf_llct must be < d_llch")
-        if self.footprint_pages < 1:            # no footprint would be CCF
-            raise ClassifierError(f"footprint_pages must be >= 1, got {self.footprint_pages}")
 
 
 def job2_wpd(counts, cfg: SamplerConfig) -> float:
@@ -215,7 +212,9 @@ def classify_offline(trace, m: AddressMapping,
                      private_cfg=DEFAULT_PRIVATE, llc_ways=DEFAULT_LLC_WAYS,
                      latencies=None, thresholds: Thresholds | None = None) -> OfflineResult:
     """Cache-quota oracle: full-LLC run vs a run confined to 1 of the
-    2^|c_bits| cache color groups.
+    2^|c_bits| cache color groups.  An app the confinement does not slow
+    is CCF when its footprint fits the private cache, at most
+    `private_cfg.size_bytes // m.page_bytes` pages, and LLCT otherwise.
 
     DRAM outcome latencies are flattened to the row-miss cost for the two
     oracle runs: confining frames to one cache color also spreads them over
@@ -246,12 +245,13 @@ def classify_offline(trace, m: AddressMapping,
     if full <= 0:
         raise ClassifierError(f"app {app!r}: the full-LLC oracle run costs {full} proxy "
                               f"cycles, so its degradation is undefined")
-    confined = run([c for c in range(spec.page_colors) if spec.project(c)[0] == 0])
+    confined = run(spec.colors_in_llc_group(0))
     d = (confined - full) / full
     footprint = len(trace.pages(m.page_offset_bits).first)
 
     if d < thresholds.d_ccf_llct:
-        cat = Category.CCF if footprint <= thresholds.footprint_pages else Category.LLCT
+        fits = footprint <= private_cfg.size_bytes // m.page_bytes
+        cat = Category.CCF if fits else Category.LLCT
     elif d >= thresholds.d_llch:
         cat = Category.LLCH
     else:

@@ -54,12 +54,9 @@ def _load_traces(cfg: ExperimentConfig) -> dict:
             trace = read_trace(entry.trace_path)
             if not trace:
                 raise TraceError(f"{entry.trace_path}: no records for app {entry.app!r}")
-            trace = trace.on(entry.app, entry.core)
+            traces[entry.app] = trace.on(entry.app, entry.core)
         else:
-            trace = gen(entry.params)
-        if entry.app in traces:
-            raise ConfigError(f"duplicate app id {entry.app!r} in workload")
-        traces[entry.app] = trace
+            traces[entry.app] = gen(entry.params)
     if not traces:
         raise ConfigError("workload list is empty")
     return traces
@@ -212,10 +209,10 @@ def cmd_classify(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_advise(args, cfg: ExperimentConfig) -> int:
-    traces = _load_traces(cfg) if cfg.workload else {}
-    if not traces and not cfg.profile:
+    if not cfg.workload and not cfg.profile:
         raise ConfigError("advise needs either a workload list or a profile")
-    profile, evidence = _profile(cfg, traces)
+    # a profile stands for the classification, which is all the traces are for
+    profile, evidence = _profile(cfg, {} if cfg.profile else _load_traces(cfg))
     decision = advise(profile, cfg.mapping)
     text = decision.to_json(evidence)
     if args.out:

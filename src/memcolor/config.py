@@ -102,8 +102,10 @@ def _workload_entry(doc: dict, index: int, default_seed: int) -> WorkloadEntry:
         if "kind" not in doc:
             raise ConfigError("needs either 'trace' or 'kind'")
         seed = _at_least("seed", doc.get("seed", default_seed), 0)
-        params = canonical_params(str(doc["kind"]), seed=seed, app=app, core=core,
-                                  **{name: doc[name] for name in PARAM_NAMES if name in doc})
+        read = {int: _integer, float: _number, str: lambda name, value: str(value)}
+        params = canonical_params(str(doc["kind"]), seed=seed, app=app, core=core, **{
+            name: read[kind](name, doc[name])
+            for name, (_, kind) in PARAM_NAMES.items() if name in doc})
     except ValueError as exc:
         raise ConfigError(f"workload[{index}] (app {app!r}): {exc}") from None
     return WorkloadEntry(app=app, core=core, params=params)
@@ -222,12 +224,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if "thresholds" in doc:
             names = [f.name for f in fields(Thresholds)]
             t = _section("thresholds", doc["thresholds"], names)
-            defaults = Thresholds()
-            read = {int: _integer, float: _number}      # by the default's type
             cfg.thresholds = _checked("thresholds", Thresholds, **{
-                f: read[type(getattr(defaults, f))](f"thresholds.{f}",
-                                                    t.get(f, getattr(defaults, f)))
-                for f in names})
+                f: _number(f"thresholds.{f}", value) for f, value in t.items()})
         cfg.seed = _at_least("seed", doc.get("seed", cfg.seed), 0)
         cfg.policy = str(doc.get("policy", cfg.policy))
         cfg.core_count = _integer("core_count", doc.get("core_count", cfg.core_count))
@@ -265,14 +263,14 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if entry.core in taken:
             raise ConfigError(f"{where} is already taken by {taken[entry.core]}")
         taken[entry.core] = f"workload[{i}] (app {entry.app!r})"
-    profiled = [app for app, _ in cfg.profile or ()]
-    for i, app in enumerate(profiled):
-        if profiled.index(app) != i:
-            raise ConfigError(f"profile[{i}] (app {app!r}): duplicate app, already in "
-                              f"profile[{profiled.index(app)}]")
+    apps = {"workload": [entry.app for entry in cfg.workload],
+            "profile": [app for app, _ in cfg.profile or ()]}
+    for where, mine in apps.items():
+        for i, app in enumerate(mine):
+            if mine.index(app) != i:
+                raise ConfigError(f"{where}[{i}] (app {app!r}): duplicate app, already in "
+                                  f"{where}[{mine.index(app)}]")
     if cfg.profile and cfg.workload:
-        apps = {"workload": [entry.app for entry in cfg.workload],
-                "profile": [app for app, _ in cfg.profile]}
         for (where, mine), other in zip(apps.items(), ("profile", "workload")):
             for i, app in enumerate(mine):
                 if app not in apps[other]:

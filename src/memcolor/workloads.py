@@ -291,7 +291,7 @@ CANONICAL_PARAMS = {
 
 
 # The name a config entry or `memcolor gen` gives each ArchetypeParams field
-# it can set, with the field and the type its value is read as.
+# it can set, with the field and the type config and argparse read it as.
 PARAM_NAMES = {"pages": ("working_set_pages", int), "accesses": ("access_count", int),
                "reuse": ("reuse", str), "stride": ("stride", int), "zipf_s": ("zipf_s", float)}
 
@@ -299,21 +299,14 @@ PARAM_NAMES = {"pages": ("working_set_pages", int), "accesses": ("access_count",
 def canonical_params(kind: str, seed: int = 0, app: str = "A", core: int = 0,
                      **overrides) -> ArchetypeParams:
     """The kind's canonical parameters, with the fields `overrides` names
-    (keys of PARAM_NAMES) set; a None value keeps the canonical one."""
+    (keys of PARAM_NAMES) set; a None value keeps the canonical one.  The
+    values are already of their PARAM_NAMES type: the config reader and
+    `memcolor gen`'s argparse check it."""
     if kind not in CANONICAL_PARAMS:
         raise TraceError(f"unknown archetype kind {kind!r}")
     fields = dict(CANONICAL_PARAMS[kind])
-    for name, value in overrides.items():
-        field, read = PARAM_NAMES[name]
-        if value is not None:
-            try:
-                if isinstance(value, bool) and read is not str:    # YAML's true is not 1
-                    raise ValueError(value)
-                if read is int and isinstance(value, float) and not value.is_integer():
-                    raise ValueError(value)
-                fields[field] = read(value)
-            except (TypeError, ValueError):
-                raise TraceError(f"{name} must be {read.__name__}, got {value!r}") from None
+    fields.update((PARAM_NAMES[name][0], value) for name, value in overrides.items()
+                  if value is not None)
     return ArchetypeParams(kind=kind, seed=seed, app=app, core=core, **fields)
 
 

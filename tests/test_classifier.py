@@ -8,6 +8,7 @@ from memcolor.classifier import (Category, ClassifierError, OnlineEvidence,
                                  PageAccessSampler, SamplerConfig, Thresholds,
                                  _decide, classify_offline,
                                  classify_trace_online, job2_wpd)
+from memcolor.hierarchy import DEFAULT_PRIVATE, CacheConfig
 from memcolor.mapping import AddressMapping
 from memcolor.policies import PolicyKind, policy_spec
 from memcolor.workloads import (ArchetypeParams, Trace, TraceRecord,
@@ -246,14 +247,24 @@ def test_offline_ccf():
     res = classify_offline(gen(canonical_params("ccf", seed=1)), M)
     assert res.category is Category.CCF
     assert res.degradation < TH.d_ccf_llct
-    assert res.footprint_pages <= TH.footprint_pages
+    assert res.footprint_pages <= DEFAULT_PRIVATE.size_bytes // M.page_bytes
 
 
 def test_offline_llct_insensitive_but_huge():
     res = classify_offline(gen(canonical_params("llct", seed=1)), M)
     assert res.category is Category.LLCT
     assert abs(res.degradation) < TH.d_ccf_llct
-    assert res.footprint_pages > TH.footprint_pages
+    assert res.footprint_pages > DEFAULT_PRIVATE.size_bytes // M.page_bytes
+
+
+def test_offline_ccf_is_what_fits_the_private_cache():
+    # 100 pages overflow the default 256 KiB private cache but fit a 1 MiB
+    # one, which the confined LLC never sees: the footprint cutoff is the
+    # cache's 256 pages
+    res = classify_offline(gen(canonical_params("ccf", seed=1, pages=100)), M,
+                           CacheConfig(1 << 20, 8))
+    assert (res.category, res.footprint_pages) == (Category.CCF, 100)
+    assert res.degradation < TH.d_ccf_llct
 
 
 def test_offline_llch_quota_sensitive():

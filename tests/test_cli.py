@@ -201,6 +201,26 @@ def test_advise_profile_only(tmp_path, capsys):
     assert doc["policy"] == "bank-only"
 
 
+def test_advise_with_a_profile_reads_no_trace(tmp_path):
+    # the profile stands for the classification: a workload entry's missing
+    # trace file is never opened, and the decision is the profile's alone
+    profile = [{"app": "H", "category": "LLCH"}]
+    decisions = []
+    for name, workload in (("alone", []), ("missing", [{"app": "H", "trace": "absent.trace"}])):
+        cfg = write_config(tmp_path, workload=workload, profile=profile)
+        assert main(["advise", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        decisions.append((tmp_path / name / "decision.json").read_bytes())
+    assert decisions[0] == decisions[1]
+
+
+def test_duplicate_workload_app_is_refused_before_any_trace_is_read(tmp_path, capsys):
+    cfg = write_config(tmp_path, workload=[dict(SMALL_WORKLOAD[0], app="A"),
+                                           {"app": "A", "trace": str(tmp_path / "absent")}])
+    assert main(["classify", "--config", cfg]) == 2
+    assert capsys.readouterr().err == \
+        "config error: workload[1] (app 'A'): duplicate app, already in workload[0]\n"
+
+
 def test_advise_multithreaded_random(tmp_path, capsys):
     cfg = write_config(tmp_path, workload=[], multithreaded=True, profile=[
         {"app": "A", "category": "LLCH"}])
@@ -550,7 +570,7 @@ def test_readme_configs_load():
     ({"workload": [dict(SMALL_WORKLOAD[0], pages=0)]},
      "workload[0] (app 'H'): working_set_pages must be >= 1"),
     ({"workload": [SMALL_WORKLOAD[0], dict(SMALL_WORKLOAD[1], pages="many")]},
-     "workload[1] (app 'T'): pages must be int, got 'many'"),
+     "workload[1] (app 'T'): pages must be an integer, got 'many'"),
     ({"workload": [dict(SMALL_WORKLOAD[0], core="x")]},
      "workload[0] (app 'H'): core must be an integer, got 'x'"),
     ({"workload": [{"app": "H"}]}, "workload[0] (app 'H'): needs either 'trace' or 'kind'"),
@@ -566,8 +586,7 @@ def test_readme_configs_load():
     ({"mapping": {"bank_index_bits": [13, "x"]}},
      "mapping.bank_index_bits must be an integer, got 'x'"),
     ({"thresholds": {"hot_page_low": "x"}}, "thresholds.hot_page_low must be a number, got 'x'"),
-    ({"thresholds": {"footprint_pages": None}},
-     "thresholds.footprint_pages must be an integer, got None"),
+    ({"thresholds": {"footprint_pages": 64}}, "thresholds: unknown key 'footprint_pages'"),
     ({"hierarchy": 5}, "hierarchy must be a mapping, got 5"),
     ({"hierarchy": {"latencies": [1]}}, "hierarchy.latencies must be a mapping, got [1]"),
     ({"hierarchy": {"private": [1]}}, "hierarchy.private must be a mapping, got [1]"),
@@ -588,7 +607,7 @@ def test_readme_configs_load():
     ({"mix_chunk": True}, "mix_chunk must be an integer, got True"),
     ({"epoch": False}, "epoch must be an integer, got False"),
     ({"workload": [dict(SMALL_WORKLOAD[0], pages=True)]},
-     "workload[0] (app 'H'): pages must be int, got True"),
+     "workload[0] (app 'H'): pages must be an integer, got True"),
     ({"hierarchy": {"latencies": {"row_miss": -200}}},
      "hierarchy.latencies.row_miss must be >= 0, got -200"),
     ({"sampler": {"period": 0}}, "sampler: sampling period must be positive"),
@@ -596,8 +615,8 @@ def test_readme_configs_load():
     ({"hierarchy": {"private": {"line": 128}}}, "hierarchy.private: unknown key 'line'"),
     ({"thresholds": {"d_ccf_llct": 0.5, "d_llch": 0.1}},
      "thresholds: d_ccf_llct must be < d_llch"),
-    ({"thresholds": {"footprint_pages": -5}},
-     "thresholds: footprint_pages must be >= 1, got -5"),
+    ({"workload": [SMALL_WORKLOAD[0], dict(SMALL_WORKLOAD[1], app="H")]},
+     "workload[1] (app 'H'): duplicate app, already in workload[0]"),
     ({"thresholds": {"hot_page_low": float("nan")}},
      "thresholds: hot_page_low must be finite, got nan"),
     ({"sampler": {"bucket_weights": [-1, -2]}},
@@ -680,9 +699,9 @@ def test_yaml_booleans_are_read_as_written(tmp_path):
     ({"hierarchy": {"private": {"size": 32768.5}}},
      "hierarchy.private.size must be an integer, got 32768.5"),
     ({"workload": [dict(SMALL_WORKLOAD[0], pages=256.5)]},
-     "workload[0] (app 'H'): pages must be int, got 256.5"),
+     "workload[0] (app 'H'): pages must be an integer, got 256.5"),
     ({"workload": [dict(SMALL_WORKLOAD[0], accesses=float("inf"))]},
-     "workload[0] (app 'H'): accesses must be int, got inf"),
+     "workload[0] (app 'H'): accesses must be an integer, got inf"),
     ({"workload": [{"app": "M", "kind": "llcm", "zipf_s": float("nan")}]},
      "workload[0] (app 'M'): zipf_s must be a finite number, got nan"),
     ({"workload": [{"app": "M", "kind": "llcm", "zipf_s": float("inf")}]},
