@@ -9,7 +9,7 @@ between the archetype clusters:
 
     d  < 0.05 separates CCF/LLCT from LLCM/LLCH   (d_ccf_llct)
     d >= 0.20 separates LLCH from LLCM            (d_llch)
-    h <= 64   marks CCF, h >= 128 marks the rest  (hot_page_low/high)
+    h <= P    marks CCF, h >= 2P marks the rest   (P: private cache's pages)
     w <= 1.2  marks LLCT, w >= 6.0 marks LLCH     (wpd_low/high)
 
 Usage:
@@ -21,7 +21,9 @@ import sys
 
 import numpy as np
 
-from memcolor.classifier import Thresholds, classify_offline, classify_trace_online
+from memcolor.classifier import (HOT_PAGE_SPAN, Thresholds, _private_pages,
+                                 classify_offline, classify_trace_online)
+from memcolor.hierarchy import DEFAULT_PRIVATE
 from memcolor.mapping import AddressMapping
 from memcolor.workloads import (ARCHETYPE_KINDS, canonical_params, gen,
                                 randomized_params)
@@ -31,12 +33,10 @@ def evidence_row(kind, params, m):
     trace = gen(params)
     off = classify_offline(trace, m)
     on, ev, wpd = classify_trace_online(trace, m)
-    return {
-        "kind": kind, "seed": params.seed,
-        "d": off.degradation, "fp": off.footprint_pages,
-        "h": ev.mean_hot_pages(), "w": wpd,
-        "offline": off.category.value, "online": on.value,
-    }
+    return {"kind": kind, "seed": params.seed,
+            "d": off.degradation, "fp": off.footprint_pages,
+            "h": ev.mean_hot_pages(), "w": wpd,
+            "offline": off.category.value, "online": on.value}
 
 
 def print_rows(rows):
@@ -57,8 +57,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     m = AddressMapping()
-    th = Thresholds()
-    print("default thresholds:", th, "\n")
+    pages = _private_pages(DEFAULT_PRIVATE, m)
+    print("default thresholds:", Thresholds())
+    print(f"default private cache: CCF at h <= {pages}, not CCF at h >= {HOT_PAGE_SPAN * pages}\n")
 
     rows = [evidence_row(kind, canonical_params(kind, seed=s), m)
             for kind in ARCHETYPE_KINDS for s in range(1, args.seeds + 1)]
@@ -66,9 +67,8 @@ def main(argv=None):
 
     if args.randomized:
         rng = np.random.default_rng(42)
-        rows = [evidence_row(k, randomized_params(k, rng), m)
-                for i in range(args.randomized)
-                for k in [ARCHETYPE_KINDS[i % 4]]]
+        kinds = [ARCHETYPE_KINDS[i % 4] for i in range(args.randomized)]
+        rows = [evidence_row(k, randomized_params(k, rng), m) for k in kinds]
         print("\nrandomized-parameter instances:")
         print_rows(rows)
         agree = sum(r["offline"] == r["online"] for r in rows)

@@ -9,12 +9,13 @@ plus the page footprint against the pages the private cache holds.
 Online method: two periodic sampling jobs over the app's page table — one
 counts hot pages via access-bit scan-and-clear, the other keeps per-page
 access counters and summarizes them as a weighted page distribution (WPD,
-bucket weight = log2 count-range index) — then thresholds on (mean hot
-pages, WPD) pick the category.  Both jobs see only the app's own page
-accesses, so `classify_trace_online` computes their evidence straight from
-the trace; `PageAccessSampler` is the per-access reference the tests hold
-it to.  The evidence keeps the counters as arrays, the pages' vpns and
-counts in first-touch order; its {vpn: count} dict is built only when read.
+bucket weight = log2 count-range index) — then mean hot pages against the
+private cache's pages, and WPD against two thresholds, pick the category.
+Both jobs see only the app's own page accesses, so `classify_trace_online`
+computes their evidence straight from the trace; `PageAccessSampler` is the
+per-access reference the tests hold it to.  The evidence keeps the vpns
+and counts in first-touch order as arrays; its {vpn: count} dict is built
+only when read.
 """
 
 from __future__ import annotations
@@ -100,15 +101,10 @@ class OnlineEvidence:
 
 @dataclass(frozen=True)
 class Thresholds:
-    # Online decision thresholds, calibrated on the synthetic archetype
-    # corpus by scripts/calibrate_thresholds.py (grid search maximizing
-    # agreement with the offline oracle).
-    hot_page_low: float = 64.0
-    hot_page_high: float = 128.0
+    # The online WPD cut-offs, in the gaps of the archetypes' evidence that
+    # scripts/calibrate_thresholds.py prints, and the oracle's degradation ones.
     wpd_low: float = 1.2
     wpd_high: float = 6.0
-    # Offline oracle cutoffs on relative proxy-cycle degradation.  Its
-    # footprint cutoff is no threshold: the private cache's size in pages.
     d_ccf_llct: float = 0.05
     d_llch: float = 0.20
 
@@ -116,8 +112,6 @@ class Thresholds:
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ClassifierError(f"{name} must be finite, got {value}")
-        if self.hot_page_low > self.hot_page_high:
-            raise ClassifierError("hot_page_low must be <= hot_page_high")
         if self.wpd_low > self.wpd_high:
             raise ClassifierError("wpd_low must be <= wpd_high")
         for d in (self.d_ccf_llct, self.d_llch):
@@ -181,11 +175,20 @@ class PageAccessSampler:
         return hot
 
 
-def _decide(h: float, w: float, thresholds: Thresholds) -> Category:
+# Short of twice the private cache's pages, an app neither fits nor plainly overflows it: LLCM.
+HOT_PAGE_SPAN = 2
+
+
+def _private_pages(private_cfg, m: AddressMapping) -> int:
+    """The pages the private cache holds: the CCF cut-off of both methods."""
+    return private_cfg.size_bytes // m.page_bytes
+
+
+def _decide(h: float, w: float, private_pages: int, thresholds: Thresholds) -> Category:
     """Category by mean hot pages h and WPD w; ties take the >= branch."""
-    if h <= thresholds.hot_page_low:
+    if h <= private_pages:
         return Category.CCF
-    if h >= thresholds.hot_page_high:
+    if h >= HOT_PAGE_SPAN * private_pages:
         if w <= thresholds.wpd_low:
             return Category.LLCT
         if w >= thresholds.wpd_high:
@@ -210,7 +213,7 @@ class OfflineResult:
 
 def classify_offline(trace, m: AddressMapping,
                      private_cfg=DEFAULT_PRIVATE, llc_ways=DEFAULT_LLC_WAYS,
-                     latencies=None, thresholds: Thresholds | None = None) -> OfflineResult:
+                     latencies=None, thresholds: Thresholds = Thresholds()) -> OfflineResult:
     """Cache-quota oracle: full-LLC run vs a run confined to 1 of the
     2^|c_bits| cache color groups.  An app the confinement does not slow
     is CCF when its footprint fits the private cache, at most
@@ -224,10 +227,8 @@ def classify_offline(trace, m: AddressMapping,
     trace = Trace.of(trace)
     if not trace:
         raise ClassifierError("empty trace")
-    thresholds = thresholds or Thresholds()
-    base = dict(latencies or DEFAULT_LATENCIES)
-    flat = base["row_miss"]
-    latencies = {**base, "row_hit": flat, "row_conflict": flat}
+    base = latencies or DEFAULT_LATENCIES
+    latencies = {**base, "row_hit": base["row_miss"], "row_conflict": base["row_miss"]}
     spec = cache_quota_spec(m)
     if len(trace.apps) != 1:
         raise ClassifierError(
@@ -250,8 +251,7 @@ def classify_offline(trace, m: AddressMapping,
     footprint = len(trace.pages(m.page_offset_bits).first)
 
     if d < thresholds.d_ccf_llct:
-        fits = footprint <= private_cfg.size_bytes // m.page_bytes
-        cat = Category.CCF if fits else Category.LLCT
+        cat = Category.CCF if footprint <= _private_pages(private_cfg, m) else Category.LLCT
     elif d >= thresholds.d_llch:
         cat = Category.LLCH
     else:
@@ -260,8 +260,9 @@ def classify_offline(trace, m: AddressMapping,
 
 
 def classify_trace_online(trace, m: AddressMapping,
-                          cfg: SamplerConfig | None = None,
-                          thresholds: Thresholds | None = None):
+                          cfg: SamplerConfig = SamplerConfig(),
+                          thresholds: Thresholds = Thresholds(),
+                          private_cfg=DEFAULT_PRIVATE):
     """Classify a single-app trace from the evidence the two sampling jobs
     would collect while it runs solo.
 
@@ -272,8 +273,6 @@ def classify_trace_online(trace, m: AddressMapping,
 
     Returns (Category, OnlineEvidence, WPD).
     """
-    cfg = cfg or SamplerConfig()
-    thresholds = thresholds or Thresholds()
     trace = Trace.of(trace)
     if len(trace.apps) != 1:
         raise ClassifierError(
@@ -292,4 +291,4 @@ def classify_trace_online(trace, m: AddressMapping,
     hot = 1 + np.count_nonzero(per_interval[:, 1:] != per_interval[:, :-1], axis=1)
     ev = OnlineEvidence(hot.tolist(), pages.vpn, np.bincount(pages.of, minlength=len(pages.first)))
     wpd = ev.wpd(cfg)
-    return _decide(ev.mean_hot_pages(), wpd, thresholds), ev, wpd
+    return _decide(ev.mean_hot_pages(), wpd, _private_pages(private_cfg, m), thresholds), ev, wpd

@@ -76,7 +76,8 @@ def _classify_online(cfg: ExperimentConfig, traces) -> dict:
     out = {}
     for app, trace in traces.items():
         cat, ev, wpd = classify_trace_online(trace, cfg.mapping, cfg=cfg.sampler,
-                                             thresholds=cfg.thresholds)
+                                             thresholds=cfg.thresholds,
+                                             private_cfg=cfg.private_cache)
         out[app] = {"category": cat.value, "hot_pages": ev.hot_pages, "wpd": wpd}
     return out
 

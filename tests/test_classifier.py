@@ -17,6 +17,7 @@ from memcolor.workloads import (ArchetypeParams, Trace, TraceRecord,
 M = AddressMapping()
 CFG = SamplerConfig()
 TH = Thresholds()
+PRIVATE_PAGES = DEFAULT_PRIVATE.size_bytes // M.page_bytes
 
 
 def oracle_wpd(counts):
@@ -107,19 +108,25 @@ def test_wpd_properties(counts):
 
 
 def test_classify_online_rules():
-    th = Thresholds(hot_page_low=10, hot_page_high=100, wpd_low=1.5, wpd_high=6)
+    # CCF up to the private cache's 50 pages, not CCF from twice that
+    th = Thresholds(wpd_low=1.5, wpd_high=6)
 
     def decide(h, counts):
         ev = OnlineEvidence(hot_pages=[h], counts=np.array(counts))
-        return _decide(ev.mean_hot_pages(), ev.wpd(CFG), th)
+        return _decide(ev.mean_hot_pages(), ev.wpd(CFG), 50, th)
 
     assert decide(5, [1]) is Category.CCF
+    assert decide(50, [1]) is Category.CCF
     assert decide(200, [1, 1]) is Category.LLCT
     assert decide(200, [100, 100]) is Category.LLCH
     assert decide(200, [4, 4]) is Category.LLCM
-    assert decide(50, [1]) is Category.LLCM
+    assert decide(51, [1]) is Category.LLCM
+    assert decide(99, [1]) is Category.LLCM
     # boundary takes the >= branch
     assert decide(100, [1]) is Category.LLCT
+    # the default 256 KiB cache gives 64 and 128 pages
+    assert [_decide(h, 1.0, PRIVATE_PAGES, TH) for h in (64, 65, 127, 128)] == [
+        Category.CCF, Category.LLCM, Category.LLCM, Category.LLCT]
 
 
 def test_classify_online_no_evidence():
@@ -197,7 +204,7 @@ def test_online_evidence_matches_sampler(params, cfg):
     assert all(type(h) is int for h in ev.hot_pages)
     assert list(ev.access_counters.items()) == list(ref.access_counters.items())
     assert wpd == ref.wpd(cfg)
-    assert cat is _decide(ref.mean_hot_pages(), ref.wpd(cfg), TH)
+    assert cat is _decide(ref.mean_hot_pages(), ref.wpd(cfg), PRIVATE_PAGES, TH)
 
 
 @given(accesses=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 4095)),
@@ -247,14 +254,14 @@ def test_offline_ccf():
     res = classify_offline(gen(canonical_params("ccf", seed=1)), M)
     assert res.category is Category.CCF
     assert res.degradation < TH.d_ccf_llct
-    assert res.footprint_pages <= DEFAULT_PRIVATE.size_bytes // M.page_bytes
+    assert res.footprint_pages <= PRIVATE_PAGES
 
 
 def test_offline_llct_insensitive_but_huge():
     res = classify_offline(gen(canonical_params("llct", seed=1)), M)
     assert res.category is Category.LLCT
     assert abs(res.degradation) < TH.d_ccf_llct
-    assert res.footprint_pages > DEFAULT_PRIVATE.size_bytes // M.page_bytes
+    assert res.footprint_pages > PRIVATE_PAGES
 
 
 def test_offline_ccf_is_what_fits_the_private_cache():
@@ -265,6 +272,18 @@ def test_offline_ccf_is_what_fits_the_private_cache():
                            CacheConfig(1 << 20, 8))
     assert (res.category, res.footprint_pages) == (Category.CCF, 100)
     assert res.degradation < TH.d_ccf_llct
+
+
+def test_online_ccf_is_what_fits_the_private_cache():
+    # the same 100-page loop against the same 1 MiB private cache: online its
+    # 100 hot pages are CCF too, as offline, where the default cache's 64 and
+    # 128 pages made it LLCM
+    trace = gen(canonical_params("ccf", seed=1, pages=100))
+    private = CacheConfig(1 << 20, 8)
+    cat, ev, wpd = classify_trace_online(trace, M, private_cfg=private)
+    assert (cat, ev.mean_hot_pages()) == (Category.CCF, 100.0)
+    assert cat is classify_offline(trace, M, private).category
+    assert classify_trace_online(trace, M)[0] is Category.LLCM
 
 
 def test_offline_llch_quota_sensitive():
@@ -292,7 +311,7 @@ def test_online_offline_agree_on_archetypes():
 
 
 def test_threshold_validation():
-    with pytest.raises(ClassifierError):
-        Thresholds(hot_page_low=10, hot_page_high=5)
+    with pytest.raises(ClassifierError, match="wpd_low must be <= wpd_high"):
+        Thresholds(wpd_low=10, wpd_high=5)
     with pytest.raises(ClassifierError):
         Thresholds(d_ccf_llct=1.5)

@@ -191,6 +191,17 @@ def test_classify_online(tmp_path, capsys):
     assert doc["H"]["category"] == "LLCH"
 
 
+def test_online_and_offline_ccf_is_what_fits_the_private_cache(tmp_path, capsys):
+    # 100 pages overflow the default private cache but fit a 1 MiB one
+    cfg = write_config(tmp_path, hierarchy={"private": {"size": 1 << 20, "ways": 8}},
+                       workload=[{"app": "C", "kind": "ccf", "pages": 100, "seed": 1}])
+    categories = []
+    for method in ("online", "offline"):
+        assert main(["classify", "--method", method, "--config", cfg]) == 0
+        categories.append(json.loads(capsys.readouterr().out)["C"]["category"])
+    assert categories == ["CCF", "CCF"]
+
+
 def test_advise_profile_only(tmp_path, capsys):
     cfg = write_config(tmp_path, workload=[], profile=[
         {"app": "A", "category": "LLCH"},
@@ -585,7 +596,7 @@ def test_readme_configs_load():
     ({"mapping": {"row_shift": "x"}}, "mapping.row_shift must be an integer, got 'x'"),
     ({"mapping": {"bank_index_bits": [13, "x"]}},
      "mapping.bank_index_bits must be an integer, got 'x'"),
-    ({"thresholds": {"hot_page_low": "x"}}, "thresholds.hot_page_low must be a number, got 'x'"),
+    ({"thresholds": {"wpd_low": "x"}}, "thresholds.wpd_low must be a number, got 'x'"),
     ({"thresholds": {"footprint_pages": 64}}, "thresholds: unknown key 'footprint_pages'"),
     ({"hierarchy": 5}, "hierarchy must be a mapping, got 5"),
     ({"hierarchy": {"latencies": [1]}}, "hierarchy.latencies must be a mapping, got [1]"),
@@ -617,8 +628,8 @@ def test_readme_configs_load():
      "thresholds: d_ccf_llct must be < d_llch"),
     ({"workload": [SMALL_WORKLOAD[0], dict(SMALL_WORKLOAD[1], app="H")]},
      "workload[1] (app 'H'): duplicate app, already in workload[0]"),
-    ({"thresholds": {"hot_page_low": float("nan")}},
-     "thresholds: hot_page_low must be finite, got nan"),
+    ({"thresholds": {"wpd_low": float("nan")}},
+     "thresholds: wpd_low must be finite, got nan"),
     ({"sampler": {"bucket_weights": [-1, -2]}},
      "sampler: bucket_weights must be finite and >= 0, got [-1, -2]"),
     ({"sampler": {"bucket_weights": [float("nan")]}},
@@ -628,6 +639,8 @@ def test_readme_configs_load():
      "profile[1] (app 'H'): duplicate app, already in profile[0]"),
     ({"hierarchy": {"private": {"size": 256, "ways": 8}}},
      "hierarchy.private: 256 bytes hold no set of 8 64-byte lines"),
+    ({"thresholds": {"hot_page_low": 64}}, "thresholds: unknown key 'hot_page_low'"),
+    ({"thresholds": {"hot_page_high": 128}}, "thresholds: unknown key 'hot_page_high'"),
 ])
 def test_config_error_names_entry_or_field(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, policy="interleave", **overrides)
