@@ -9,7 +9,8 @@ between the archetype clusters:
 
     d  < 0.05 separates CCF/LLCT from LLCM/LLCH   (d_ccf_llct)
     d >= 0.20 separates LLCH from LLCM            (d_llch)
-    h <= P    marks CCF, h >= 2P marks the rest   (P: private cache's pages)
+    h <= P    marks CCF, h >= min(2P, W) the rest (P: private cache's pages;
+              W: hot pages an interval shows of a longer line-stride loop)
     w <= 1.2  marks LLCT, w >= 6.0 marks LLCH     (wpd_low/high)
 
 Usage:
@@ -21,7 +22,8 @@ import sys
 
 import numpy as np
 
-from memcolor.classifier import (HOT_PAGE_SPAN, Thresholds, _private_pages,
+from memcolor.classifier import (HOT_PAGE_SPAN, SamplerConfig, Thresholds,
+                                 _private_pages, _window_pages,
                                  classify_offline, classify_trace_online)
 from memcolor.hierarchy import DEFAULT_PRIVATE
 from memcolor.mapping import AddressMapping
@@ -33,10 +35,12 @@ def evidence_row(kind, params, m):
     trace = gen(params)
     off = classify_offline(trace, m)
     on, ev, wpd = classify_trace_online(trace, m)
-    return {"kind": kind, "seed": params.seed,
-            "d": off.degradation, "fp": off.footprint_pages,
-            "h": ev.mean_hot_pages(), "w": wpd,
-            "offline": off.category.value, "online": on.value}
+    return {
+        "kind": kind, "seed": params.seed,
+        "d": off.degradation, "fp": off.footprint_pages,
+        "h": ev.mean_hot_pages(), "w": wpd,
+        "offline": off.category.value, "online": on.value,
+    }
 
 
 def print_rows(rows):
@@ -58,8 +62,9 @@ def main(argv=None):
 
     m = AddressMapping()
     pages = _private_pages(DEFAULT_PRIVATE, m)
+    rest = min(HOT_PAGE_SPAN * pages, _window_pages(SamplerConfig(), m))
     print("default thresholds:", Thresholds())
-    print(f"default private cache: CCF at h <= {pages}, not CCF at h >= {HOT_PAGE_SPAN * pages}\n")
+    print(f"default private cache: CCF at h <= {pages}, not CCF at h >= {rest}\n")
 
     rows = [evidence_row(kind, canonical_params(kind, seed=s), m)
             for kind in ARCHETYPE_KINDS for s in range(1, args.seeds + 1)]
@@ -67,8 +72,9 @@ def main(argv=None):
 
     if args.randomized:
         rng = np.random.default_rng(42)
-        kinds = [ARCHETYPE_KINDS[i % 4] for i in range(args.randomized)]
-        rows = [evidence_row(k, randomized_params(k, rng), m) for k in kinds]
+        rows = [evidence_row(k, randomized_params(k, rng), m)
+                for i in range(args.randomized)
+                for k in [ARCHETYPE_KINDS[i % 4]]]
         print("\nrandomized-parameter instances:")
         print_rows(rows)
         agree = sum(r["offline"] == r["online"] for r in rows)

@@ -10,12 +10,12 @@ Online method: two periodic sampling jobs over the app's page table — one
 counts hot pages via access-bit scan-and-clear, the other keeps per-page
 access counters and summarizes them as a weighted page distribution (WPD,
 bucket weight = log2 count-range index) — then mean hot pages against the
-private cache's pages, and WPD against two thresholds, pick the category.
-Both jobs see only the app's own page accesses, so `classify_trace_online`
-computes their evidence straight from the trace; `PageAccessSampler` is the
-per-access reference the tests hold it to.  The evidence keeps the vpns
-and counts in first-touch order as arrays; its {vpn: count} dict is built
-only when read.
+private cache's pages, as far as an interval shows them, and WPD against two
+thresholds pick the category.  Both jobs see only the app's own page
+accesses, so `classify_trace_online` computes their evidence straight from
+the trace; `PageAccessSampler` is the per-access reference the tests hold
+it to.  The evidence keeps the vpns and counts in first-touch order as
+arrays; its {vpn: count} dict is built only when read.
 """
 
 from __future__ import annotations
@@ -184,15 +184,24 @@ def _private_pages(private_cfg, m: AddressMapping) -> int:
     return private_cfg.size_bytes // m.page_bytes
 
 
-def _decide(h: float, w: float, private_pages: int, thresholds: Thresholds) -> Category:
-    """Category by mean hot pages h and WPD w; ties take the >= branch."""
-    if h <= private_pages:
-        return Category.CCF
-    if h >= HOT_PAGE_SPAN * private_pages:
-        if w <= thresholds.wpd_low:
-            return Category.LLCT
-        if w >= thresholds.wpd_high:
-            return Category.LLCH
+def _window_pages(cfg: SamplerConfig, m: AddressMapping) -> int:
+    """The fewest hot pages one sampling interval shows of a loop that walks
+    its pages line by line and does not finish a pass within the interval."""
+    return -(-cfg.period // (m.page_bytes // m.line_bytes))
+
+
+def _decide(h: float, w: float, private_pages: int, window_pages: int,
+            thresholds: Thresholds) -> Category:
+    """Category by mean hot pages h and WPD w.  CCF up to the private
+    cache's pages; not CCF (LLCT or LLCH by WPD) from HOT_PAGE_SPAN times
+    that, or from window_pages, where an interval no longer tells a loop
+    that fits from a bigger one; LLCM between.  Ties take the >= branch."""
+    if h < min(HOT_PAGE_SPAN * private_pages, window_pages):
+        return Category.CCF if h <= private_pages else Category.LLCM
+    if w <= thresholds.wpd_low:
+        return Category.LLCT
+    if w >= thresholds.wpd_high:
+        return Category.LLCH
     return Category.LLCM
 
 
@@ -213,7 +222,7 @@ class OfflineResult:
 
 def classify_offline(trace, m: AddressMapping,
                      private_cfg=DEFAULT_PRIVATE, llc_ways=DEFAULT_LLC_WAYS,
-                     latencies=None, thresholds: Thresholds = Thresholds()) -> OfflineResult:
+                     latencies=None, thresholds: Thresholds | None = None) -> OfflineResult:
     """Cache-quota oracle: full-LLC run vs a run confined to 1 of the
     2^|c_bits| cache color groups.  An app the confinement does not slow
     is CCF when its footprint fits the private cache, at most
@@ -227,8 +236,10 @@ def classify_offline(trace, m: AddressMapping,
     trace = Trace.of(trace)
     if not trace:
         raise ClassifierError("empty trace")
-    base = latencies or DEFAULT_LATENCIES
-    latencies = {**base, "row_hit": base["row_miss"], "row_conflict": base["row_miss"]}
+    thresholds = thresholds or Thresholds()
+    base = dict(latencies or DEFAULT_LATENCIES)
+    flat = base["row_miss"]
+    latencies = {**base, "row_hit": flat, "row_conflict": flat}
     spec = cache_quota_spec(m)
     if len(trace.apps) != 1:
         raise ClassifierError(
@@ -260,8 +271,8 @@ def classify_offline(trace, m: AddressMapping,
 
 
 def classify_trace_online(trace, m: AddressMapping,
-                          cfg: SamplerConfig = SamplerConfig(),
-                          thresholds: Thresholds = Thresholds(),
+                          cfg: SamplerConfig | None = None,
+                          thresholds: Thresholds | None = None,
                           private_cfg=DEFAULT_PRIVATE):
     """Classify a single-app trace from the evidence the two sampling jobs
     would collect while it runs solo.
@@ -273,6 +284,8 @@ def classify_trace_online(trace, m: AddressMapping,
 
     Returns (Category, OnlineEvidence, WPD).
     """
+    cfg = cfg or SamplerConfig()
+    thresholds = thresholds or Thresholds()
     trace = Trace.of(trace)
     if len(trace.apps) != 1:
         raise ClassifierError(
@@ -291,4 +304,6 @@ def classify_trace_online(trace, m: AddressMapping,
     hot = 1 + np.count_nonzero(per_interval[:, 1:] != per_interval[:, :-1], axis=1)
     ev = OnlineEvidence(hot.tolist(), pages.vpn, np.bincount(pages.of, minlength=len(pages.first)))
     wpd = ev.wpd(cfg)
-    return _decide(ev.mean_hot_pages(), wpd, _private_pages(private_cfg, m), thresholds), ev, wpd
+    cat = _decide(ev.mean_hot_pages(), wpd, _private_pages(private_cfg, m),
+                  _window_pages(cfg, m), thresholds)
+    return cat, ev, wpd

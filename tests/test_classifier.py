@@ -6,18 +6,19 @@ from hypothesis import strategies as st
 from memcolor.allocator import Allocator
 from memcolor.classifier import (Category, ClassifierError, OnlineEvidence,
                                  PageAccessSampler, SamplerConfig, Thresholds,
-                                 _decide, classify_offline,
+                                 _decide, _window_pages, classify_offline,
                                  classify_trace_online, job2_wpd)
 from memcolor.hierarchy import DEFAULT_PRIVATE, CacheConfig
 from memcolor.mapping import AddressMapping
 from memcolor.policies import PolicyKind, policy_spec
 from memcolor.workloads import (ArchetypeParams, Trace, TraceRecord,
-                                canonical_params, gen)
+                                canonical_params, gen, randomized_params)
 
 M = AddressMapping()
 CFG = SamplerConfig()
 TH = Thresholds()
 PRIVATE_PAGES = DEFAULT_PRIVATE.size_bytes // M.page_bytes
+WINDOW_PAGES = _window_pages(CFG, M)
 
 
 def oracle_wpd(counts):
@@ -113,7 +114,7 @@ def test_classify_online_rules():
 
     def decide(h, counts):
         ev = OnlineEvidence(hot_pages=[h], counts=np.array(counts))
-        return _decide(ev.mean_hot_pages(), ev.wpd(CFG), 50, th)
+        return _decide(ev.mean_hot_pages(), ev.wpd(CFG), 50, WINDOW_PAGES, th)
 
     assert decide(5, [1]) is Category.CCF
     assert decide(50, [1]) is Category.CCF
@@ -125,8 +126,24 @@ def test_classify_online_rules():
     # boundary takes the >= branch
     assert decide(100, [1]) is Category.LLCT
     # the default 256 KiB cache gives 64 and 128 pages
-    assert [_decide(h, 1.0, PRIVATE_PAGES, TH) for h in (64, 65, 127, 128)] == [
+    assert [_decide(h, 1.0, PRIVATE_PAGES, WINDOW_PAGES, TH) for h in (64, 65, 127, 128)] == [
         Category.CCF, Category.LLCM, Category.LLCM, Category.LLCT]
+    # an interval that shows 80 pages of a longer loop: not CCF from there,
+    # under both a small and a large private cache
+    assert [_decide(h, 1.0, 50, 80, TH) for h in (50, 79, 80)] == [
+        Category.CCF, Category.LLCM, Category.LLCT]
+    assert [_decide(h, 1.0, 200, 80, TH) for h in (79, 80, 200)] == [
+        Category.CCF, Category.LLCT, Category.LLCT]
+
+
+def test_window_pages_are_what_an_interval_shows_of_a_longer_loop():
+    # 10,000 line-stride accesses of a 512-page loop span 157 pages, and
+    # 6,400 span 100; a 100-page loop is shown whole by 10,000
+    assert (WINDOW_PAGES, _window_pages(SamplerConfig(period=6400), M)) == (157, 100)
+    for period, pages, hot in ((10_000, 512, 157), (6400, 512, 100), (10_000, 100, 100)):
+        trace = gen(ArchetypeParams("llch", pages, 4 * 6400 * 8, seed=1))
+        _, ev, _ = classify_trace_online(trace, M, cfg=SamplerConfig(period=period))
+        assert ev.mean_hot_pages() == hot
 
 
 def test_classify_online_no_evidence():
@@ -204,7 +221,8 @@ def test_online_evidence_matches_sampler(params, cfg):
     assert all(type(h) is int for h in ev.hot_pages)
     assert list(ev.access_counters.items()) == list(ref.access_counters.items())
     assert wpd == ref.wpd(cfg)
-    assert cat is _decide(ref.mean_hot_pages(), ref.wpd(cfg), PRIVATE_PAGES, TH)
+    assert cat is _decide(ref.mean_hot_pages(), ref.wpd(cfg), PRIVATE_PAGES,
+                          _window_pages(cfg, M), TH)
 
 
 @given(accesses=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 4095)),
@@ -308,6 +326,23 @@ def test_online_offline_agree_on_archetypes():
         on, _, _ = classify_trace_online(trace, M)
         assert on is off.category
         assert on.value == kind.upper()
+
+
+@pytest.mark.parametrize("private", [CacheConfig(1 << 19, 8), CacheConfig(1 << 20, 8)],
+                         ids=["512KiB", "1MiB"])
+def test_online_offline_agree_under_larger_private_caches(private):
+    # a 512-page llch loop shows 157 hot pages per interval whatever the
+    # private cache, fewer than its 256 or 512 pages: the window, not the
+    # cache, keeps it from reading CCF or LLCM online
+    rng = np.random.default_rng(11)
+    cases = [(kind, canonical_params(kind, seed=7)) for kind in ("ccf", "llct", "llcm", "llch")]
+    cases += [("llch", randomized_params("llch", rng)) for _ in range(2)]
+    cases.append(("ccf", canonical_params("ccf", seed=1, pages=100)))
+    for kind, params in cases:
+        trace = gen(params)
+        off = classify_offline(trace, M, private)
+        on, _, _ = classify_trace_online(trace, M, private_cfg=private)
+        assert (on, off.category) == (Category(kind.upper()),) * 2, params
 
 
 def test_threshold_validation():

@@ -192,14 +192,17 @@ def test_classify_online(tmp_path, capsys):
 
 
 def test_online_and_offline_ccf_is_what_fits_the_private_cache(tmp_path, capsys):
-    # 100 pages overflow the default private cache but fit a 1 MiB one
+    # 100 pages overflow the default private cache but fit a 1 MiB one; a
+    # 512-page llch loop, of which an interval shows 157 pages, fits neither
     cfg = write_config(tmp_path, hierarchy={"private": {"size": 1 << 20, "ways": 8}},
-                       workload=[{"app": "C", "kind": "ccf", "pages": 100, "seed": 1}])
+                       workload=[{"app": "C", "kind": "ccf", "pages": 100, "seed": 1},
+                                 {"app": "H", "kind": "llch", "seed": 1, "core": 1}])
     categories = []
     for method in ("online", "offline"):
         assert main(["classify", "--method", method, "--config", cfg]) == 0
-        categories.append(json.loads(capsys.readouterr().out)["C"]["category"])
-    assert categories == ["CCF", "CCF"]
+        out = json.loads(capsys.readouterr().out)
+        categories.append({app: out[app]["category"] for app in out})
+    assert categories == [{"C": "CCF", "H": "LLCH"}] * 2
 
 
 def test_advise_profile_only(tmp_path, capsys):
