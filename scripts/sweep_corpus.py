@@ -50,7 +50,7 @@ def run_mix(code, seed0, cfg):
     cycles = {}
     for policy, cell in sweep_policies(cfg, traces, profile).items():
         if isinstance(cell, AdvisorError):
-            continue                     # degenerate cell (too few groups)
+            continue
         if isinstance(cell, Exception):
             raise cell
         cycles[policy] = proxy_cycles(cell)

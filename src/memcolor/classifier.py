@@ -14,8 +14,8 @@ private cache's pages, as far as an interval shows them, and WPD against two
 thresholds pick the category.  Both jobs see only the app's own page
 accesses, so `classify_trace_online` computes their evidence straight from
 the trace; `PageAccessSampler` is the per-access reference the tests hold
-it to.  The evidence keeps the vpns and counts in first-touch order as
-arrays; its {vpn: count} dict is built only when read.
+it to.  The evidence keeps the counters as arrays, the pages' vpns and
+counts in first-touch order; its {vpn: count} dict is built only when read.
 """
 
 from __future__ import annotations
@@ -101,10 +101,13 @@ class OnlineEvidence:
 
 @dataclass(frozen=True)
 class Thresholds:
-    # The online WPD cut-offs, in the gaps of the archetypes' evidence that
-    # scripts/calibrate_thresholds.py prints, and the oracle's degradation ones.
+    # Online decision thresholds on WPD, set in the gaps of the archetype
+    # evidence that scripts/calibrate_thresholds.py prints.  The hot-page
+    # cut-offs are no thresholds: they come from the private cache (_decide).
     wpd_low: float = 1.2
     wpd_high: float = 6.0
+    # Offline oracle cutoffs on relative proxy-cycle degradation.  Its
+    # footprint cutoff is no threshold: the private cache's size in pages.
     d_ccf_llct: float = 0.05
     d_llch: float = 0.20
 
@@ -262,7 +265,8 @@ def classify_offline(trace, m: AddressMapping,
     footprint = len(trace.pages(m.page_offset_bits).first)
 
     if d < thresholds.d_ccf_llct:
-        cat = Category.CCF if footprint <= _private_pages(private_cfg, m) else Category.LLCT
+        fits = footprint <= _private_pages(private_cfg, m)
+        cat = Category.CCF if fits else Category.LLCT
     elif d >= thresholds.d_llch:
         cat = Category.LLCH
     else:
