@@ -332,8 +332,8 @@ def test_online_offline_agree_on_archetypes():
                          ids=["512KiB", "1MiB"])
 def test_online_offline_agree_under_larger_private_caches(private):
     # a 512-page llch loop shows 157 hot pages per interval whatever the
-    # private cache, fewer than its 256 or 512 pages: the window, not the
-    # cache, keeps it from reading CCF or LLCM online
+    # private cache, under twice its 128 or 256 pages: the window cap keeps
+    # it from reading LLCM or CCF online
     rng = np.random.default_rng(11)
     cases = [(kind, canonical_params(kind, seed=7)) for kind in ("ccf", "llct", "llcm", "llch")]
     cases += [("llch", randomized_params("llch", rng)) for _ in range(2)]
